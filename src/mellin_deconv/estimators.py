@@ -11,6 +11,10 @@ multiplier built from the known error transform M_g and invert the product:
 
 The damped region G_k = {t : (1+|t|)^xi / k > |M_g(t)|} shrinks as k grows;
 multiplier magnitudes grow monotonically in k.
+
+Every product, one at a time or stacked, is inverted by
+`mellin.invert_grid_values` and passes the Hermitian residue check of
+`mellin.checked_real_part` before its real part is used.
 """
 
 from __future__ import annotations
@@ -25,9 +29,9 @@ import numpy as np
 from .grids import FrequencyGrid, QuadratureConfig
 from .mellin import (
     EmpiricalMellin,
-    HermitianSymmetryError,
     MellinError,
     MellinFunction,
+    checked_real_part,
     empirical_mellin_on_grid,
     golden_section_min,
     invert_grid_values,
@@ -97,6 +101,33 @@ class DensityEstimate:
     t_step: float
 
 
+def ridge_threshold(t: np.ndarray, k: float, xi: float) -> np.ndarray:
+    """Ridge threshold (1+|t|)^xi / k; G_k is where |M_g| falls below it."""
+    return (1.0 + np.abs(t)) ** xi / k
+
+
+def ridge_values(
+    mg: np.ndarray, mg_neg: np.ndarray, thresh: np.ndarray, r: float
+) -> np.ndarray:
+    """Ridge multiplier from M_g(t), M_g(-t) and the threshold at the same t.
+
+    1/M_g(t) where |M_g(t)| >= thresh, otherwise the damped branch
+    M_g(-t) |M_g(t)|^r / max(|M_g(t)|, thresh)^(r+2), which never divides
+    by zero.  For real noise densities M_g(-t) = conj(M_g(t)).
+    """
+    amg = np.abs(mg)
+    exact = amg >= thresh
+    out = np.empty_like(mg)
+    out[exact] = 1.0 / mg[exact]
+    damped = ~exact
+    out[damped] = (
+        mg_neg[damped]
+        * amg[damped] ** r
+        / np.maximum(amg[damped], thresh[damped]) ** (r + 2.0)
+    )
+    return out
+
+
 def ridge_multiplier(spec: RidgeSpec, g_mellin: MellinFunction) -> MellinMultiplier:
     """Build the ridge multiplier for an error transform.
 
@@ -124,18 +155,7 @@ def ridge_multiplier(spec: RidgeSpec, g_mellin: MellinFunction) -> MellinMultipl
         t = np.asarray(t, dtype=float)
         mg = np.asarray(g.eval_fn(t), dtype=np.complex128)
         mg_neg = np.asarray(g.eval_fn(-t), dtype=np.complex128)
-        amg = np.abs(mg)
-        thresh = (1.0 + np.abs(t)) ** xi / k
-        exact = amg >= thresh
-        out = np.empty_like(mg)
-        out[exact] = 1.0 / mg[exact]
-        damped = ~exact
-        out[damped] = (
-            mg_neg[damped]
-            * amg[damped] ** r
-            / np.maximum(amg[damped], thresh[damped]) ** (r + 2.0)
-        )
-        return out
+        return ridge_values(mg, mg_neg, ridge_threshold(t, k, xi), r)
 
     return MellinMultiplier(spec=spec, g_mellin=g_mellin, eval_fn=eval_fn, support=None)
 
@@ -226,55 +246,6 @@ def multiplier_norm_sq(mult: MellinMultiplier, q: QuadratureConfig) -> float:
     return norm
 
 
-class InversionKernel:
-    """Cached inversion onto a fixed x-grid for repeated Mellin products.
-
-    Holds the phase matrix exp(-i * log(x) ⊗ t) for the nonnegative half of
-    a frequency grid, so that inverting a conjugate-symmetric product costs
-    one matrix-vector product.  The half-grid sum 2*Re(sum_{m>0}) + centre
-    term is exact for conjugate-symmetric inputs.
-    """
-
-    def __init__(self, grid: FrequencyGrid, x_grid: np.ndarray, c: float):
-        self.grid = grid
-        self.x = np.asarray(x_grid, dtype=float)
-        self.c = float(c)
-        t_half = grid.t[grid.center :]
-        self.phases = np.exp(-1j * np.outer(np.log(self.x), t_half))
-        self.x_pow = self.x ** (-self.c) / (2.0 * np.pi)
-
-    def _half(self, product: np.ndarray, support: Optional[float]):
-        j = (
-            self.grid.window_index(support)
-            if support is not None
-            else self.grid.half_size
-        )
-        half = product[self.grid.center : self.grid.center + j + 1] * self.grid.t_step
-        half[-1] *= 0.5
-        return half, j
-
-    def apply(self, product: np.ndarray, support: Optional[float] = None) -> np.ndarray:
-        """Invert one product (full grid length, conjugate-symmetric)."""
-        half, j = self._half(product, support)
-        acc = self.phases[:, : j + 1] @ half
-        return (2.0 * acc.real - half[0].real) * self.x_pow
-
-    def apply_multi(
-        self, products: np.ndarray, support: Optional[float] = None
-    ) -> np.ndarray:
-        """Invert a (K, len(grid)) stack of products at once -> (K, len(x))."""
-        j = (
-            self.grid.window_index(support)
-            if support is not None
-            else self.grid.half_size
-        )
-        half = products[:, self.grid.center : self.grid.center + j + 1] * self.grid.t_step
-        half[:, -1] *= 0.5
-        acc = self.phases[:, : j + 1] @ half.T
-        vals = 2.0 * acc.real - half[:, 0].real[None, :]
-        return (vals * self.x_pow[:, None]).T
-
-
 def estimate_values_from_product(
     grid: FrequencyGrid,
     product: np.ndarray,
@@ -282,12 +253,13 @@ def estimate_values_from_product(
     x_grid: np.ndarray,
     support: Optional[float] = None,
 ) -> np.ndarray:
-    """Invert a conjugate-symmetric Mellin-domain product to real x-values.
+    """Invert a conjugate-symmetric product, or a stack of them, to real x-values.
 
-    One-shot variant of `InversionKernel.apply`; build a kernel instead when
-    inverting many products onto the same grid.
+    Raises `HermitianSymmetryError` when a product is not conjugate-symmetric.
     """
-    return InversionKernel(grid, x_grid, c).apply(product, support=support)
+    return checked_real_part(
+        invert_grid_values(grid, product, c, x_grid, support=support)
+    )
 
 
 def estimate_density(
@@ -309,18 +281,12 @@ def estimate_density(
     grid = FrequencyGrid.from_config(q)
     mhat = empirical_mellin_on_grid(em, grid)
     product = mhat * mult(grid.t)
-    complex_vals = invert_grid_values(
+    values = estimate_values_from_product(
         grid, product, em.c, x_grid, support=mult.support
     )
-    re, im = complex_vals.real, complex_vals.imag
-    if np.abs(im).max() > 1e-8 * (1.0 + np.abs(re).max()):
-        raise HermitianSymmetryError(
-            "estimate has a non-negligible imaginary part; the Mellin "
-            "product lost conjugate symmetry"
-        )
     return DensityEstimate(
         x_grid=np.asarray(x_grid, dtype=float),
-        values=re,
+        values=values,
         c=em.c,
         t_grid=grid.t,
         mellin_values=product,

@@ -2,9 +2,15 @@
 
 Per-replication work is keyed by content-hashed RNG streams, so results do
 not depend on execution order, and the same draws feed both estimation
-methods within a scenario (paired comparison).  Error integrals are taken
-in the weighted space L^2(R_+, x^(2c-1)) on a log-spaced x-window covering
-the catalog targets' effective support.
+methods within a scenario (paired comparison).  Every experiment runs the
+package's one estimation pipeline: the scenario engine builds the
+frequency grid and the public ridge and cut-off banks once, computes each
+replication's empirical transform once, selects through the banks'
+``select`` methods and inverts through
+`estimators.estimate_values_from_product`, which checks the Hermitian
+residue of every product.  Error integrals are taken in the weighted space
+L^2(R_+, x^(2c-1)) on a log-spaced x-window covering the catalog targets'
+effective support.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimators import InversionKernel
+from .estimators import estimate_values_from_product, ridge_threshold
 from .grids import FrequencyGrid, QuadratureConfig, default_x_grid
 from .mellin import (
     EmpiricalMellin,
@@ -31,14 +37,7 @@ from .model import (
     sample,
     stream_id_for,
 )
-from .selection import (
-    CutoffBank,
-    RidgeBank,
-    SelectionConfig,
-    _cutoff_select_from_arrays,
-    _ridge_select_from_arrays,
-    sigma_hat,
-)
+from .selection import CutoffBank, RidgeBank, SelectionConfig, sigma_hat
 
 TWO_PI = 2.0 * np.pi
 
@@ -60,7 +59,8 @@ class ExperimentConfig:
     """Scenario descriptor for a Monte-Carlo run.
 
     ``fixed_k`` bypasses the data-driven selection and estimates with the
-    given level in every replication (used by rate experiments).
+    given whole-number level in every replication (used by rate
+    experiments).
     """
 
     target: str
@@ -80,6 +80,10 @@ class ExperimentConfig:
             raise ValueError("method must be 'ridge' or 'cutoff'")
         if self.n < 1 or self.replications < 1:
             raise ValueError("n and replications must be at least 1")
+        if self.fixed_k is not None and not (
+            self.fixed_k >= 1 and float(self.fixed_k).is_integer()
+        ):
+            raise ValueError("fixed_k must be a whole number of at least 1")
 
 
 @dataclass(frozen=True)
@@ -128,9 +132,10 @@ def _truth_and_weight(target: str, c: float, x: np.ndarray):
     return truth, weight
 
 
-def _weighted_err(values: np.ndarray, truth: np.ndarray, weight: np.ndarray, x) -> float:
+def _weighted_err(values: np.ndarray, truth: np.ndarray, weight: np.ndarray, x):
+    """Weighted squared error of one estimate, or of each row of a stack."""
     diff = values - truth
-    return float(np.trapezoid(diff * diff * weight, x))
+    return np.trapezoid(diff * diff * weight, x, axis=-1)
 
 
 def _replication_sample(cfg: ExperimentConfig, rep: int) -> np.ndarray:
@@ -144,7 +149,11 @@ def _replication_sample(cfg: ExperimentConfig, rep: int) -> np.ndarray:
 
 
 class _ScenarioEngine:
-    """Shared per-scenario state: grid, noise banks, truth tabulation."""
+    """Shared per-scenario state: grid, noise banks, truth tabulation.
+
+    A fixed-level scenario gets a one-level ridge bank without the
+    admissibility cap.
+    """
 
     def __init__(self, cfg: ExperimentConfig, methods: Sequence[str]):
         self.cfg = cfg
@@ -152,58 +161,47 @@ class _ScenarioEngine:
         self.g_mellin = catalog_mellin(cfg.error, cfg.c)
         self.x = cfg.x_grid.build()
         self.truth, self.weight = _truth_and_weight(cfg.target, cfg.c, self.x)
-        self.kernel = InversionKernel(self.grid, self.x, cfg.c)
         self.ridge_bank = None
         self.cutoff_bank = None
         if "ridge" in methods:
+            selection, n_cap = cfg.selection, float(cfg.n)
             if cfg.fixed_k is not None:
-                from .estimators import RidgeSpec, ridge_multiplier
-
-                spec = RidgeSpec(
-                    k=float(cfg.fixed_k), c=cfg.c, xi=cfg.selection.xi, r=cfg.selection.r
-                )
-                self.fixed_row = ridge_multiplier(spec, self.g_mellin)(self.grid.t)
-            else:
-                self.ridge_bank = RidgeBank(
-                    self.g_mellin, cfg.selection, self.grid, n_cap=float(cfg.n)
-                )
+                selection, n_cap = replace(selection, k_grid=(int(cfg.fixed_k),)), np.inf
+            self.ridge_bank = RidgeBank(self.g_mellin, selection, self.grid, n_cap)
         if "cutoff" in methods:
             self.cutoff_bank = CutoffBank(
                 self.g_mellin, cfg.selection, self.grid, n_cap=float(cfg.n)
             )
 
-    def replicate(self, rep: int, methods: Sequence[str]) -> dict:
-        cfg = self.cfg
-        y = _replication_sample(cfg, rep)
-        em = EmpiricalMellin(cfg.c, y)
+    def transform(self, rep: int):
+        """Empirical transform of replication ``rep``, |M_hat|^2 and sigma_hat."""
+        em = EmpiricalMellin(self.cfg.c, _replication_sample(self.cfg, rep))
         mhat = empirical_mellin_on_grid(em, self.grid)
-        mhat_sq = np.abs(mhat) ** 2
-        sig = sigma_hat(em)
+        return mhat, np.abs(mhat) ** 2, sigma_hat(em)
+
+    def errors(self, products: np.ndarray, support: Optional[float] = None):
+        """Weighted squared error of one inverted product, or of each in a stack."""
+        values = estimate_values_from_product(
+            self.grid, products, self.cfg.c, self.x, support=support
+        )
+        return _weighted_err(values, self.truth, self.weight, self.x)
+
+    def replicate(self, rep: int, methods: Sequence[str]) -> dict:
+        """Squared error of each method on the draws of replication ``rep``."""
+        cfg = self.cfg
+        mhat, mhat_sq, sig = self.transform(rep)
         out = {}
         for method in methods:
             if method == "ridge":
-                if cfg.fixed_k is not None:
-                    product = mhat * self.fixed_row
-                    support = None
-                    k_sel = None
-                else:
-                    sel = _ridge_select_from_arrays(
-                        mhat_sq, sig, cfg.n, self.ridge_bank, cfg.selection
-                    )
-                    idx = int(np.nonzero(self.ridge_bank.k_values == sel.k_hat)[0][0])
-                    product = mhat * self.ridge_bank.rows[idx]
-                    support = None
-                    k_sel = sel.k_hat
+                bank = self.ridge_bank
+                k = cfg.fixed_k
+                if k is None:
+                    k = bank.select(mhat_sq, sig, cfg.n).k_hat
+                out[method] = float(self.errors(mhat * bank.row(k)))
             else:
-                sel = _cutoff_select_from_arrays(
-                    mhat_sq, sig, cfg.n, self.cutoff_bank, cfg.selection
-                )
+                k = self.cutoff_bank.select(mhat_sq, sig, cfg.n).k_hat
                 product = mhat * self.cutoff_bank.inv_mg
-                support = float(sel.k_hat)
-                k_sel = sel.k_hat
-            values = self.kernel.apply(product, support=support)
-            err = _weighted_err(values, self.truth, self.weight, self.x)
-            out[method] = (err, k_sel)
+                out[method] = float(self.errors(product, support=float(k)))
         return out
 
 
@@ -217,7 +215,7 @@ def run_mise(cfg: ExperimentConfig) -> MiseReport:
     engine = _ScenarioEngine(cfg, methods=(cfg.method,))
     errors = np.empty(cfg.replications)
     for rep in range(cfg.replications):
-        errors[rep] = engine.replicate(rep, (cfg.method,))[cfg.method][0]
+        errors[rep] = engine.replicate(rep, (cfg.method,))[cfg.method]
     return MiseReport.from_errors(errors)
 
 
@@ -229,7 +227,7 @@ def run_mise_pair(cfg: ExperimentConfig) -> dict:
     for rep in range(cfg.replications):
         res = engine.replicate(rep, methods)
         for m in methods:
-            errs[m][rep] = res[m][0]
+            errs[m][rep] = res[m]
     return {m: MiseReport.from_errors(errs[m]) for m in methods}
 
 
@@ -306,23 +304,6 @@ def bias_variance_profile(
     """
     if selection is None:
         selection = table1_selection_config(error, c)
-    grid = FrequencyGrid.from_config(quadrature)
-    g_mellin = catalog_mellin(error, c)
-    f_mellin = catalog_mellin(target, c)
-    mf = np.asarray(f_mellin(grid.t), dtype=np.complex128)
-    mg_abs = np.abs(np.asarray(g_mellin(grid.t), dtype=np.complex128))
-
-    from .estimators import RidgeSpec, ridge_multiplier
-
-    rows = []
-    for k in k_grid:
-        mult = ridge_multiplier(
-            RidgeSpec(k=float(k), c=c, xi=selection.xi, r=selection.r), g_mellin
-        )
-        rows.append(mult(grid.t))
-    rows = np.array(rows)
-    norms = np.array([float(grid.integrate(np.abs(r) ** 2)) for r in rows])
-
     cfg = ExperimentConfig(
         target=target,
         error=error,
@@ -334,24 +315,31 @@ def bias_variance_profile(
         seed=seed,
         quadrature=quadrature,
     )
+    engine = _ScenarioEngine(cfg, methods=())
+    grid = engine.grid
+    bank = RidgeBank(
+        engine.g_mellin, replace(selection, k_grid=tuple(k_grid)), grid, np.inf
+    )
+    mf = np.asarray(catalog_mellin(target, c)(grid.t), dtype=np.complex128)
+    mg_abs = np.abs(np.asarray(engine.g_mellin(grid.t), dtype=np.complex128))
+
     sum_mhat = np.zeros(grid.t.size, dtype=np.complex128)
     sum_sq = np.zeros(grid.t.size)
     for rep in range(reps):
-        y = _replication_sample(cfg, rep)
-        mhat = empirical_mellin_on_grid(EmpiricalMellin(c, y), grid)
+        mhat, mhat_sq, _ = engine.transform(rep)
         sum_mhat += mhat
-        sum_sq += np.abs(mhat) ** 2
+        sum_sq += mhat_sq
     mean_mhat = sum_mhat / reps
     var_mhat = np.maximum(sum_sq / reps - np.abs(mean_mhat) ** 2, 0.0)
 
     sig_c = sigma_c_true(target, error, c)
     out = []
-    for i, k in enumerate(k_grid):
-        bias_sq = float(grid.integrate(np.abs(mf - mean_mhat * rows[i]) ** 2)) / TWO_PI
-        variance = float(grid.integrate(var_mhat * np.abs(rows[i]) ** 2)) / TWO_PI
-        in_gk = (1.0 + np.abs(grid.t)) ** selection.xi / float(k) > mg_abs
+    for k, row, norm in zip(bank.k_values, bank.rows, bank.norms_sq):
+        bias_sq = float(grid.integrate(np.abs(mf - mean_mhat * row) ** 2)) / TWO_PI
+        variance = float(grid.integrate(var_mhat * np.abs(row) ** 2)) / TWO_PI
+        in_gk = ridge_threshold(grid.t, float(k), selection.xi) > mg_abs
         bound_bias = float(grid.integrate(np.abs(mf) ** 2 * in_gk)) / TWO_PI
-        bound_var = float(sig_c * norms[i] / (TWO_PI * n))
+        bound_var = float(sig_c * norm / (TWO_PI * n))
         out.append(
             ProfileRow(
                 k=int(k),
@@ -377,23 +365,10 @@ def run_selection_oracle_comparison(
     selected = np.empty(cfg.replications)
     oracle = np.empty(cfg.replications)
     for rep in range(cfg.replications):
-        y = _replication_sample(cfg, rep)
-        em = EmpiricalMellin(cfg.c, y)
-        mhat = empirical_mellin_on_grid(em, engine.grid)
-        mhat_sq = np.abs(mhat) ** 2
-        sel = _ridge_select_from_arrays(
-            mhat_sq, sigma_hat(em), cfg.n, bank, cfg.selection
-        )
-        products = mhat[None, :] * bank.rows
-        values = engine.kernel.apply_multi(products)
-        errs = np.array(
-            [
-                _weighted_err(v, engine.truth, engine.weight, engine.x)
-                for v in values
-            ]
-        )
-        idx = int(np.nonzero(bank.k_values == sel.k_hat)[0][0])
-        selected[rep] = errs[idx]
+        mhat, mhat_sq, sig = engine.transform(rep)
+        k_hat = bank.select(mhat_sq, sig, cfg.n).k_hat
+        errs = engine.errors(mhat[None, :] * bank.rows)
+        selected[rep] = errs[list(bank.k_values).index(k_hat)]
         oracle[rep] = errs.min()
     return {
         "selected": selected,

@@ -21,16 +21,13 @@ identity, so the whole selection runs on one shared frequency grid.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimators import (
-    RidgeSpec,
-    check_nonvanishing,
-    ridge_multiplier,
-)
+from .estimators import check_nonvanishing, ridge_threshold, ridge_values
 from .grids import FrequencyGrid, QuadratureConfig
 from .mellin import EmpiricalMellin, MellinFunction, empirical_mellin_on_grid
 
@@ -47,7 +44,8 @@ class SelectionConfig:
 
     chi1/chi2 scale the ridge penalties (chi2 >= chi1 > 0), chi the cut-off
     penalty.  ``k_grid`` of None means consecutive integers 1, 2, ... with
-    the scan stopping at the first inadmissible level.
+    the scan stopping at the first inadmissible level (for the ridge rule
+    also after the first saturated level; see `RidgeBank`).
     """
 
     chi1: float
@@ -111,18 +109,15 @@ def sigma_hat(em: EmpiricalMellin) -> float:
     return float(np.mean(em.sample ** (2.0 * (em.c - 1.0))))
 
 
-def _candidate_levels(cfg: SelectionConfig) -> Sequence[int]:
-    if cfg.k_grid is not None:
-        return cfg.k_grid
-    return None  # unbounded consecutive scan
-
-
 class RidgeBank:
     """Ridge multipliers tabulated on a shared grid for a prefix of levels.
 
     Levels are taken from ``cfg.k_grid`` (or 1, 2, ... when absent) as long
     as ||R_k||^2 <= n_cap; by magnitude monotonicity in k the admissible set
-    is always such a prefix.
+    is always such a prefix.  M_g is tabulated once per build, and M_g(-t)
+    is that table reversed (the grid is symmetric).  The consecutive scan
+    also ends at the first saturated level, whose threshold clears |M_g| at
+    every node where M_g != 0: every later level is the same estimator.
     """
 
     def __init__(
@@ -135,22 +130,24 @@ class RidgeBank:
         self.grid = grid
         self.g_mellin = g_mellin
         self.cfg = cfg
+        mg = np.asarray(g_mellin(grid.t), dtype=np.complex128)
+        amg = np.abs(mg)
         levels = []
         rows = []
         norms = []
         explicit = cfg.k_grid
-        k_iter = explicit if explicit is not None else _consecutive()
+        k_iter = explicit if explicit is not None else itertools.count(1)
         for k in k_iter:
-            mult = ridge_multiplier(
-                RidgeSpec(k=float(k), c=cfg.c, xi=cfg.xi, r=cfg.r), g_mellin
-            )
-            row = mult(grid.t)
+            thresh = ridge_threshold(grid.t, float(k), cfg.xi)
+            row = ridge_values(mg, mg[::-1], thresh, cfg.r)
             norm = float(grid.integrate(np.abs(row) ** 2))
             if norm > n_cap:
                 break
             levels.append(int(k))
             rows.append(row)
             norms.append(norm)
+            if explicit is None and np.all((amg >= thresh) | (amg == 0.0)):
+                break
         self.k_values = np.array(levels, dtype=int)
         self.rows = np.array(rows) if rows else np.empty((0, grid.t.size), complex)
         self.norms_sq = np.array(norms, dtype=float)
@@ -158,12 +155,39 @@ class RidgeBank:
     def __len__(self) -> int:
         return self.k_values.size
 
+    def row(self, k: int) -> np.ndarray:
+        """Tabulated multiplier of level ``k``."""
+        return self.rows[int(np.nonzero(self.k_values == k)[0][0])]
 
-def _consecutive():
-    k = 1
-    while True:
-        yield k
-        k += 1
+    def select(
+        self, mhat_abs_sq: np.ndarray, sig_hat: float, n: int
+    ) -> SelectionResult:
+        """Goldenshluger-Lepski selection given |M_hat|^2 on the bank's grid."""
+        if len(self) == 0:
+            raise EmptyAdmissibleSetError(
+                f"no ridge level on the candidate grid satisfies the "
+                f"admissibility bound for n={n}"
+            )
+        cfg = self.cfg
+        m = len(self)
+        v_hat = 2.0 * sig_hat * self.norms_sq / n
+
+        # contrast(i, j) = ||f_hat_{k_j} - f_hat_{k_i}||^2 for i < j, via Plancherel
+        contrast = np.zeros((m, m))
+        for j in range(1, m):
+            diff_sq = np.abs(self.rows[j] - self.rows[:j]) ** 2
+            contrast[:j, j] = self.grid.integrate(mhat_abs_sq * diff_sq) / TWO_PI
+
+        a_hat = np.zeros(m)
+        for i in range(m - 1):
+            terms = contrast[i, i + 1 :]
+            pen = cfg.chi1 * (
+                v_hat[i + 1 :] if cfg.penalty_at == "candidate" else v_hat[i]
+            )
+            a_hat[i] = max(np.max(terms - pen, initial=0.0), 0.0)
+
+        objective = a_hat + cfg.chi2 * v_hat
+        return _selection_result("ridge", self.k_values, a_hat, v_hat, objective, sig_hat)
 
 
 def admissible_ridge(
@@ -187,56 +211,6 @@ def admissible_ridge(
     return [int(k) for k in bank.k_values]
 
 
-def _ridge_select_from_arrays(
-    mhat_abs_sq: np.ndarray,
-    sig_hat: float,
-    n: int,
-    bank: RidgeBank,
-    cfg: SelectionConfig,
-) -> SelectionResult:
-    """Goldenshluger-Lepski selection given |M_hat|^2 on the bank's grid."""
-    if len(bank) == 0:
-        raise EmptyAdmissibleSetError(
-            f"no ridge level on the candidate grid satisfies the admissibility "
-            f"bound for n={n}"
-        )
-    grid = bank.grid
-    m = len(bank)
-    v_hat = 2.0 * sig_hat * bank.norms_sq / n
-
-    # contrast(i, j) = ||f_hat_{k_j} - f_hat_{k_i}||^2 for i < j, via Plancherel
-    contrast = np.zeros((m, m))
-    for j in range(1, m):
-        diff_sq = np.abs(bank.rows[j] - bank.rows[:j]) ** 2
-        contrast[:j, j] = grid.integrate(mhat_abs_sq * diff_sq) / TWO_PI
-
-    a_hat = np.zeros(m)
-    for i in range(m):
-        if i + 1 >= m:
-            break
-        terms = contrast[i, i + 1 :]
-        pen = cfg.chi1 * (v_hat[i + 1 :] if cfg.penalty_at == "candidate" else v_hat[i])
-        a_hat[i] = max(np.max(terms - pen, initial=0.0), 0.0)
-
-    objective = a_hat + cfg.chi2 * v_hat
-    best = int(np.argmin(objective))  # first minimiser = smallest k
-    diags = tuple(
-        LevelDiagnostics(
-            k=int(bank.k_values[i]),
-            a_hat=float(a_hat[i]),
-            v_hat=float(v_hat[i]),
-            objective=float(objective[i]),
-        )
-        for i in range(m)
-    )
-    return SelectionResult(
-        method="ridge",
-        k_hat=int(bank.k_values[best]),
-        sigma_hat=float(sig_hat),
-        diagnostics=diags,
-    )
-
-
 def select_ridge(
     em: EmpiricalMellin,
     g_mellin: MellinFunction,
@@ -247,9 +221,7 @@ def select_ridge(
     grid = FrequencyGrid.from_config(q)
     bank = RidgeBank(g_mellin, cfg, grid, n_cap=float(em.n))
     mhat = empirical_mellin_on_grid(em, grid)
-    return _ridge_select_from_arrays(
-        np.abs(mhat) ** 2, sigma_hat(em), em.n, bank, cfg
-    )
+    return bank.select(np.abs(mhat) ** 2, sigma_hat(em), em.n)
 
 
 class CutoffBank:
@@ -264,6 +236,7 @@ class CutoffBank:
     ):
         self.grid = grid
         self.g_mellin = g_mellin
+        self.cfg = cfg
         mg = np.asarray(g_mellin(grid.t), dtype=np.complex128)
         amg = np.abs(mg)
         # guarded reciprocal; true zero-freeness is certified per window below
@@ -275,7 +248,7 @@ class CutoffBank:
         levels = []
         norms = []
         explicit = cfg.k_grid
-        k_iter = explicit if explicit is not None else _consecutive()
+        k_iter = explicit if explicit is not None else itertools.count(1)
         for k in k_iter:
             j = int(round(k / grid.t_step))
             if j > grid.half_size:
@@ -293,41 +266,41 @@ class CutoffBank:
     def __len__(self) -> int:
         return self.k_values.size
 
-
-def _cutoff_select_from_arrays(
-    mhat_abs_sq: np.ndarray,
-    sig_hat: float,
-    n: int,
-    bank: CutoffBank,
-    cfg: SelectionConfig,
-) -> SelectionResult:
-    """Penalised-contrast selection given |M_hat|^2 on the bank's grid."""
-    if len(bank) == 0:
-        raise EmptyAdmissibleSetError(
-            f"no cut-off level on the candidate grid satisfies the "
-            f"admissibility bound for n={n}"
+    def select(
+        self, mhat_abs_sq: np.ndarray, sig_hat: float, n: int
+    ) -> SelectionResult:
+        """Penalised-contrast selection given |M_hat|^2 on the bank's grid."""
+        if len(self) == 0:
+            raise EmptyAdmissibleSetError(
+                f"no cut-off level on the candidate grid satisfies the "
+                f"admissibility bound for n={n}"
+            )
+        grid = self.grid
+        cum = grid.centered_cumulative(mhat_abs_sq * np.abs(self.inv_mg) ** 2)
+        window_norms = np.array(
+            [cum[int(round(k / grid.t_step))] for k in self.k_values]
+        ) / TWO_PI
+        pen = 2.0 * self.cfg.chi * sig_hat * self.norms_sq / (TWO_PI * n)
+        return _selection_result(
+            "cutoff", self.k_values, window_norms, pen, pen - window_norms, sig_hat
         )
-    grid = bank.grid
-    data_sq = mhat_abs_sq * np.abs(bank.inv_mg) ** 2
-    cum = grid.centered_cumulative(data_sq)
-    window_norms = np.array(
-        [cum[int(round(k / grid.t_step))] for k in bank.k_values]
-    ) / TWO_PI
-    pen = 2.0 * cfg.chi * sig_hat * bank.norms_sq / (TWO_PI * n)
-    objective = pen - window_norms
-    best = int(np.argmin(objective))
+
+
+def _selection_result(method, k_values, a_hat, v_hat, objective, sig_hat):
+    """Result with per-level diagnostics; k_hat is the first minimiser."""
+    best = int(np.argmin(objective))  # first minimiser = smallest k
     diags = tuple(
         LevelDiagnostics(
-            k=int(bank.k_values[i]),
-            a_hat=float(window_norms[i]),
-            v_hat=float(pen[i]),
+            k=int(k_values[i]),
+            a_hat=float(a_hat[i]),
+            v_hat=float(v_hat[i]),
             objective=float(objective[i]),
         )
-        for i in range(len(bank))
+        for i in range(len(k_values))
     )
     return SelectionResult(
-        method="cutoff",
-        k_hat=int(bank.k_values[best]),
+        method=method,
+        k_hat=int(k_values[best]),
         sigma_hat=float(sig_hat),
         diagnostics=diags,
     )
@@ -343,9 +316,7 @@ def select_cutoff(
     grid = FrequencyGrid.from_config(q)
     bank = CutoffBank(g_mellin, cfg, grid, n_cap=float(em.n))
     mhat = empirical_mellin_on_grid(em, grid)
-    return _cutoff_select_from_arrays(
-        np.abs(mhat) ** 2, sigma_hat(em), em.n, bank, cfg
-    )
+    return bank.select(np.abs(mhat) ** 2, sigma_hat(em), em.n)
 
 
 def write_diagnostics_csv(path, result: SelectionResult) -> None:

@@ -1,11 +1,14 @@
 """Acceptance gate: one test per criterion, printing a PASS/FAIL line each.
 
-Run with ``pytest tests/test_acceptance.py -v``; a cumulative summary is
-also written to ``acceptance_report.txt`` in the working directory.  The
+Run with ``pytest tests/test_acceptance.py -v``; the summary lines of the
+criteria that ran are also written to ``acceptance_report.txt`` in the
+working directory, where the lines of the other criteria are kept.  The
 Monte-Carlo criteria use fixed seeds and are deterministic.
 """
 
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,11 +55,26 @@ def _report(criterion: str, passed: bool, detail: str):
     _REPORT_LINES.append(line)
 
 
+def _criterion_key(line: str):
+    number, suffix = re.match(r"ACCEPTANCE (\d+)(\w*):", line).groups()
+    return int(number), suffix
+
+
+def _merge_report(path: Path, new_lines) -> None:
+    """Rewrite the lines of the criteria in ``new_lines``, keep the others.
+
+    Lines are ordered by criterion (1, 2, ..., 5a, 5b, 5c, 6, ...).
+    """
+    old = path.read_text().splitlines() if path.exists() else []
+    lines = {_criterion_key(l): l for l in old if l.startswith("ACCEPTANCE ")}
+    lines.update({_criterion_key(l): l for l in new_lines})
+    path.write_text("\n".join(lines[k] for k in sorted(lines)) + "\n")
+
+
 @pytest.fixture(scope="module", autouse=True)
 def _write_report():
     yield
-    with open("acceptance_report.txt", "w") as fh:
-        fh.write("\n".join(_REPORT_LINES) + "\n")
+    _merge_report(Path("acceptance_report.txt"), _REPORT_LINES)
 
 
 # ------------------------------------------------------------------ #

@@ -7,6 +7,7 @@ from mellin_deconv import (
     CutoffSpec,
     EmpiricalMellin,
     FrequencyGrid,
+    HermitianSymmetryError,
     MellinError,
     MellinMultiplier,
     NoiseTransformZeroError,
@@ -15,6 +16,7 @@ from mellin_deconv import (
     catalog_mellin,
     cutoff_multiplier,
     default_x_grid,
+    empirical_mellin_on_grid,
     estimate_density,
     multiplier_norm_sq,
     ridge_multiplier,
@@ -225,10 +227,26 @@ def test_estimate_realness_and_fast_path_equivalence(rng):
     grid = FrequencyGrid.from_config(Q)
     complex_vals = invert_grid_values(grid, est.mellin_values, 1.0, x)
     assert np.abs(complex_vals.imag).max() <= 1e-8 * (1.0 + np.abs(complex_vals.real).max())
-    # half-grid fast path agrees with the two-sided sum
+    # the checked real part agrees with the two-sided sum
     fast = estimate_values_from_product(grid, est.mellin_values, 1.0, x)
     assert np.allclose(fast, complex_vals.real, atol=1e-12)
     assert np.allclose(fast, est.values, atol=1e-12)
+
+
+def test_product_without_conjugate_symmetry_is_refused(rng):
+    # the lopsided multiplier (2 for t > 0, 1 otherwise) breaks
+    # H(-t) = conj(H(t)); the Monte-Carlo engine inverts one product or a
+    # stack of them through this same call
+    y = rng.gamma(5.0, 1.0, 500) * np.sqrt(rng.uniform(size=500))
+    grid = FrequencyGrid.from_config(Q)
+    mhat = empirical_mellin_on_grid(EmpiricalMellin(1.0, y), grid)
+    lopsided = mhat * np.where(grid.t > 0.0, 2.0, 1.0)
+    x = default_x_grid()
+    with pytest.raises(HermitianSymmetryError):
+        estimate_values_from_product(grid, lopsided, 1.0, x)
+    with pytest.raises(HermitianSymmetryError):
+        estimate_values_from_product(grid, np.stack([mhat, lopsided]), 1.0, x)
+    assert estimate_values_from_product(grid, np.stack([mhat]), 1.0, x).shape == (1, x.size)
 
 
 def test_estimate_c_mismatch(rng):

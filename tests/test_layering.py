@@ -1,0 +1,30 @@
+"""Package modules use each other only through public names."""
+
+import ast
+from pathlib import Path
+
+import mellin_deconv
+
+PACKAGE_DIR = Path(mellin_deconv.__file__).resolve().parent
+
+
+def _private_imports(path: Path) -> list:
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        in_package = node.level > 0 or (node.module or "").split(".")[0] == "mellin_deconv"
+        if in_package:
+            found += [
+                f"{path.name}:{node.lineno} imports {alias.name}"
+                for alias in node.names
+                if alias.name.startswith("_")
+            ]
+    return found
+
+
+def test_no_module_imports_private_names_of_another():
+    modules = sorted(PACKAGE_DIR.glob("*.py"))
+    assert modules
+    found = [line for path in modules for line in _private_imports(path)]
+    assert found == []

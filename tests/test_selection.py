@@ -23,7 +23,7 @@ from mellin_deconv import (
     write_diagnostics_csv,
 )
 from mellin_deconv.risk import run_selection_oracle_comparison
-from mellin_deconv.selection import RidgeBank, _ridge_select_from_arrays
+from mellin_deconv.selection import RidgeBank
 from mellin_deconv import ExperimentConfig, table1_selection_config
 
 Q = QuadratureConfig(0.01, 150.0)
@@ -81,6 +81,15 @@ def test_admissible_ridge_explicit_grid_is_prefix():
 def test_admissible_ridge_full_grid_for_large_n():
     cfg = SelectionConfig(chi1=1.0, chi2=1.0, chi=1.0, c=1.0, r=2.0, k_grid=(1, 2, 3))
     assert admissible_ridge(G_BETA, cfg, 10**9, Q) == [1, 2, 3]
+
+
+def test_admissible_ridge_scan_stops_at_saturation():
+    # from k = 76 on the threshold clears |M_g| on the whole window, so every
+    # level is the same estimator with norm 562 800.00125 < n; the
+    # consecutive scan must end there instead of running forever
+    cfg = table1_selection_config("noise_beta")
+    ks = admissible_ridge(catalog_mellin("noise_beta", 1.0), cfg, 600_000, QuadratureConfig())
+    assert ks == list(range(1, 77))
 
 
 def test_cutoff_admissibility_closed_form():
@@ -154,7 +163,7 @@ def test_population_level_selection_is_sane():
     bank = RidgeBank(G_BETA, cfg, grid, n_cap=float(n))
     mf = catalog_mellin("gamma5", 1.0)
     my = mf(grid.t) * G_BETA(grid.t)
-    res = _ridge_select_from_arrays(np.abs(my) ** 2, 1.0, n, bank, cfg)
+    res = bank.select(np.abs(my) ** 2, 1.0, n)
     assert res.k_hat in set(bank.k_values)
     # population errors per level are pure smoothing biases
     errs = np.array(
