@@ -49,6 +49,7 @@ from .estimators import (
 from .selection import (
     EmptyAdmissibleSetError,
     LevelDiagnostics,
+    Pipeline,
     SelectionConfig,
     SelectionResult,
     admissible_ridge,

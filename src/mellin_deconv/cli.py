@@ -14,8 +14,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .estimators import cutoff_multiplier, estimate_density, ridge_multiplier
-from .estimators import CutoffSpec, RidgeSpec, write_estimate_csv
+from .estimators import write_estimate_csv
 from .grids import QuadratureConfig
 from .mellin import EmpiricalMellin, catalog_mellin
 from .model import (
@@ -39,7 +38,7 @@ from .risk import (
     write_mise_csv,
     write_profile_csv,
 )
-from .selection import select_cutoff, select_ridge, write_diagnostics_csv
+from .selection import Pipeline, write_diagnostics_csv
 
 
 def _add_common_selection_flags(p: argparse.ArgumentParser) -> None:
@@ -54,15 +53,11 @@ def _add_common_selection_flags(p: argparse.ArgumentParser) -> None:
 
 def _selection_for(args, error: str):
     cfg = table1_selection_config(error, args.c)
-    overrides = {}
-    if getattr(args, "chi1", None) is not None:
-        overrides["chi1"] = args.chi1
-    if getattr(args, "chi2", None) is not None:
-        overrides["chi2"] = args.chi2
-    if getattr(args, "chi", None) is not None:
-        overrides["chi"] = args.chi
-    if getattr(args, "r", None) is not None:
-        overrides["r"] = args.r
+    overrides = {
+        name: getattr(args, name)
+        for name in ("chi1", "chi2", "chi", "r")
+        if getattr(args, name, None) is not None
+    }
     return replace(cfg, **overrides) if overrides else cfg
 
 
@@ -83,17 +78,8 @@ def cmd_estimate(args) -> int:
     em = EmpiricalMellin(args.c, y)
     g = catalog_mellin(args.error, args.c)
     q = QuadratureConfig(t_step=args.t_step, t_max=args.t_max)
-    sel_cfg = _selection_for(args, args.error)
-    if args.method == "ridge":
-        result = select_ridge(em, g, sel_cfg, q)
-        mult = ridge_multiplier(
-            RidgeSpec(k=float(result.k_hat), c=args.c, xi=sel_cfg.xi, r=sel_cfg.r), g
-        )
-    else:
-        result = select_cutoff(em, g, sel_cfg, q)
-        mult = cutoff_multiplier(CutoffSpec(k=float(result.k_hat), c=args.c), g, q)
-    x_grid = XGridSpec().build()
-    est = estimate_density(mult, em, x_grid, q)
+    pipeline = Pipeline(g, _selection_for(args, args.error), q, em.n, XGridSpec().build())
+    result, est = pipeline.fit(args.method, em)
     out = Path(args.out)
     write_estimate_csv(out, est)
     diag_path = out.with_name(out.stem + "_selection" + out.suffix)

@@ -31,6 +31,7 @@ from .mellin import (
     EmpiricalMellin,
     MellinError,
     MellinFunction,
+    check_same_c,
     checked_real_part,
     empirical_mellin_on_grid,
     golden_section_min,
@@ -100,6 +101,14 @@ class DensityEstimate:
     mellin_values: np.ndarray
     t_step: float
 
+    @classmethod
+    def from_product(
+        cls, grid: FrequencyGrid, product: np.ndarray, c: float, x_grid, support=None
+    ) -> "DensityEstimate":
+        """Invert one product on ``grid`` (see `estimate_values_from_product`)."""
+        values = estimate_values_from_product(grid, product, c, x_grid, support=support)
+        return cls(np.asarray(x_grid, dtype=float), values, c, grid.t, product, grid.t_step)
+
 
 def ridge_threshold(t: np.ndarray, k: float, xi: float) -> np.ndarray:
     """Ridge threshold (1+|t|)^xi / k; G_k is where |M_g| falls below it."""
@@ -134,10 +143,7 @@ def ridge_multiplier(spec: RidgeSpec, g_mellin: MellinFunction) -> MellinMultipl
     Exactly 1/M_g(t) wherever |M_g(t)| >= (1+|t|)^xi / k; the damped branch
     is used elsewhere and never divides by zero.
     """
-    if g_mellin.c != spec.c:
-        raise MellinError(
-            f"development point mismatch: multiplier c={spec.c}, noise c={g_mellin.c}"
-        )
+    check_same_c("multiplier", spec.c, "noise", g_mellin.c)
     if g_mellin.decay_exponent is not None:
         rate = g_mellin.decay_exponent * (spec.r + 1.0) + spec.xi * (spec.r + 2.0)
         if rate <= 1.0:
@@ -194,10 +200,7 @@ def cutoff_multiplier(
     spec: CutoffSpec, g_mellin: MellinFunction, q: QuadratureConfig
 ) -> MellinMultiplier:
     """Build the cut-off multiplier 1/M_g restricted to |t| <= k."""
-    if g_mellin.c != spec.c:
-        raise MellinError(
-            f"development point mismatch: multiplier c={spec.c}, noise c={g_mellin.c}"
-        )
+    check_same_c("multiplier", spec.c, "noise", g_mellin.c)
     check_nonvanishing(g_mellin, spec.k, q.t_step)
     k = spec.k
 
@@ -222,10 +225,9 @@ def multiplier_norm_sq(mult: MellinMultiplier, q: QuadratureConfig) -> float:
     window is too short.
     """
     grid = FrequencyGrid.from_config(q)
-    if mult.support is not None:
-        vals = np.abs(mult(grid.t)) ** 2
-        return float(grid.window_integrate(vals, mult.support))
     vals = np.abs(mult(grid.t)) ** 2
+    if mult.support is not None:
+        return float(grid.window_integrate(vals, mult.support))
     norm = float(grid.integrate(vals))
     g = mult.g_mellin
     spec = mult.spec
@@ -274,24 +276,10 @@ def estimate_density(
     conjugate symmetry from the real sample weights); the imaginary residue
     is checked as in `inverse_mellin`.
     """
-    if em.c != mult.spec.c:
-        raise MellinError(
-            f"development point mismatch: sample c={em.c}, multiplier c={mult.spec.c}"
-        )
+    check_same_c("sample", em.c, "multiplier", mult.spec.c)
     grid = FrequencyGrid.from_config(q)
-    mhat = empirical_mellin_on_grid(em, grid)
-    product = mhat * mult(grid.t)
-    values = estimate_values_from_product(
-        grid, product, em.c, x_grid, support=mult.support
-    )
-    return DensityEstimate(
-        x_grid=np.asarray(x_grid, dtype=float),
-        values=values,
-        c=em.c,
-        t_grid=grid.t,
-        mellin_values=product,
-        t_step=grid.t_step,
-    )
+    product = empirical_mellin_on_grid(em, grid) * mult(grid.t)
+    return DensityEstimate.from_product(grid, product, em.c, x_grid, mult.support)
 
 
 def write_estimate_csv(path, estimate: DensityEstimate) -> None:

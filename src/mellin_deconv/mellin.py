@@ -28,6 +28,12 @@ class HermitianSymmetryError(MellinError):
     would have a non-negligible imaginary part."""
 
 
+def check_same_c(what: str, c: float, other: str, c_other: float) -> None:
+    """Raise `MellinError` when two development points differ."""
+    if c != c_other:
+        raise MellinError(f"development point mismatch: {what} c={c}, {other} c={c_other}")
+
+
 #: ids of the built-in target densities
 TARGET_IDS = ("beta25", "loggamma", "gamma5", "lognormal")
 #: ids of the built-in multiplicative error densities

@@ -2,15 +2,13 @@
 
 Per-replication work is keyed by content-hashed RNG streams, so results do
 not depend on execution order, and the same draws feed both estimation
-methods within a scenario (paired comparison).  Every experiment runs the
-package's one estimation pipeline: the scenario engine builds the
-frequency grid and the public ridge and cut-off banks once, computes each
-replication's empirical transform once, selects through the banks'
-``select`` methods and inverts through
-`estimators.estimate_values_from_product`, which checks the Hermitian
-residue of every product.  Error integrals are taken in the weighted space
-L^2(R_+, x^(2c-1)) on a log-spaced x-window covering the catalog targets'
-effective support.
+methods within a scenario (paired comparison).  Every experiment runs
+through one `selection.Pipeline` per scenario: each replication's
+empirical transform is computed once and shared by both methods, and every
+estimate is inverted by the pipeline, which checks the Hermitian residue of
+each product.  This module adds only the truth tabulation and the error
+integrals, taken in the weighted space L^2(R_+, x^(2c-1)) on a log-spaced
+x-window covering the catalog targets' effective support.
 """
 
 from __future__ import annotations
@@ -21,23 +19,18 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimators import estimate_values_from_product, ridge_threshold
-from .grids import FrequencyGrid, QuadratureConfig, default_x_grid
-from .mellin import (
-    EmpiricalMellin,
-    WeightedFunction,
-    catalog_mellin,
-    empirical_mellin_on_grid,
-    weighted_l2_dist_sq,
-)
+from .estimators import ridge_threshold
+from .grids import QuadratureConfig, default_x_grid
+from .mellin import EmpiricalMellin, WeightedFunction, catalog_mellin
 from .model import (
     RngStream,
+    contaminate,
     density_eval,
     density_spec,
     sample,
     stream_id_for,
 )
-from .selection import CutoffBank, RidgeBank, SelectionConfig, sigma_hat
+from .selection import Pipeline, SelectionConfig
 
 TWO_PI = 2.0 * np.pi
 
@@ -120,89 +113,50 @@ def oracle_error(estimate, target: str, c: float) -> float:
     ``estimate`` provides ``x_grid``/``values``/``c`` (a DensityEstimate or
     WeightedFunction); the truth is evaluated on the estimate's own grid.
     """
-    truth = density_eval(density_spec(target), estimate.x_grid)
-    a = WeightedFunction(estimate.x_grid, estimate.values, c)
-    b = WeightedFunction(estimate.x_grid, truth, c)
-    return weighted_l2_dist_sq(a, b)
+    est = WeightedFunction(estimate.x_grid, estimate.values, c)  # checks the grid
+    return float(_error_integral(target, c, est.x_grid)(est.values))
 
 
-def _truth_and_weight(target: str, c: float, x: np.ndarray):
+def _error_integral(target: str, c: float, x: np.ndarray):
+    """Weighted squared error against the truth on ``x``, of one estimate
+    or of each row of a stack."""
     truth = density_eval(density_spec(target), x)
     weight = x ** (2.0 * c - 1.0)
-    return truth, weight
+    return lambda values: np.trapezoid((values - truth) ** 2 * weight, x, axis=-1)
 
 
-def _weighted_err(values: np.ndarray, truth: np.ndarray, weight: np.ndarray, x):
-    """Weighted squared error of one estimate, or of each row of a stack."""
-    diff = values - truth
-    return np.trapezoid(diff * diff * weight, x, axis=-1)
-
-
-def _replication_sample(cfg: ExperimentConfig, rep: int) -> np.ndarray:
+def _replication_sample(cfg: ExperimentConfig, rep: int) -> EmpiricalMellin:
     """Draw the contaminated sample of replication ``rep`` (method-independent)."""
     key = (cfg.target, cfg.error, cfg.n, cfg.c)
     x_rng = RngStream(cfg.seed, stream_id_for("x", *key, rep))
     u_rng = RngStream(cfg.seed, stream_id_for("u", *key, rep))
     x = sample(density_spec(cfg.target), cfg.n, x_rng)
-    u = sample(density_spec(cfg.error), cfg.n, u_rng)
-    return x * u
+    return EmpiricalMellin(cfg.c, contaminate(x, density_spec(cfg.error), u_rng))
 
 
-class _ScenarioEngine:
-    """Shared per-scenario state: grid, noise banks, truth tabulation.
+def _scenario_pipeline(cfg: ExperimentConfig) -> Pipeline:
+    g_mellin = catalog_mellin(cfg.error, cfg.c)
+    return Pipeline(g_mellin, cfg.selection, cfg.quadrature, cfg.n, cfg.x_grid.build())
 
-    A fixed-level scenario gets a one-level ridge bank without the
-    admissibility cap.
-    """
 
-    def __init__(self, cfg: ExperimentConfig, methods: Sequence[str]):
-        self.cfg = cfg
-        self.grid = FrequencyGrid.from_config(cfg.quadrature)
-        self.g_mellin = catalog_mellin(cfg.error, cfg.c)
-        self.x = cfg.x_grid.build()
-        self.truth, self.weight = _truth_and_weight(cfg.target, cfg.c, self.x)
-        self.ridge_bank = None
-        self.cutoff_bank = None
-        if "ridge" in methods:
-            selection, n_cap = cfg.selection, float(cfg.n)
-            if cfg.fixed_k is not None:
-                selection, n_cap = replace(selection, k_grid=(int(cfg.fixed_k),)), np.inf
-            self.ridge_bank = RidgeBank(self.g_mellin, selection, self.grid, n_cap)
-        if "cutoff" in methods:
-            self.cutoff_bank = CutoffBank(
-                self.g_mellin, cfg.selection, self.grid, n_cap=float(cfg.n)
-            )
-
-    def transform(self, rep: int):
-        """Empirical transform of replication ``rep``, |M_hat|^2 and sigma_hat."""
-        em = EmpiricalMellin(self.cfg.c, _replication_sample(self.cfg, rep))
-        mhat = empirical_mellin_on_grid(em, self.grid)
-        return mhat, np.abs(mhat) ** 2, sigma_hat(em)
-
-    def errors(self, products: np.ndarray, support: Optional[float] = None):
-        """Weighted squared error of one inverted product, or of each in a stack."""
-        values = estimate_values_from_product(
-            self.grid, products, self.cfg.c, self.x, support=support
-        )
-        return _weighted_err(values, self.truth, self.weight, self.x)
-
-    def replicate(self, rep: int, methods: Sequence[str]) -> dict:
-        """Squared error of each method on the draws of replication ``rep``."""
-        cfg = self.cfg
-        mhat, mhat_sq, sig = self.transform(rep)
-        out = {}
-        for method in methods:
-            if method == "ridge":
-                bank = self.ridge_bank
-                k = cfg.fixed_k
-                if k is None:
-                    k = bank.select(mhat_sq, sig, cfg.n).k_hat
-                out[method] = float(self.errors(mhat * bank.row(k)))
+def _mise_reports(cfg: ExperimentConfig, methods: Sequence[str]) -> dict:
+    """MiseReport per method, all on the same draws; with ``cfg.fixed_k``
+    the ridge method estimates at that level, uncapped, in every replication."""
+    pipeline = _scenario_pipeline(cfg)
+    error = _error_integral(cfg.target, cfg.c, pipeline.x_grid)
+    fixed_row = None
+    if cfg.fixed_k is not None:
+        fixed_row = pipeline.fixed_ridge_bank((int(cfg.fixed_k),)).rows[0]
+    errors = {m: np.empty(cfg.replications) for m in methods}
+    for rep in range(cfg.replications):
+        tf = pipeline.transform(_replication_sample(cfg, rep))
+        for m in methods:
+            if m == "ridge" and fixed_row is not None:
+                values = pipeline.invert(tf.mhat * fixed_row)
             else:
-                k = self.cutoff_bank.select(mhat_sq, sig, cfg.n).k_hat
-                product = mhat * self.cutoff_bank.inv_mg
-                out[method] = float(self.errors(product, support=float(k)))
-        return out
+                values = pipeline.fit(m, tf)[1].values
+            errors[m][rep] = error(values)
+    return {m: MiseReport.from_errors(errors[m]) for m in methods}
 
 
 def run_mise(cfg: ExperimentConfig) -> MiseReport:
@@ -212,23 +166,12 @@ def run_mise(cfg: ExperimentConfig) -> MiseReport:
     r depend only on (target, error, n, c, seed, r), never on the method, so
     ridge and cut-off runs of the same scenario are paired.
     """
-    engine = _ScenarioEngine(cfg, methods=(cfg.method,))
-    errors = np.empty(cfg.replications)
-    for rep in range(cfg.replications):
-        errors[rep] = engine.replicate(rep, (cfg.method,))[cfg.method]
-    return MiseReport.from_errors(errors)
+    return _mise_reports(cfg, (cfg.method,))[cfg.method]
 
 
 def run_mise_pair(cfg: ExperimentConfig) -> dict:
     """Both methods on shared draws; equals two `run_mise` calls but faster."""
-    methods = ("ridge", "cutoff")
-    engine = _ScenarioEngine(cfg, methods=methods)
-    errs = {m: np.empty(cfg.replications) for m in methods}
-    for rep in range(cfg.replications):
-        res = engine.replicate(rep, methods)
-        for m in methods:
-            errs[m][rep] = res[m]
-    return {m: MiseReport.from_errors(errs[m]) for m in methods}
+    return _mise_reports(cfg, ("ridge", "cutoff"))
 
 
 def run_oracle_rate(
@@ -315,20 +258,17 @@ def bias_variance_profile(
         seed=seed,
         quadrature=quadrature,
     )
-    engine = _ScenarioEngine(cfg, methods=())
-    grid = engine.grid
-    bank = RidgeBank(
-        engine.g_mellin, replace(selection, k_grid=tuple(k_grid)), grid, np.inf
-    )
+    pipeline = _scenario_pipeline(cfg)
+    grid = pipeline.grid
+    bank = pipeline.fixed_ridge_bank(k_grid)
     mf = np.asarray(catalog_mellin(target, c)(grid.t), dtype=np.complex128)
-    mg_abs = np.abs(np.asarray(engine.g_mellin(grid.t), dtype=np.complex128))
 
     sum_mhat = np.zeros(grid.t.size, dtype=np.complex128)
     sum_sq = np.zeros(grid.t.size)
     for rep in range(reps):
-        mhat, mhat_sq, _ = engine.transform(rep)
-        sum_mhat += mhat
-        sum_sq += mhat_sq
+        tf = pipeline.transform(_replication_sample(cfg, rep))
+        sum_mhat += tf.mhat
+        sum_sq += tf.abs_sq
     mean_mhat = sum_mhat / reps
     var_mhat = np.maximum(sum_sq / reps - np.abs(mean_mhat) ** 2, 0.0)
 
@@ -337,7 +277,7 @@ def bias_variance_profile(
     for k, row, norm in zip(bank.k_values, bank.rows, bank.norms_sq):
         bias_sq = float(grid.integrate(np.abs(mf - mean_mhat * row) ** 2)) / TWO_PI
         variance = float(grid.integrate(var_mhat * np.abs(row) ** 2)) / TWO_PI
-        in_gk = ridge_threshold(grid.t, float(k), selection.xi) > mg_abs
+        in_gk = ridge_threshold(grid.t, float(k), selection.xi) > bank.abs_mg
         bound_bias = float(grid.integrate(np.abs(mf) ** 2 * in_gk)) / TWO_PI
         bound_var = float(sig_c * norm / (TWO_PI * n))
         out.append(
@@ -352,22 +292,21 @@ def bias_variance_profile(
     return out
 
 
-def run_selection_oracle_comparison(
-    cfg: ExperimentConfig,
-) -> dict:
+def run_selection_oracle_comparison(cfg: ExperimentConfig) -> dict:
     """Per-replication selected-k error and best fixed-k error (ridge).
 
     Returns dict with arrays ``selected`` and ``oracle`` plus the admissible
     levels; used to check that the data-driven rule tracks the oracle.
     """
-    engine = _ScenarioEngine(cfg, methods=("ridge",))
-    bank = engine.ridge_bank
+    pipeline = _scenario_pipeline(cfg)
+    error = _error_integral(cfg.target, cfg.c, pipeline.x_grid)
+    bank = pipeline.ridge_bank
     selected = np.empty(cfg.replications)
     oracle = np.empty(cfg.replications)
     for rep in range(cfg.replications):
-        mhat, mhat_sq, sig = engine.transform(rep)
-        k_hat = bank.select(mhat_sq, sig, cfg.n).k_hat
-        errs = engine.errors(mhat[None, :] * bank.rows)
+        tf = pipeline.transform(_replication_sample(cfg, rep))
+        k_hat = pipeline.select("ridge", tf).k_hat
+        errs = error(pipeline.invert(tf.mhat[None, :] * bank.rows))
         selected[rep] = errs[list(bank.k_values).index(k_hat)]
         oracle[rep] = errs.min()
     return {
@@ -472,8 +411,8 @@ def run_table_grid(
 ) -> list:
     """Run the full benchmark grid and return MiseRow records.
 
-    Within a (target, error, n) scenario both methods consume identical
-    draws; requesting both at once shares the per-replication transforms.
+    Within a (target, error, n) scenario all methods consume identical
+    draws and share each replication's empirical transform.
     """
     rows = []
     for error in errors:
@@ -494,12 +433,7 @@ def run_table_grid(
                     x_grid=x_grid,
                     quadrature=quadrature,
                 )
-                if set(methods) == {"ridge", "cutoff"}:
-                    reports = run_mise_pair(cfg)
-                else:
-                    reports = {
-                        m: run_mise(replace(cfg, method=m)) for m in methods
-                    }
+                reports = _mise_reports(cfg, methods)
                 for m in methods:
                     rep = reports[m]
                     rows.append(

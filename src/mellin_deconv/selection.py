@@ -7,8 +7,7 @@ Ridge: a Goldenshluger-Lepski rule.  For each admissible k the bias proxy
 is paired with the variance proxy V_hat(k) = 2 * sigma_hat * ||R_k||^2 / n,
 and k_hat minimises A_hat(k) + chi2 * V_hat(k) over the admissible set
 {k : ||R_k||^2 <= n}.  The penalty inside the supremum is evaluated at the
-candidate k' by default (``penalty_at="candidate"``); the variant with the
-penalty at the outer k is available as ``penalty_at="outer"``.
+candidate k'.
 
 Cut-off: k_tilde minimises -||f_tilde_k||^2 + pen(k) with
 pen(k) = 2 * chi * sigma_hat * ||1_[-k,k] / M_g||^2 / (2 pi n) over
@@ -16,20 +15,36 @@ pen(k) = 2 * chi * sigma_hat * ||1_[-k,k] / M_g||^2 / (2 pi n) over
 
 Contrast norms are computed in the Mellin domain via the Plancherel
 identity, so the whole selection runs on one shared frequency grid.
+
+`Pipeline` is the package's one chain of grid, banks, empirical transform,
+selection and inversion; every data-driven estimate runs through it.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimators import check_nonvanishing, ridge_threshold, ridge_values
-from .grids import FrequencyGrid, QuadratureConfig
-from .mellin import EmpiricalMellin, MellinFunction, empirical_mellin_on_grid
+from .estimators import (
+    DensityEstimate,
+    check_nonvanishing,
+    estimate_values_from_product,
+    ridge_threshold,
+    ridge_values,
+)
+from .grids import FrequencyGrid, QuadratureConfig, default_x_grid
+from .mellin import (
+    EmpiricalMellin,
+    MellinError,
+    MellinFunction,
+    check_same_c,
+    empirical_mellin_on_grid,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -55,15 +70,12 @@ class SelectionConfig:
     r: float = 2.0
     xi: float = 0.0
     k_grid: Optional[Sequence[int]] = None
-    penalty_at: str = "candidate"
 
     def __post_init__(self):
         if not (self.chi2 >= self.chi1 > 0.0):
             raise ValueError("need chi2 >= chi1 > 0")
         if not self.chi > 0.0:
             raise ValueError("need chi > 0")
-        if self.penalty_at not in ("candidate", "outer"):
-            raise ValueError("penalty_at must be 'candidate' or 'outer'")
         if self.k_grid is not None:
             kg = tuple(int(k) for k in self.k_grid)
             if len(kg) == 0:
@@ -115,9 +127,10 @@ class RidgeBank:
     Levels are taken from ``cfg.k_grid`` (or 1, 2, ... when absent) as long
     as ||R_k||^2 <= n_cap; by magnitude monotonicity in k the admissible set
     is always such a prefix.  M_g is tabulated once per build, and M_g(-t)
-    is that table reversed (the grid is symmetric).  The consecutive scan
-    also ends at the first saturated level, whose threshold clears |M_g| at
-    every node where M_g != 0: every later level is the same estimator.
+    is that table reversed (the grid is symmetric); |M_g| is kept as
+    ``abs_mg``.  The consecutive scan also ends at the first saturated
+    level, whose threshold clears |M_g| at every node where M_g != 0: every
+    later level is the same estimator.
     """
 
     def __init__(
@@ -128,16 +141,13 @@ class RidgeBank:
         n_cap: float,
     ):
         self.grid = grid
-        self.g_mellin = g_mellin
         self.cfg = cfg
         mg = np.asarray(g_mellin(grid.t), dtype=np.complex128)
-        amg = np.abs(mg)
+        amg = self.abs_mg = np.abs(mg)
         levels = []
         rows = []
         norms = []
-        explicit = cfg.k_grid
-        k_iter = explicit if explicit is not None else itertools.count(1)
-        for k in k_iter:
+        for k in cfg.k_grid or itertools.count(1):
             thresh = ridge_threshold(grid.t, float(k), cfg.xi)
             row = ridge_values(mg, mg[::-1], thresh, cfg.r)
             norm = float(grid.integrate(np.abs(row) ** 2))
@@ -146,7 +156,7 @@ class RidgeBank:
             levels.append(int(k))
             rows.append(row)
             norms.append(norm)
-            if explicit is None and np.all((amg >= thresh) | (amg == 0.0)):
+            if cfg.k_grid is None and np.all((amg >= thresh) | (amg == 0.0)):
                 break
         self.k_values = np.array(levels, dtype=int)
         self.rows = np.array(rows) if rows else np.empty((0, grid.t.size), complex)
@@ -163,11 +173,7 @@ class RidgeBank:
         self, mhat_abs_sq: np.ndarray, sig_hat: float, n: int
     ) -> SelectionResult:
         """Goldenshluger-Lepski selection given |M_hat|^2 on the bank's grid."""
-        if len(self) == 0:
-            raise EmptyAdmissibleSetError(
-                f"no ridge level on the candidate grid satisfies the "
-                f"admissibility bound for n={n}"
-            )
+        _require_levels(self, "ridge", n)
         cfg = self.cfg
         m = len(self)
         v_hat = 2.0 * sig_hat * self.norms_sq / n
@@ -180,48 +186,11 @@ class RidgeBank:
 
         a_hat = np.zeros(m)
         for i in range(m - 1):
-            terms = contrast[i, i + 1 :]
-            pen = cfg.chi1 * (
-                v_hat[i + 1 :] if cfg.penalty_at == "candidate" else v_hat[i]
-            )
-            a_hat[i] = max(np.max(terms - pen, initial=0.0), 0.0)
+            terms = contrast[i, i + 1 :] - cfg.chi1 * v_hat[i + 1 :]
+            a_hat[i] = np.max(terms, initial=0.0)
 
         objective = a_hat + cfg.chi2 * v_hat
         return _selection_result("ridge", self.k_values, a_hat, v_hat, objective, sig_hat)
-
-
-def admissible_ridge(
-    g_mellin: MellinFunction,
-    cfg: SelectionConfig,
-    n: int,
-    q: QuadratureConfig,
-) -> list:
-    """Prefix of the candidate grid with ||R_k||^2 <= n.
-
-    Raises `EmptyAdmissibleSetError` when even the first candidate fails
-    (the grid starts too high for this sample size).
-    """
-    grid = FrequencyGrid.from_config(q)
-    bank = RidgeBank(g_mellin, cfg, grid, n_cap=float(n))
-    if len(bank) == 0:
-        raise EmptyAdmissibleSetError(
-            f"no ridge level on the candidate grid satisfies the admissibility "
-            f"bound for n={n}"
-        )
-    return [int(k) for k in bank.k_values]
-
-
-def select_ridge(
-    em: EmpiricalMellin,
-    g_mellin: MellinFunction,
-    cfg: SelectionConfig,
-    q: QuadratureConfig,
-) -> SelectionResult:
-    """Data-driven ridge level for a sample."""
-    grid = FrequencyGrid.from_config(q)
-    bank = RidgeBank(g_mellin, cfg, grid, n_cap=float(em.n))
-    mhat = empirical_mellin_on_grid(em, grid)
-    return bank.select(np.abs(mhat) ** 2, sigma_hat(em), em.n)
 
 
 class CutoffBank:
@@ -235,7 +204,6 @@ class CutoffBank:
         n_cap: float,
     ):
         self.grid = grid
-        self.g_mellin = g_mellin
         self.cfg = cfg
         mg = np.asarray(g_mellin(grid.t), dtype=np.complex128)
         amg = np.abs(mg)
@@ -247,9 +215,7 @@ class CutoffBank:
 
         levels = []
         norms = []
-        explicit = cfg.k_grid
-        k_iter = explicit if explicit is not None else itertools.count(1)
-        for k in k_iter:
+        for k in cfg.k_grid or itertools.count(1):
             j = int(round(k / grid.t_step))
             if j > grid.half_size:
                 break
@@ -266,15 +232,15 @@ class CutoffBank:
     def __len__(self) -> int:
         return self.k_values.size
 
+    def row(self, k: int) -> np.ndarray:
+        """Cut-off multiplier of level ``k``: 1/M_g on |t| <= k, zero outside."""
+        return np.where(np.abs(self.grid.t) <= k, self.inv_mg, 0.0)
+
     def select(
         self, mhat_abs_sq: np.ndarray, sig_hat: float, n: int
     ) -> SelectionResult:
         """Penalised-contrast selection given |M_hat|^2 on the bank's grid."""
-        if len(self) == 0:
-            raise EmptyAdmissibleSetError(
-                f"no cut-off level on the candidate grid satisfies the "
-                f"admissibility bound for n={n}"
-            )
+        _require_levels(self, "cut-off", n)
         grid = self.grid
         cum = grid.centered_cumulative(mhat_abs_sq * np.abs(self.inv_mg) ** 2)
         window_norms = np.array(
@@ -283,6 +249,14 @@ class CutoffBank:
         pen = 2.0 * self.cfg.chi * sig_hat * self.norms_sq / (TWO_PI * n)
         return _selection_result(
             "cutoff", self.k_values, window_norms, pen, pen - window_norms, sig_hat
+        )
+
+
+def _require_levels(bank, name: str, n: int) -> None:
+    if len(bank) == 0:
+        raise EmptyAdmissibleSetError(
+            f"no {name} level on the candidate grid satisfies the "
+            f"admissibility bound for n={n}"
         )
 
 
@@ -306,6 +280,117 @@ def _selection_result(method, k_values, a_hat, v_hat, objective, sig_hat):
     )
 
 
+@dataclass(frozen=True)
+class SampleTransform:
+    """A sample's empirical transform M_hat on a pipeline's grid, with
+    |M_hat|^2 and sigma_hat."""
+
+    mhat: np.ndarray
+    abs_sq: np.ndarray
+    sigma_hat: float
+
+
+class Pipeline:
+    """The estimation chain for one configuration and sample size ``n``.
+
+    Owns the frequency grid of ``q`` and the x-grid of the estimates.  The
+    ridge and cut-off banks are built on first use, so the ridge rule works
+    where the cut-off bank raises `NoiseTransformZeroError`.  The
+    development points of ``g_mellin``, ``cfg`` and every sample must
+    agree; a mismatch raises `MellinError`.
+    """
+
+    def __init__(
+        self,
+        g_mellin: MellinFunction,
+        cfg: SelectionConfig,
+        q: QuadratureConfig,
+        n: int,
+        x_grid: np.ndarray,
+    ):
+        check_same_c("selection", cfg.c, "noise", g_mellin.c)
+        self.g_mellin, self.cfg, self.c, self.n = g_mellin, cfg, cfg.c, int(n)
+        self.x_grid = np.asarray(x_grid, dtype=float)
+        self.grid = FrequencyGrid.from_config(q)
+
+    @cached_property
+    def ridge_bank(self) -> RidgeBank:
+        return RidgeBank(self.g_mellin, self.cfg, self.grid, n_cap=float(self.n))
+
+    @cached_property
+    def cutoff_bank(self) -> CutoffBank:
+        return CutoffBank(self.g_mellin, self.cfg, self.grid, n_cap=float(self.n))
+
+    def fixed_ridge_bank(self, levels: Sequence[int]) -> RidgeBank:
+        """Ridge rows at fixed increasing levels, without the admissibility cap."""
+        cfg = replace(self.cfg, k_grid=tuple(levels))
+        return RidgeBank(self.g_mellin, cfg, self.grid, n_cap=np.inf)
+
+    def transform(self, em: EmpiricalMellin) -> SampleTransform:
+        """Empirical transform of a sample; `MellinError` when c differs or
+        the moment weights Y^(c-1) or sigma_hat overflow."""
+        check_same_c("sample", em.c, "pipeline", self.c)
+        if em.n != self.n:
+            raise ValueError(f"sample size {em.n} differs from pipeline n={self.n}")
+        with np.errstate(over="ignore"):
+            sig = sigma_hat(em)
+            finite = np.isfinite(sig) and np.all(np.isfinite(em.sample ** (em.c - 1.0)))
+        if not finite:
+            raise MellinError(f"sample moment weights overflow at c={em.c}; rescale it")
+        mhat = empirical_mellin_on_grid(em, self.grid)
+        return SampleTransform(mhat=mhat, abs_sq=np.abs(mhat) ** 2, sigma_hat=sig)
+
+    def select(self, method: str, em) -> SelectionResult:
+        """Data-driven level; ``em`` is an `EmpiricalMellin` or its `transform`."""
+        if method not in ("ridge", "cutoff"):
+            raise ValueError(f"method must be 'ridge' or 'cutoff', got {method!r}")
+        tf = em if isinstance(em, SampleTransform) else self.transform(em)
+        return getattr(self, f"{method}_bank").select(tf.abs_sq, tf.sigma_hat, self.n)
+
+    def invert(self, product: np.ndarray, support: Optional[float] = None) -> np.ndarray:
+        """Real x-grid values of a product, or of a stack of products."""
+        return estimate_values_from_product(
+            self.grid, product, self.c, self.x_grid, support=support
+        )
+
+    def fit(self, method: str, em) -> tuple:
+        """(SelectionResult, DensityEstimate) for a sample or its `transform`;
+        passing the transform lets both methods share it."""
+        tf = em if isinstance(em, SampleTransform) else self.transform(em)
+        result = self.select(method, tf)
+        product = tf.mhat * getattr(self, f"{method}_bank").row(result.k_hat)
+        support = float(result.k_hat) if method == "cutoff" else None
+        return result, DensityEstimate.from_product(
+            self.grid, product, self.c, self.x_grid, support
+        )
+
+
+def admissible_ridge(
+    g_mellin: MellinFunction,
+    cfg: SelectionConfig,
+    n: int,
+    q: QuadratureConfig,
+) -> list:
+    """Prefix of the candidate grid with ||R_k||^2 <= n.
+
+    Raises `EmptyAdmissibleSetError` when even the first candidate fails
+    (the grid starts too high for this sample size).
+    """
+    bank = Pipeline(g_mellin, cfg, q, n, default_x_grid()).ridge_bank
+    _require_levels(bank, "ridge", n)
+    return [int(k) for k in bank.k_values]
+
+
+def select_ridge(
+    em: EmpiricalMellin,
+    g_mellin: MellinFunction,
+    cfg: SelectionConfig,
+    q: QuadratureConfig,
+) -> SelectionResult:
+    """Data-driven ridge level for a sample."""
+    return Pipeline(g_mellin, cfg, q, em.n, default_x_grid()).select("ridge", em)
+
+
 def select_cutoff(
     em: EmpiricalMellin,
     g_mellin: MellinFunction,
@@ -313,10 +398,7 @@ def select_cutoff(
     q: QuadratureConfig,
 ) -> SelectionResult:
     """Data-driven cut-off level for a sample."""
-    grid = FrequencyGrid.from_config(q)
-    bank = CutoffBank(g_mellin, cfg, grid, n_cap=float(em.n))
-    mhat = empirical_mellin_on_grid(em, grid)
-    return bank.select(np.abs(mhat) ** 2, sigma_hat(em), em.n)
+    return Pipeline(g_mellin, cfg, q, em.n, default_x_grid()).select("cutoff", em)
 
 
 def write_diagnostics_csv(path, result: SelectionResult) -> None:

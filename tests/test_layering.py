@@ -1,4 +1,5 @@
-"""Package modules use each other only through public names."""
+"""Package modules use each other only through public names, and the
+experiment and command-line layers estimate only through `Pipeline`."""
 
 import ast
 from pathlib import Path
@@ -27,4 +28,30 @@ def test_no_module_imports_private_names_of_another():
     modules = sorted(PACKAGE_DIR.glob("*.py"))
     assert modules
     found = [line for path in modules for line in _private_imports(path)]
+    assert found == []
+
+
+#: building blocks of the estimation chain that only `selection.Pipeline`
+#: (and the functions it replaces) may assemble
+PIPELINE_PARTS = {"FrequencyGrid", "empirical_mellin_on_grid", "RidgeBank", "CutoffBank"}
+
+
+def _pipeline_part_calls(path: Path) -> list:
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        if name in PIPELINE_PARTS:
+            found.append(f"{path.name}:{node.lineno} calls {name}")
+    return found
+
+
+def test_risk_and_cli_estimate_only_through_the_pipeline():
+    found = [
+        line
+        for module in ("risk.py", "cli.py")
+        for line in _pipeline_part_calls(PACKAGE_DIR / module)
+    ]
     assert found == []

@@ -1,0 +1,215 @@
+"""The estimation pipeline: equivalence with the three-step form, input
+checks, and property tests over awkward samples and grids."""
+
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
+
+from mellin_deconv import (
+    CutoffSpec,
+    EmpiricalMellin,
+    EmptyAdmissibleSetError,
+    MellinError,
+    NoiseTransformZeroError,
+    Pipeline,
+    QuadratureConfig,
+    RidgeSpec,
+    RngStream,
+    SelectionConfig,
+    catalog_mellin,
+    cutoff_multiplier,
+    default_x_grid,
+    density_spec,
+    estimate_density,
+    ridge_multiplier,
+    sample,
+    select_cutoff,
+    select_ridge,
+    stream_id_for,
+    table1_selection_config,
+)
+
+Q = QuadratureConfig()
+#: a short window keeps the property tests cheap; every path is the same
+Q_SHORT = QuadratureConfig(t_step=0.02, t_max=40.0)
+TYPED_ERRORS = (MellinError, EmptyAdmissibleSetError)
+
+
+@lru_cache(maxsize=None)
+def _noise(name, c):
+    return catalog_mellin(name, c)
+
+
+def _draw(target, error, n, rep=0):
+    key = ("pipe", target, error, n, rep)
+    x = sample(density_spec(target), n, RngStream(11, stream_id_for("x", *key)))
+    u = sample(density_spec(error), n, RngStream(11, stream_id_for("u", *key)))
+    return x * u
+
+
+# ---------------------------------------------------------------------- #
+# one pipeline, same answers as select -> multiplier -> estimate_density
+# ---------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize("n", [500, 2000])
+@pytest.mark.parametrize("error", ["noise_uniform", "noise_beta"])
+@pytest.mark.parametrize("method", ["ridge", "cutoff"])
+def test_fit_matches_three_step_estimate(method, error, n):
+    em = EmpiricalMellin(1.0, _draw("gamma5", error, n))
+    g = _noise(error, 1.0)
+    cfg = table1_selection_config(error)
+    x = default_x_grid()
+    result, est = Pipeline(g, cfg, Q, n, x).fit(method, em)
+
+    if method == "ridge":
+        ref_result = select_ridge(em, g, cfg, Q)
+        spec = RidgeSpec(k=float(ref_result.k_hat), c=1.0, xi=cfg.xi, r=cfg.r)
+        mult = ridge_multiplier(spec, g)
+    else:
+        ref_result = select_cutoff(em, g, cfg, Q)
+        mult = cutoff_multiplier(CutoffSpec(k=float(ref_result.k_hat), c=1.0), g, Q)
+    ref = estimate_density(mult, em, x, Q)
+
+    assert result == ref_result
+    scale = np.abs(ref.values).max()
+    assert np.abs(est.values - ref.values).max() <= 1e-12 * scale
+    assert np.array_equal(est.x_grid, ref.x_grid)
+    assert np.array_equal(est.t_grid, ref.t_grid)
+
+
+def test_banks_are_built_on_first_use():
+    # uniform noise at c = 0 has a zero near t = 5.72: a cut-off bank with a
+    # window past it raises, while the ridge rule never needs that bank
+    cfg = SelectionConfig(chi1=0.125, chi2=0.125, chi=5.0, c=0.0, k_grid=(1, 2, 6))
+    y = _draw("gamma5", "noise_uniform", 2000)
+    pipeline = Pipeline(_noise("noise_uniform", 0.0), cfg, Q, y.size, default_x_grid())
+    result, est = pipeline.fit("ridge", EmpiricalMellin(0.0, y))
+    assert np.all(np.isfinite(est.values))
+    assert "cutoff_bank" not in vars(pipeline)
+    big = Pipeline(_noise("noise_uniform", 0.0), cfg, Q, 10**9, default_x_grid())
+    with pytest.raises(NoiseTransformZeroError):
+        big.cutoff_bank
+
+
+# ---------------------------------------------------------------------- #
+# input checks
+# ---------------------------------------------------------------------- #
+
+
+def test_development_point_mismatch_is_refused():
+    y = _draw("gamma5", "noise_beta", 300)
+    g = _noise("noise_beta", 1.0)
+    cfg = table1_selection_config("noise_beta")
+    with pytest.raises(MellinError):
+        select_ridge(EmpiricalMellin(0.5, y), g, cfg, Q)
+    with pytest.raises(MellinError):
+        select_cutoff(EmpiricalMellin(0.5, y), g, cfg, Q)
+    off = SelectionConfig(chi1=1.0, chi2=1.0, chi=1.0, c=7.0)
+    with pytest.raises(MellinError):
+        select_ridge(EmpiricalMellin(1.0, y), g, off, Q)
+    with pytest.raises(MellinError):
+        Pipeline(g, off, Q, y.size, default_x_grid())
+
+
+def test_non_finite_moment_weights_are_refused():
+    # at c = 0, sigma_hat = mean(Y^-2) overflows for a sample scaled by 1e-160
+    y = 1e-160 * _draw("gamma5", "noise_beta", 200)
+    em = EmpiricalMellin(0.0, y)
+    g = _noise("noise_beta", 0.0)
+    cfg = SelectionConfig(chi1=0.125, chi2=0.125, chi=3.0, c=0.0)
+    pipeline = Pipeline(g, cfg, Q, y.size, default_x_grid())
+    for method in ("ridge", "cutoff"):
+        with pytest.raises(MellinError):
+            pipeline.fit(method, em)
+    with pytest.raises(MellinError):
+        select_ridge(em, g, cfg, Q)
+
+
+def test_sample_size_must_match_pipeline():
+    y = _draw("gamma5", "noise_beta", 100)
+    pipeline = Pipeline(
+        _noise("noise_beta", 1.0), table1_selection_config("noise_beta"), Q, 99,
+        default_x_grid(),
+    )
+    with pytest.raises(ValueError):
+        pipeline.fit("ridge", EmpiricalMellin(1.0, y))
+    with pytest.raises(ValueError):
+        pipeline.fit("magic", EmpiricalMellin(1.0, y[:99]))
+
+
+# ---------------------------------------------------------------------- #
+# property tests: every input returns or raises a typed error
+# ---------------------------------------------------------------------- #
+
+#: a few distinct magnitudes, so that drawn samples carry heavy ties
+_TIED = st.sampled_from([0.3, 0.7, 1.0, 1.0, 2.5])
+_SPREAD = st.floats(min_value=1e-3, max_value=1e3)
+_SAMPLES = st.lists(st.one_of(_TIED, _SPREAD), min_size=1, max_size=40)
+#: arbitrary increasing positive x-grids, not log-uniform
+_X_GRIDS = st.lists(
+    st.floats(min_value=1e-3, max_value=5.0), min_size=2, max_size=12
+).map(np.cumsum)
+_PROPERTY_SETTINGS = settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+def _check_fit(method, noise, c, y, x):
+    cfg = SelectionConfig(chi1=0.125, chi2=0.125, chi=3.0, c=c)
+    pipeline = Pipeline(_noise(noise, c), cfg, Q_SHORT, len(y), x)
+    try:
+        result, est = pipeline.fit(method, EmpiricalMellin(c, np.asarray(y)))
+    except TYPED_ERRORS as exc:
+        event(f"{method}: {type(exc).__name__}")
+        return exc
+    event(f"{method}: estimate")
+    assert result.method == method
+    assert result.k_hat in result.admissible
+    assert np.isfinite(result.sigma_hat)
+    assert est.values.shape == (len(x),)
+    assert np.all(np.isfinite(est.values))
+    return result
+
+
+@_PROPERTY_SETTINGS
+@given(
+    method=st.sampled_from(["ridge", "cutoff"]),
+    noise=st.sampled_from(["noise_uniform", "noise_beta"]),
+    c=st.sampled_from([0.0, 0.5, 1.0, 1.5]),
+    y=_SAMPLES,
+    scale=st.sampled_from([1e-200, 1e-160, 1e-3, 1.0, 1e3, 1e160, 1e200]),
+    x=_X_GRIDS,
+)
+def test_fit_returns_or_raises_typed_error(method, noise, c, y, scale, x):
+    _check_fit(method, noise, c, [v * scale for v in y], x)
+
+
+@_PROPERTY_SETTINGS
+@given(
+    y=st.lists(st.one_of(_TIED, _SPREAD), min_size=1, max_size=1)
+    | st.lists(_TIED, min_size=2, max_size=40),
+    x=_X_GRIDS,
+)
+def test_single_observation_and_ties_fit_cleanly(y, x):
+    # moderate scales at c = 1: the only admissible refusal is an empty set
+    for method in ("ridge", "cutoff"):
+        out = _check_fit(method, "noise_beta", 1.0, y, x)
+        assert not isinstance(out, MellinError)
+
+
+@settings(max_examples=25, deadline=None)
+@given(y=st.lists(st.floats(min_value=0.05, max_value=20.0), min_size=5, max_size=40),
+       x=_X_GRIDS)
+def test_uniform_noise_at_c0_ridge_works_and_cutoff_stays_short(y, x):
+    # M_g has its first zero near t = 5.72 at c = 0
+    ridge = _check_fit("ridge", "noise_uniform", 0.0, y, x)
+    assert not isinstance(ridge, Exception)
+    cutoff = _check_fit("cutoff", "noise_uniform", 0.0, y, x)
+    if isinstance(cutoff, Exception):
+        assert isinstance(cutoff, (NoiseTransformZeroError, EmptyAdmissibleSetError))
+    else:
+        assert cutoff.k_hat < 5.72

@@ -296,5 +296,3 @@ def test_selection_config_validation():
         SelectionConfig(chi1=0.0, chi2=1.0, chi=1.0)
     with pytest.raises(ValueError):
         SelectionConfig(chi1=1.0, chi2=1.0, chi=1.0, k_grid=(3, 2))
-    with pytest.raises(ValueError):
-        SelectionConfig(chi1=1.0, chi2=1.0, chi=1.0, penalty_at="elsewhere")
