@@ -57,7 +57,6 @@ class FrequencyGrid:
         m = np.arange(-self.half_size, self.half_size + 1)
         self.t = m * self.t_step
         self.center = self.half_size  # index of t = 0
-        self.t_nonneg = self.t[self.center :]
 
     @classmethod
     def from_config(cls, q: QuadratureConfig) -> "FrequencyGrid":

@@ -43,24 +43,29 @@ CATALOG_IDS = TARGET_IDS + ERROR_IDS
 _DECAY_PROBE_MAX = 500.0
 _DECAY_PROBE_STEP = 0.05
 
+#: Gaussian gridding of the empirical transform: nodes spread on each side of
+#: a point, and the least ratio of FFT grid size to the number of modes
+_NUFFT_SPREAD = 16
+_NUFFT_OVERSAMPLING = 2
+
 
 @dataclass(frozen=True)
 class MellinFunction:
     """A closed-form Mellin transform t -> H(t) at development point c.
 
-    decay_exponent, when set, certifies two-sided polynomial decay: there
-    are constants 0 < decay_lower <= decay_upper with
+    decay_exponent, when set, certifies two-sided polynomial decay: on the
+    probed range |H(t)| * (1+t^2)^(g/2) stays between two positive
+    constants, so H has no zeros there.  decay_upper is the upper constant,
 
-        decay_lower * (1+t^2)^(-g/2) <= |H(t)| <= decay_upper * (1+t^2)^(-g/2)
+        |H(t)| <= decay_upper * (1+t^2)^(-g/2);
 
-    on the probed range.  The constants are measured numerically at
-    construction and drive tail-bound diagnostics.
+    it is measured numerically at construction and drives tail-bound
+    diagnostics.
     """
 
     c: float
     eval_fn: Callable[[np.ndarray], np.ndarray]
     decay_exponent: Optional[float] = None
-    decay_lower: Optional[float] = None
     decay_upper: Optional[float] = None
 
     def __call__(self, t) -> np.ndarray:
@@ -124,24 +129,48 @@ def empirical_mellin(em: EmpiricalMellin, t) -> np.ndarray:
 def empirical_mellin_on_grid(em: EmpiricalMellin, grid: FrequencyGrid) -> np.ndarray:
     """Empirical Mellin transform on a symmetric uniform grid.
 
-    Exploits t_m = m * t_step: powers of the unit rotators exp(i*t_step*logY)
-    are accumulated blockwise, and negative frequencies follow by conjugation
-    (the weights Y^(c-1) are real).  Orders of magnitude faster than pointwise
-    evaluation and bit-reproducible.
+    On t_m = m * t_step the transform is sum_j w_j exp(i m x_j) with
+    w_j = Y_j^(c-1)/n and x_j = t_step*log Y_j: a type-1 non-uniform FFT of
+    the K = half_size + 1 modes m = 0..M.  It is computed by Gaussian
+    gridding (Greengard & Lee 2004, SIAM Review 46:443):
+
+    - the phases x_j are reduced onto [-pi, pi) and the modes are centred
+      by the factor exp(i*(K//2)*x_j) on the weights;
+    - each point is spread with a periodised Gaussian over
+      `_NUFFT_SPREAD` nodes on each side of a power-of-two grid of
+      Mr >= `_NUFFT_OVERSAMPLING` * K nodes (32 768 for the default grid);
+    - one inverse FFT, then division by the Gaussian's Fourier coefficients,
+      with its width set from the actual ratio R = Mr/K.
+
+    Working memory is O(32*n + Mr); no n x K array is formed.  The t = 0
+    node is sum_j w_j, exactly real, and negative frequencies follow by
+    conjugation (the weights are real).  It stays within 1e-11 * |M_hat(0)|
+    of the direct sum over the sample for n up to 3 000, c in 0..1.5 and
+    sample scales 1e-6..1e6 (tested).
     """
-    logy = np.log(em.sample)
     w = em.sample ** (em.c - 1.0) / em.n
-    block = 512
-    zb = np.exp(1j * grid.t_step * np.outer(logy, np.arange(block)))
-    zstep = zb[:, -1] * zb[:, 1]  # exp(i*h*block*logy)
-    half = np.empty(grid.half_size + 1, dtype=np.complex128)
-    carry = w.astype(np.complex128)
-    m0 = 0
-    while m0 <= grid.half_size:
-        nb = min(block, grid.half_size + 1 - m0)
-        half[m0 : m0 + nb] = carry @ zb[:, :nb]
-        carry = carry * zstep
-        m0 += nb
+    k_modes = grid.half_size + 1
+    size = 1 << (_NUFFT_OVERSAMPLING * k_modes - 1).bit_length()
+    ratio = size / k_modes
+    tau = np.pi * _NUFFT_SPREAD / (k_modes**2 * ratio * (ratio - 0.5))
+    x = grid.t_step * np.log(em.sample)
+    x -= 2.0 * np.pi * np.round(x / (2.0 * np.pi))
+    shift = k_modes // 2
+    centred = w * np.exp(1j * shift * x)
+
+    spacing = 2.0 * np.pi / size
+    u = x / spacing
+    base = np.floor(u)
+    offsets = np.arange(1 - _NUFFT_SPREAD, _NUFFT_SPREAD + 1)
+    dist = ((u - base)[:, None] - offsets) * spacing
+    kernel = np.exp(-(dist * dist) / (4.0 * tau))
+    nodes = ((base.astype(np.int64)[:, None] + offsets) % size).ravel()
+    spread = np.bincount(nodes, (centred.real[:, None] * kernel).ravel(), size)
+    spread = spread + 1j * np.bincount(nodes, (centred.imag[:, None] * kernel).ravel(), size)
+
+    k = np.arange(k_modes) - shift
+    half = np.fft.ifft(spread)[k % size] * (np.sqrt(np.pi / tau) * np.exp(k * k * tau))
+    half[0] = w.sum()
     return grid.mirror(half)
 
 
@@ -166,17 +195,17 @@ def golden_section_min(fn, lo: float, hi: float, iters: int = 80) -> float:
 
 def _certify_decay(
     eval_fn: Callable[[np.ndarray], np.ndarray], exponent: float
-) -> Optional[tuple]:
-    """Measure two-sided decay constants |H(t)|*(1+t^2)^(g/2) over a probe grid.
+) -> Optional[float]:
+    """Certify two-sided decay of |H(t)|*(1+t^2)^(g/2) over a probe grid.
 
-    Returns (lower, upper) or None when the lower bound degenerates, i.e.
+    Returns its upper constant, or None when the lower one degenerates, i.e.
     the transform has a (near-)zero; suspicious grid dips are polished by
     golden-section search so zeros between probe nodes are not missed.
     """
     t = np.arange(0.0, _DECAY_PROBE_MAX + _DECAY_PROBE_STEP, _DECAY_PROBE_STEP)
     ratio = np.abs(eval_fn(t)) * (1.0 + t**2) ** (exponent / 2.0)
-    lo, hi = float(ratio.min()), float(ratio.max())
-    if not np.isfinite(hi) or lo <= 1e-9 * hi:
+    hi = float(ratio.max())
+    if not np.isfinite(hi) or ratio.min() <= 1e-9 * hi:
         return None
 
     def point_ratio(x: float) -> float:
@@ -191,8 +220,7 @@ def _certify_decay(
         refined = golden_section_min(point_ratio, t[idx - 1], t[idx + 1])
         if refined <= 1e-9 * hi:
             return None
-        lo = min(lo, refined)
-    return lo, hi
+    return hi
 
 
 def catalog_mellin(name: str, c: float) -> MellinFunction:
@@ -260,22 +288,14 @@ def catalog_mellin(name: str, c: float) -> MellinFunction:
     else:
         raise MellinError(f"unknown density id {name!r}")
 
-    lower = upper = None
+    upper = None
     if decay is not None:
-        certified = _certify_decay(eval_fn, decay)
-        if certified is None:
+        upper = _certify_decay(eval_fn, decay)
+        if upper is None:
             # e.g. noise_uniform at c = 0 has zeros: polynomial decay holds
             # only one-sidedly, so no exponent is recorded.
             decay = None
-        else:
-            lower, upper = certified
-    return MellinFunction(
-        c=c,
-        eval_fn=eval_fn,
-        decay_exponent=decay,
-        decay_lower=lower,
-        decay_upper=upper,
-    )
+    return MellinFunction(c=c, eval_fn=eval_fn, decay_exponent=decay, decay_upper=upper)
 
 
 def _eval_on_grid(transform, grid: FrequencyGrid) -> np.ndarray:

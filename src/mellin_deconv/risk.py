@@ -52,8 +52,8 @@ class ExperimentConfig:
     """Scenario descriptor for a Monte-Carlo run.
 
     ``fixed_k`` bypasses the data-driven selection and estimates with the
-    given whole-number level in every replication (used by rate
-    experiments).
+    given whole-number ridge level in every replication (used by rate
+    experiments); running the cut-off method with it raises `ValueError`.
     """
 
     target: str
@@ -142,6 +142,8 @@ def _scenario_pipeline(cfg: ExperimentConfig) -> Pipeline:
 def _mise_reports(cfg: ExperimentConfig, methods: Sequence[str]) -> dict:
     """MiseReport per method, all on the same draws; with ``cfg.fixed_k``
     the ridge method estimates at that level, uncapped, in every replication."""
+    if cfg.fixed_k is not None and "cutoff" in methods:
+        raise ValueError("fixed_k applies to the ridge method only, not to cutoff")
     pipeline = _scenario_pipeline(cfg)
     error = _error_integral(cfg.target, cfg.c, pipeline.x_grid)
     fixed_row = None

@@ -5,7 +5,9 @@ coordinates with scipy's adaptive quadrature: only the plain x-domain
 density formulas enter, so it is independent of the closed forms and of the
 package's own grid quadrature.  The ridge risk oracle gives the exact
 expected squared error of a fixed-level ridge estimate, independent of the
-package's Monte-Carlo and risk-bound code.
+package's Monte-Carlo and risk-bound code.  The rotator oracle is the
+package's former grid evaluation of the empirical transform, kept as the
+reference for the type-1 NUFFT that replaced it.
 """
 
 import numpy as np
@@ -100,6 +102,30 @@ def ridge_risk_oracle(
         np.abs(ridge) ** 2 * (sigma_c - np.abs(mf * mg) ** 2), t
     ) / (2.0 * np.pi * n)
     return float(bias_sq), float(variance)
+
+
+def rotator_mellin_on_grid(em, grid) -> np.ndarray:
+    """Empirical Mellin transform on a symmetric uniform grid, blockwise.
+
+    Exploits t_m = m * t_step: powers of the unit rotators exp(i*t_step*logY)
+    are accumulated in blocks of 512 modes, and negative frequencies follow
+    by conjugation (the weights Y^(c-1) are real).  Costs O(n * half_size)
+    operations and an n x 512 complex block.
+    """
+    logy = np.log(em.sample)
+    w = em.sample ** (em.c - 1.0) / em.n
+    block = 512
+    zb = np.exp(1j * grid.t_step * np.outer(logy, np.arange(block)))
+    zstep = zb[:, -1] * zb[:, 1]  # exp(i*h*block*logy)
+    half = np.empty(grid.half_size + 1, dtype=np.complex128)
+    carry = w.astype(np.complex128)
+    m0 = 0
+    while m0 <= grid.half_size:
+        nb = min(block, grid.half_size + 1 - m0)
+        half[m0 : m0 + nb] = carry @ zb[:, :nb]
+        carry = carry * zstep
+        m0 += nb
+    return grid.mirror(half)
 
 
 @pytest.fixture(scope="session")

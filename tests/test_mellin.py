@@ -22,7 +22,7 @@ from mellin_deconv import (
 )
 from mellin_deconv.model import density_eval, density_spec
 
-from conftest import mellin_quad_oracle, norm_sq_quad_oracle
+from conftest import mellin_quad_oracle, norm_sq_quad_oracle, rotator_mellin_on_grid
 
 
 # ---------------------------------------------------------------------- #
@@ -65,6 +65,39 @@ def test_grid_evaluation_matches_pointwise(rng):
     fast = empirical_mellin_on_grid(em, grid)
     direct = empirical_mellin(em, grid.t)
     assert np.max(np.abs(fast - direct)) < 1e-11
+
+
+#: (t_step, t_max): the default grid, a fine and a coarse one, and one with
+#: half_size + 1 = 4097 modes, just above a power of two
+_NUFFT_GRIDS = [(0.01, 150.0), (0.001, 10.0), (0.05, 20.0), (0.01, 40.96)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=3000),
+    distinct=st.one_of(st.none(), st.integers(min_value=1, max_value=5)),
+    spread=st.floats(min_value=0.01, max_value=3.0),
+    log10_scale=st.floats(min_value=-6.0, max_value=6.0),
+    c=st.sampled_from([0.0, 0.5, 1.0, 1.5]),
+    grid_pair=st.sampled_from(_NUFFT_GRIDS),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_grid_evaluation_matches_rotator_oracle(
+    n, distinct, spread, log10_scale, c, grid_pair, seed
+):
+    # lognormal samples of any spread at scales 1e-6..1e6; with ``distinct``
+    # set, every value is one of at most that many (heavy ties)
+    rng = np.random.default_rng(seed)
+    y = rng.lognormal(0.0, spread, n) * 10.0**log10_scale
+    if distinct is not None:
+        y = rng.choice(y[:distinct], n)
+    em = EmpiricalMellin(c, y)
+    grid = FrequencyGrid(*grid_pair)
+    fast = empirical_mellin_on_grid(em, grid)
+    ref = rotator_mellin_on_grid(em, grid)
+    assert fast.shape == ref.shape == grid.t.shape
+    assert fast[grid.center].imag == 0.0
+    assert np.max(np.abs(fast - ref)) <= 1e-11 * abs(ref[grid.center])
 
 
 def test_empirical_validation():

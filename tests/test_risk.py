@@ -123,6 +123,15 @@ def test_fixed_level_bypasses_selection():
     assert np.all(rep.errors > 0.0)
 
 
+def test_fixed_level_with_cutoff_is_refused():
+    # a fixed level is a ridge level; the cut-off method must not silently
+    # fall back to its data-driven selection
+    with pytest.raises(ValueError, match="fixed_k"):
+        run_mise(_cfg(method="cutoff", fixed_k=3.0))
+    with pytest.raises(ValueError, match="fixed_k"):
+        run_mise_pair(_cfg(fixed_k=3.0))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         _cfg(method="magic")
