@@ -29,7 +29,6 @@ from .model import (
 )
 from .risk import (
     TABLE1_ERRORS,
-    TABLE1_SIZES,
     TABLE1_TARGETS,
     XGridSpec,
     bias_variance_profile,
@@ -92,7 +91,13 @@ def cmd_estimate(args) -> int:
     return 0
 
 
+def _set_values(sec, keys) -> dict:
+    """{name: conv(value)} for each (INI key, name, conv) that ``sec`` sets."""
+    return {name: conv(sec[key]) for key, name, conv in keys if key in sec}
+
+
 def _read_mise_config(path) -> dict:
+    """`run_table_grid` arguments for the keys an INI file sets."""
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)
@@ -108,54 +113,32 @@ def _read_mise_config(path) -> dict:
                 out[key] = tuple(v.strip() for v in sec[key].split(",") if v.strip())
         if "sample_sizes" in sec:
             out["sizes"] = tuple(int(v) for v in sec["sample_sizes"].split(","))
-        for key, conv in (("replications", int), ("seed", int), ("c", float)):
-            if key in sec:
-                out[key] = conv(sec[key])
+        keys = (("replications", "reps", int), ("seed", "seed", int), ("c", "c", float))
+        out.update(_set_values(sec, keys))
     chi = {}
     for error in TABLE1_ERRORS:
         section = f"selection.{error}"
         if parser.has_section(section):
-            sec = parser[section]
-            chi[error] = {
-                k: float(sec[k]) for k in ("chi1", "chi2", "chi") if k in sec
-            }
+            keys = ((k, k, float) for k in ("chi1", "chi2", "chi"))
+            chi[error] = _set_values(parser[section], keys)
     if chi:
         out["chi_overrides"] = chi
     if parser.has_section("quadrature"):
-        sec = parser["quadrature"]
-        out["quadrature"] = QuadratureConfig(
-            t_step=sec.getfloat("t_step", 0.01),
-            t_max=sec.getfloat("t_max", 150.0),
-            rel_tail_tol=sec.getfloat("rel_tail_tol", 1e-6),
-        )
+        keys = ((k, k, float) for k in ("t_step", "t_max", "rel_tail_tol"))
+        out["quadrature"] = QuadratureConfig(**_set_values(parser["quadrature"], keys))
     if parser.has_section("grid"):
-        sec = parser["grid"]
-        out["x_grid"] = XGridSpec(
-            x_min=sec.getfloat("x_min", 1e-2),
-            x_max=sec.getfloat("x_max", 30.0),
-            points=sec.getint("x_points", 512),
-        )
+        keys = (("x_min", "x_min", float), ("x_max", "x_max", float), ("x_points", "points", int))
+        out["x_grid"] = XGridSpec(**_set_values(parser["grid"], keys))
     return out
 
 
 def cmd_mise(args) -> int:
-    params = _read_mise_config(args.config) if args.config else {}
-    if args.reps is not None:
-        params["replications"] = args.reps
-    if args.seed is not None:
-        params["seed"] = args.seed
-    rows = run_table_grid(
-        reps=params.get("replications", 100),
-        seed=params.get("seed", 1),
-        targets=params.get("targets", TABLE1_TARGETS),
-        errors=params.get("errors", TABLE1_ERRORS),
-        sizes=params.get("sizes", TABLE1_SIZES),
-        methods=params.get("methods", ("ridge", "cutoff")),
-        c=params.get("c", 1.0),
-        quadrature=params.get("quadrature", QuadratureConfig()),
-        x_grid=params.get("x_grid", XGridSpec()),
-        chi_overrides=params.get("chi_overrides"),
-    )
+    params = {"reps": 100, "seed": 1}
+    params.update(_read_mise_config(args.config) if args.config else {})
+    for name in ("reps", "seed"):
+        if getattr(args, name) is not None:
+            params[name] = getattr(args, name)
+    rows = run_table_grid(**params)
     write_mise_csv(args.out, rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0

@@ -3,8 +3,8 @@
 Both estimators multiply the empirical Mellin transform by a frequency
 multiplier built from the known error transform M_g and invert the product:
 
-* cut-off: 1/M_g on the window |t| <= k, zero outside; requires M_g to be
-  zero-free on the window.
+* cut-off: 1/M_g on the window |t| <= k (to the nearest grid node), zero
+  outside; requires M_g to be zero-free on the window.
 * ridge:   conj(M_g(t)) |M_g(t)|^r / max(|M_g(t)|, (1+|t|)^xi / k)^(r+2),
   which equals 1/M_g wherever |M_g| clears the threshold and is damped to
   zero where it does not, so no zero-freeness is needed.
@@ -34,8 +34,8 @@ from .mellin import (
     check_same_c,
     checked_real_part,
     empirical_mellin_on_grid,
-    golden_section_min,
     invert_grid_values,
+    probe_minimum,
 )
 
 
@@ -87,19 +87,11 @@ class MellinMultiplier:
 
 @dataclass(frozen=True)
 class DensityEstimate:
-    """Estimated density on an x-grid plus its Mellin-domain representation.
-
-    ``mellin_values`` holds the product (empirical transform x multiplier)
-    on ``t_grid`` so that selection-stage norms can be computed without
-    re-inverting.
-    """
+    """Estimated density values on an x-grid at development point c."""
 
     x_grid: np.ndarray
     values: np.ndarray
     c: float
-    t_grid: np.ndarray
-    mellin_values: np.ndarray
-    t_step: float
 
     @classmethod
     def from_product(
@@ -107,7 +99,7 @@ class DensityEstimate:
     ) -> "DensityEstimate":
         """Invert one product on ``grid`` (see `estimate_values_from_product`)."""
         values = estimate_values_from_product(grid, product, c, x_grid, support=support)
-        return cls(np.asarray(x_grid, dtype=float), values, c, grid.t, product, grid.t_step)
+        return cls(np.asarray(x_grid, dtype=float), values, c)
 
 
 def ridge_threshold(t: np.ndarray, k: float, xi: float) -> np.ndarray:
@@ -169,50 +161,43 @@ def ridge_multiplier(spec: RidgeSpec, g_mellin: MellinFunction) -> MellinMultipl
 def check_nonvanishing(
     g_mellin: MellinFunction, k: float, t_step: float = 0.01
 ) -> None:
-    """Verify |M_g| > 1e-12 on [-k, k], refining suspicious grid dips.
+    """Verify |M_g| >= 1e-12 on [-k, k] by `probe_minimum` on a grid of step
+    at most 0.01, polishing dips below 1e-3.
 
-    A plain grid minimum can straddle an exact zero without seeing it, so
-    local minima below 1e-3 are polished by golden-section search before
-    the threshold test.  Raises `NoiseTransformZeroError` on failure.
+    Raises `NoiseTransformZeroError` on failure.
     """
     step = min(t_step, 0.01)
     t = np.arange(0.0, k + step, step)
     t[-1] = min(t[-1], k)
-    vals = np.abs(g_mellin(t))
-    if vals.min() < 1e-12:
+    abs_mg = lambda s: np.abs(g_mellin(s))
+    low, at = probe_minimum(abs_mg, t, abs_mg(t), 1e-3)
+    if low < 1e-12:
         raise NoiseTransformZeroError(
-            f"noise transform vanishes near t={t[int(vals.argmin())]:.4f} "
-            f"inside the window [-{k}, {k}]"
+            f"noise transform vanishes near t={at:.4f} inside the window [-{k}, {k}]"
         )
-    interior = (vals[1:-1] < vals[:-2]) & (vals[1:-1] < vals[2:])
-    suspicious = np.where(interior & (vals[1:-1] < 1e-3))[0] + 1
-    fn = lambda x: float(np.abs(g_mellin(np.array([x]))[0]))
-    for idx in suspicious:
-        refined = golden_section_min(fn, t[idx - 1], t[idx + 1])
-        if refined < 1e-12:
-            raise NoiseTransformZeroError(
-                f"noise transform vanishes near t={t[idx]:.4f} inside the "
-                f"window [-{k}, {k}]"
-            )
 
 
 def cutoff_multiplier(
     spec: CutoffSpec, g_mellin: MellinFunction, q: QuadratureConfig
 ) -> MellinMultiplier:
-    """Build the cut-off multiplier 1/M_g restricted to |t| <= k."""
+    """Build the cut-off multiplier 1/M_g on the window of level k, zero
+    outside.  The window ends at the grid node nearest to k
+    (`FrequencyGrid.window_index` on the grid of ``q``), as in the cut-off
+    bank and the windowed inversion."""
     check_same_c("multiplier", spec.c, "noise", g_mellin.c)
-    check_nonvanishing(g_mellin, spec.k, q.t_step)
-    k = spec.k
+    grid = FrequencyGrid.from_config(q)
+    edge = float(grid.t[grid.center + grid.window_index(spec.k)])
+    check_nonvanishing(g_mellin, edge, q.t_step)
 
-    def eval_fn(t, k=k, g=g_mellin):
+    def eval_fn(t, edge=edge, g=g_mellin):
         t = np.asarray(t, dtype=float)
         mg = np.asarray(g.eval_fn(t), dtype=np.complex128)
-        inside = np.abs(t) <= k
+        inside = np.abs(t) <= edge
         out = np.zeros_like(mg)
         out[inside] = 1.0 / mg[inside]
         return out
 
-    return MellinMultiplier(spec=spec, g_mellin=g_mellin, eval_fn=eval_fn, support=k)
+    return MellinMultiplier(spec=spec, g_mellin=g_mellin, eval_fn=eval_fn, support=spec.k)
 
 
 def multiplier_norm_sq(mult: MellinMultiplier, q: QuadratureConfig) -> float:

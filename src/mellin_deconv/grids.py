@@ -35,10 +35,10 @@ class QuadratureConfig:
     rel_tail_tol: float = 1e-6
 
     def __post_init__(self):
-        if not self.t_step > 0.0:
-            raise ValueError("t_step must be positive")
-        if self.t_max < 10.0 * self.t_step:
-            raise ValueError("t_max must be at least 10 * t_step")
+        if not 0.0 < self.t_step < np.inf:
+            raise ValueError("t_step must be positive and finite")
+        if not 10.0 * self.t_step <= self.t_max < np.inf:
+            raise ValueError("t_max must be finite and at least 10 * t_step")
         if not 0.0 < self.rel_tail_tol <= 0.01:
             raise ValueError("rel_tail_tol must lie in (0, 0.01]")
 
@@ -75,18 +75,15 @@ class FrequencyGrid:
         return j
 
     def integrate(self, values: np.ndarray) -> np.ndarray:
-        """Trapezoid integral over the full window [-t_max, t_max]."""
-        inner = values[1:-1].sum(axis=-1) if values.ndim == 1 else values[..., 1:-1].sum(axis=-1)
+        """Trapezoid integral over the full window [-t_max, t_max], of one
+        tabulated integrand or of each row of a stack."""
+        inner = values[..., 1:-1].sum(axis=-1)
         return self.t_step * (inner + 0.5 * (values[..., 0] + values[..., -1]))
 
     def window_integrate(self, values: np.ndarray, k: float) -> float:
-        """Trapezoid integral over the sub-window [-k, k]."""
+        """Trapezoid integral over the sub-window [-k, k] of `window_index`."""
         j = self.window_index(k)
-        if j == 0:
-            return 0.0
-        lo, hi = self.center - j, self.center + j
-        seg = values[lo : hi + 1]
-        return self.t_step * (seg[1:-1].sum() + 0.5 * (seg[0] + seg[-1]))
+        return self.integrate(values[self.center - j : self.center + j + 1]) if j else 0.0
 
     def centered_cumulative(self, values: np.ndarray) -> np.ndarray:
         """Trapezoid integrals over [-t_j, t_j] for every j = 0..half_size.

@@ -111,6 +111,16 @@ class WeightedFunction:
         object.__setattr__(self, "values", v)
 
 
+def _sample_weights(em: EmpiricalMellin) -> np.ndarray:
+    """Weights Y_j^(c-1) of the empirical transform; `MellinError` when one
+    overflows (e.g. a sample scaled by 1e-309 at c = 0)."""
+    with np.errstate(over="ignore"):
+        w = em.sample ** (em.c - 1.0)
+    if not np.all(np.isfinite(w)):
+        raise MellinError(f"sample moment weights overflow at c={em.c}; rescale it")
+    return w
+
+
 def empirical_mellin(em: EmpiricalMellin, t) -> np.ndarray:
     """Empirical Mellin transform n^-1 sum_j Y_j^(c-1+it) of the sample.
 
@@ -121,7 +131,7 @@ def empirical_mellin(em: EmpiricalMellin, t) -> np.ndarray:
     scalar = t.ndim == 0
     tt = np.atleast_1d(t)
     logy = np.log(em.sample)
-    w = em.sample ** (em.c - 1.0)
+    w = _sample_weights(em)
     vals = (w[:, None] * np.exp(1j * np.outer(logy, tt))).sum(axis=0) / em.n
     return vals[0] if scalar else vals
 
@@ -146,9 +156,10 @@ def empirical_mellin_on_grid(em: EmpiricalMellin, grid: FrequencyGrid) -> np.nda
     node is sum_j w_j, exactly real, and negative frequencies follow by
     conjugation (the weights are real).  It stays within 1e-11 * |M_hat(0)|
     of the direct sum over the sample for n up to 3 000, c in 0..1.5 and
-    sample scales 1e-6..1e6 (tested).
+    sample scales 1e-6..1e6 (tested).  Overflowing weights Y_j^(c-1) raise
+    `MellinError`.
     """
-    w = em.sample ** (em.c - 1.0) / em.n
+    w = _sample_weights(em) / em.n
     k_modes = grid.half_size + 1
     size = 1 << (_NUFFT_OVERSAMPLING * k_modes - 1).bit_length()
     ratio = size / k_modes
@@ -174,8 +185,9 @@ def empirical_mellin_on_grid(em: EmpiricalMellin, grid: FrequencyGrid) -> np.nda
     return grid.mirror(half)
 
 
-def golden_section_min(fn, lo: float, hi: float, iters: int = 80) -> float:
-    """Minimum value of a scalar function over [lo, hi] by golden section."""
+def golden_section_min(fn, lo: float, hi: float, iters: int = 80) -> tuple:
+    """(minimum value, its abscissa) of a scalar function over [lo, hi] by
+    golden section."""
     phi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     x1 = b - phi * (b - a)
@@ -190,7 +202,26 @@ def golden_section_min(fn, lo: float, hi: float, iters: int = 80) -> float:
             a, x1, f1 = x1, x2, f2
             x2 = a + phi * (b - a)
             f2 = fn(x2)
-    return min(f1, f2)
+    return (f1, x1) if f1 <= f2 else (f2, x2)
+
+
+def probe_minimum(fn, t: np.ndarray, values: np.ndarray, trigger: float) -> tuple:
+    """(smallest value, abscissa) of a nonnegative vectorised ``fn`` on the
+    probe grid ``t``, where ``values`` = fn(t).
+
+    A grid minimum can straddle an exact zero between nodes, so every
+    interior dip below ``trigger`` is polished by golden-section search over
+    its two neighbouring cells.  The package's one zero-freeness probe.
+    """
+    i = int(np.argmin(values))
+    best, at = float(values[i]), float(t[i])
+    point = lambda x: float(fn(np.array([x]))[0])
+    interior = (values[1:-1] < values[:-2]) & (values[1:-1] < values[2:])
+    for idx in np.where(interior & (values[1:-1] < trigger))[0] + 1:
+        low, x = golden_section_min(point, t[idx - 1], t[idx + 1])
+        if low < best:
+            best, at = low, float(x)
+    return best, at
 
 
 def _certify_decay(
@@ -199,28 +230,15 @@ def _certify_decay(
     """Certify two-sided decay of |H(t)|*(1+t^2)^(g/2) over a probe grid.
 
     Returns its upper constant, or None when the lower one degenerates, i.e.
-    the transform has a (near-)zero; suspicious grid dips are polished by
-    golden-section search so zeros between probe nodes are not missed.
+    the transform has a (near-)zero (see `probe_minimum`).
     """
+    ratio = lambda t: np.abs(eval_fn(t)) * (1.0 + t**2) ** (exponent / 2.0)
     t = np.arange(0.0, _DECAY_PROBE_MAX + _DECAY_PROBE_STEP, _DECAY_PROBE_STEP)
-    ratio = np.abs(eval_fn(t)) * (1.0 + t**2) ** (exponent / 2.0)
-    hi = float(ratio.max())
-    if not np.isfinite(hi) or ratio.min() <= 1e-9 * hi:
+    values = ratio(t)
+    hi = float(values.max())
+    if not np.isfinite(hi):
         return None
-
-    def point_ratio(x: float) -> float:
-        x = float(x)
-        return float(np.abs(eval_fn(np.array([x]))[0])) * (1.0 + x * x) ** (
-            exponent / 2.0
-        )
-
-    interior = (ratio[1:-1] < ratio[:-2]) & (ratio[1:-1] < ratio[2:])
-    suspicious = np.where(interior & (ratio[1:-1] < 1e-2 * hi))[0] + 1
-    for idx in suspicious:
-        refined = golden_section_min(point_ratio, t[idx - 1], t[idx + 1])
-        if refined <= 1e-9 * hi:
-            return None
-    return hi
+    return None if probe_minimum(ratio, t, values, 1e-2 * hi)[0] <= 1e-9 * hi else hi
 
 
 def catalog_mellin(name: str, c: float) -> MellinFunction:
@@ -352,8 +370,11 @@ def checked_real_part(values: np.ndarray) -> np.ndarray:
     The imaginary residue of the two-sided sum is the inversion of the
     product's anti-Hermitian part.  For each row it must stay within
     1e-8 * (1 + max |Re|); a larger residue means the inverted transform
-    was not conjugate-symmetric and raises `HermitianSymmetryError`.
+    was not conjugate-symmetric and raises `HermitianSymmetryError`.  A
+    non-finite value, which no residue test can judge, raises `MellinError`.
     """
+    if not np.all(np.isfinite(values)):
+        raise MellinError("inversion output is not finite")
     re, im = values.real, values.imag
     if np.any(np.abs(im).max(axis=-1) > 1e-8 * (1.0 + np.abs(re).max(axis=-1))):
         raise HermitianSymmetryError(

@@ -299,7 +299,11 @@ def run_selection_oracle_comparison(cfg: ExperimentConfig) -> dict:
 
     Returns dict with arrays ``selected`` and ``oracle`` plus the admissible
     levels; used to check that the data-driven rule tracks the oracle.
+    Only the data-driven ridge rule is compared: another ``cfg.method`` or
+    a ``cfg.fixed_k`` raises `ValueError`.
     """
+    if cfg.method != "ridge" or cfg.fixed_k is not None:
+        raise ValueError("the oracle comparison runs the data-driven ridge rule only")
     pipeline = _scenario_pipeline(cfg)
     error = _error_integral(cfg.target, cfg.c, pipeline.x_grid)
     bank = pipeline.ridge_bank

@@ -194,7 +194,12 @@ class RidgeBank:
 
 
 class CutoffBank:
-    """Cut-off window norms tabulated for a prefix of admissible levels."""
+    """Cut-off window norms tabulated for a prefix of admissible levels.
+
+    Each level's window, `FrequencyGrid.window_index` (nearest node), is
+    worked out once as ``windows`` and serves the norms, the selection
+    contrasts, `row` and the zero check of the largest window.
+    """
 
     def __init__(
         self,
@@ -210,42 +215,42 @@ class CutoffBank:
         # guarded reciprocal; true zero-freeness is certified per window below
         safe = np.where(amg > 0.0, mg, 1.0)
         self.inv_mg = np.where(amg > 0.0, 1.0 / safe, 0.0)
-        inv_sq = np.abs(self.inv_mg) ** 2
-        cum = grid.centered_cumulative(inv_sq)
+        cum = grid.centered_cumulative(np.abs(self.inv_mg) ** 2)
 
         levels = []
-        norms = []
+        windows = []
         for k in cfg.k_grid or itertools.count(1):
-            j = int(round(k / grid.t_step))
-            if j > grid.half_size:
+            try:
+                j = grid.window_index(k)
+            except ValueError:  # the window passes the grid edge
                 break
-            norm = float(cum[j])
-            if norm > TWO_PI * n_cap:
+            if cum[j] > TWO_PI * n_cap:
                 break
             levels.append(int(k))
-            norms.append(norm)
+            windows.append(j)
         self.k_values = np.array(levels, dtype=int)
-        self.norms_sq = np.array(norms, dtype=float)
+        self.windows = np.array(windows, dtype=int)
+        self.norms_sq = cum[self.windows]
         if len(levels) > 0:
-            check_nonvanishing(g_mellin, float(levels[-1]), grid.t_step)
+            edge = float(grid.t[grid.center + windows[-1]])
+            check_nonvanishing(g_mellin, edge, grid.t_step)
 
     def __len__(self) -> int:
         return self.k_values.size
 
     def row(self, k: int) -> np.ndarray:
-        """Cut-off multiplier of level ``k``: 1/M_g on |t| <= k, zero outside."""
-        return np.where(np.abs(self.grid.t) <= k, self.inv_mg, 0.0)
+        """Cut-off multiplier of level ``k``: 1/M_g on its window, zero outside."""
+        j = self.windows[int(np.nonzero(self.k_values == k)[0][0])]
+        offsets = np.abs(np.arange(len(self.grid)) - self.grid.center)
+        return np.where(offsets <= j, self.inv_mg, 0.0)
 
     def select(
         self, mhat_abs_sq: np.ndarray, sig_hat: float, n: int
     ) -> SelectionResult:
         """Penalised-contrast selection given |M_hat|^2 on the bank's grid."""
         _require_levels(self, "cut-off", n)
-        grid = self.grid
-        cum = grid.centered_cumulative(mhat_abs_sq * np.abs(self.inv_mg) ** 2)
-        window_norms = np.array(
-            [cum[int(round(k / grid.t_step))] for k in self.k_values]
-        ) / TWO_PI
+        cum = self.grid.centered_cumulative(mhat_abs_sq * np.abs(self.inv_mg) ** 2)
+        window_norms = cum[self.windows] / TWO_PI
         pen = 2.0 * self.cfg.chi * sig_hat * self.norms_sq / (TWO_PI * n)
         return _selection_result(
             "cutoff", self.k_values, window_norms, pen, pen - window_norms, sig_hat
@@ -328,15 +333,14 @@ class Pipeline:
 
     def transform(self, em: EmpiricalMellin) -> SampleTransform:
         """Empirical transform of a sample; `MellinError` when c differs or
-        the moment weights Y^(c-1) or sigma_hat overflow."""
+        sigma_hat or the moment weights Y^(c-1) overflow."""
         check_same_c("sample", em.c, "pipeline", self.c)
         if em.n != self.n:
             raise ValueError(f"sample size {em.n} differs from pipeline n={self.n}")
         with np.errstate(over="ignore"):
             sig = sigma_hat(em)
-            finite = np.isfinite(sig) and np.all(np.isfinite(em.sample ** (em.c - 1.0)))
-        if not finite:
-            raise MellinError(f"sample moment weights overflow at c={em.c}; rescale it")
+        if not np.isfinite(sig):
+            raise MellinError(f"sigma_hat overflows at c={em.c}; rescale the sample")
         mhat = empirical_mellin_on_grid(em, self.grid)
         return SampleTransform(mhat=mhat, abs_sq=np.abs(mhat) ** 2, sigma_hat=sig)
 

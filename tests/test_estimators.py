@@ -223,12 +223,14 @@ def test_estimate_realness_and_fast_path_equivalence(rng):
     mult = ridge_multiplier(RidgeSpec(k=3.0, c=1.0, r=2.0), G_UNIF)
     x = default_x_grid(points=64)
     est = estimate_density(mult, em, x, Q)
-    # generic two-sided inversion: imaginary residue within tolerance
+    # the product estimate_density inverts, built here
     grid = FrequencyGrid.from_config(Q)
-    complex_vals = invert_grid_values(grid, est.mellin_values, 1.0, x)
+    product = empirical_mellin_on_grid(em, grid) * mult(grid.t)
+    # generic two-sided inversion: imaginary residue within tolerance
+    complex_vals = invert_grid_values(grid, product, 1.0, x)
     assert np.abs(complex_vals.imag).max() <= 1e-8 * (1.0 + np.abs(complex_vals.real).max())
     # the checked real part agrees with the two-sided sum
-    fast = estimate_values_from_product(grid, est.mellin_values, 1.0, x)
+    fast = estimate_values_from_product(grid, product, 1.0, x)
     assert np.allclose(fast, complex_vals.real, atol=1e-12)
     assert np.allclose(fast, est.values, atol=1e-12)
 
@@ -247,6 +249,16 @@ def test_product_without_conjugate_symmetry_is_refused(rng):
     with pytest.raises(HermitianSymmetryError):
         estimate_values_from_product(grid, np.stack([mhat, lopsided]), 1.0, x)
     assert estimate_values_from_product(grid, np.stack([mhat]), 1.0, x).shape == (1, x.size)
+
+
+def test_overflowing_sample_weights_are_refused(rng):
+    # at c = 0 the weights Y^-1 of a sample scaled by 1e-309 overflow; the
+    # three-step form must refuse it as the pipeline does, not return NaN
+    y = 1e-309 * rng.gamma(5.0, 1.0, 200)
+    em = EmpiricalMellin(0.0, y)
+    mult = ridge_multiplier(RidgeSpec(k=1.0, c=0.0, r=2.0), catalog_mellin("noise_beta", 0.0))
+    with pytest.raises(MellinError, match="weights overflow"):
+        estimate_density(mult, em, default_x_grid(), Q)
 
 
 def test_estimate_c_mismatch(rng):

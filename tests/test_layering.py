@@ -55,3 +55,26 @@ def test_risk_and_cli_estimate_only_through_the_pipeline():
         for line in _pipeline_part_calls(PACKAGE_DIR / module)
     ]
     assert found == []
+
+
+def _functions_calling(name: str) -> list:
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            calls = [
+                node
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Call)
+                and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            ]
+            if calls:
+                found.append(f"{path.name}:{fn.name}")
+    return found
+
+
+def test_one_zero_probe_polishes_grid_minima():
+    # the probe-and-polish search is written once, in `mellin.probe_minimum`
+    assert _functions_calling("golden_section_min") == ["mellin.py:probe_minimum"]

@@ -20,6 +20,7 @@ from mellin_deconv import (
     plancherel_norm_sq,
     weighted_l2_dist_sq,
 )
+from mellin_deconv.mellin import checked_real_part, probe_minimum
 from mellin_deconv.model import density_eval, density_spec
 
 from conftest import mellin_quad_oracle, norm_sq_quad_oracle, rotator_mellin_on_grid
@@ -225,6 +226,26 @@ def test_inverse_rejects_nonfinite():
     bad = lambda t: np.where(np.abs(t) < 1.0, np.inf, 0.0) + 0.0j
     with pytest.raises(MellinError):
         inverse_mellin(bad, 1.0, default_x_grid(points=16), q)
+
+
+def test_checked_real_part_rejects_non_finite_rows():
+    # NaN fails every comparison, so a residue test alone lets it through
+    with pytest.raises(MellinError, match="not finite"):
+        checked_real_part(np.array([np.nan + 1j * np.nan, 1.0 + 0.0j]))
+    with pytest.raises(MellinError, match="not finite"):
+        checked_real_part(np.array([[1.0 + 0.0j, 2.0 + 0.0j], [np.inf + 0.0j, 0.0j]]))
+    assert np.array_equal(checked_real_part(np.array([1.0 + 1e-12j, 2.0 + 0.0j])), [1.0, 2.0])
+
+
+def test_zero_probe_finds_a_zero_between_nodes():
+    # the grid sees |t - 0.123456| >= 0.023 only; polishing the dip finds the zero
+    fn = lambda t: np.abs(t - 0.123456)
+    t = np.arange(0.0, 1.05, 0.1)
+    low, at = probe_minimum(fn, t, fn(t), trigger=0.05)
+    assert low < 1e-12 and at == pytest.approx(0.123456, abs=1e-9)
+    # a dip above the trigger is left at its grid value
+    low, at = probe_minimum(fn, t, fn(t), trigger=0.01)
+    assert (low, at) == (fn(0.1), 0.1)
 
 
 # ---------------------------------------------------------------------- #

@@ -14,6 +14,7 @@ from mellin_deconv import (
     run_mise,
     run_mise_pair,
     run_oracle_rate,
+    run_selection_oracle_comparison,
     sigma_c_true,
     table1_selection_config,
     weighted_moment,
@@ -130,6 +131,15 @@ def test_fixed_level_with_cutoff_is_refused():
         run_mise(_cfg(method="cutoff", fixed_k=3.0))
     with pytest.raises(ValueError, match="fixed_k"):
         run_mise_pair(_cfg(fixed_k=3.0))
+
+
+def test_oracle_comparison_refuses_what_it_would_ignore():
+    # it runs the data-driven ridge rule only; a cut-off method or a fixed
+    # level must not silently fall back to it
+    with pytest.raises(ValueError, match="ridge rule only"):
+        run_selection_oracle_comparison(_cfg(method="cutoff"))
+    with pytest.raises(ValueError, match="ridge rule only"):
+        run_selection_oracle_comparison(_cfg(fixed_k=2.0))
 
 
 def test_config_validation():

@@ -23,7 +23,7 @@ from mellin_deconv import (
     write_diagnostics_csv,
 )
 from mellin_deconv.risk import run_selection_oracle_comparison
-from mellin_deconv.selection import RidgeBank
+from mellin_deconv.selection import CutoffBank, RidgeBank
 from mellin_deconv import ExperimentConfig, table1_selection_config
 
 Q = QuadratureConfig(0.01, 150.0)
@@ -276,6 +276,24 @@ def test_cutoff_bank_rejects_window_across_zero():
     y = _simulated_sample(100)
     with pytest.raises(EmptyAdmissibleSetError):
         select_cutoff(EmpiricalMellin(0.0, y), g0, cfg, Q)
+
+
+def test_cutoff_windows_follow_the_grid_window_rule():
+    # on t_step = 0.3 the window of k = 2 ends at the nearest node, t = 2.1:
+    # the bank's row and norm, the three-step multiplier and the inversion
+    # window must all hold that node
+    q = QuadratureConfig(0.3, 20.0)
+    grid = FrequencyGrid.from_config(q)
+    cfg = SelectionConfig(chi1=1.0, chi2=1.0, chi=1.0, c=1.0)
+    bank = CutoffBank(G_BETA, cfg, grid, n_cap=1e6)
+    assert list(bank.k_values) == list(range(1, 21))
+    for k, norm in zip(bank.k_values, bank.norms_sq):
+        j = grid.window_index(k)
+        row = bank.row(k)
+        assert np.array_equal(np.nonzero(row)[0], np.arange(grid.center - j, grid.center + j + 1))
+        assert norm == pytest.approx(grid.window_integrate(np.abs(row) ** 2, k), rel=1e-12)
+        cut = cutoff_multiplier(CutoffSpec(k=float(k), c=1.0), G_BETA, q)
+        assert np.allclose(cut(grid.t), row, rtol=1e-15, atol=0.0)
 
 
 def test_diagnostics_csv(tmp_path):
