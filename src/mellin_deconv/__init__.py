@@ -6,7 +6,7 @@ noise transform with either a spectral cut-off window or a ridge damping,
 and inverting.  Both regularisation levels are chosen from the data.
 """
 
-from .grids import FrequencyGrid, QuadratureConfig, default_x_grid
+from .grids import QuadratureConfig, default_x_grid
 from .mellin import (
     CATALOG_IDS,
     ERROR_IDS,

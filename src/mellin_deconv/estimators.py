@@ -26,7 +26,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .grids import FrequencyGrid, QuadratureConfig
+from .grids import QuadratureConfig
 from .mellin import (
     EmpiricalMellin,
     MellinError,
@@ -56,8 +56,13 @@ class RidgeSpec:
     def __post_init__(self):
         if not self.k > 0.0:
             raise ValueError("ridge level k must be positive")
-        if self.xi < 0.0 or self.r < 0.0:
-            raise ValueError("xi and r must be nonnegative")
+        check_ridge_exponents(self.xi, self.r)
+
+
+def check_ridge_exponents(xi: float, r: float) -> None:
+    """Raise `ValueError` unless the ridge exponents are finite and nonnegative."""
+    if not (0.0 <= xi < np.inf and 0.0 <= r < np.inf):
+        raise ValueError(f"xi and r must be finite and nonnegative, got xi={xi}, r={r}")
 
 
 @dataclass(frozen=True)
@@ -95,10 +100,11 @@ class DensityEstimate:
 
     @classmethod
     def from_product(
-        cls, grid: FrequencyGrid, product: np.ndarray, c: float, x_grid, support=None
+        cls, q: QuadratureConfig, product: np.ndarray, c: float, x_grid, support=None
     ) -> "DensityEstimate":
-        """Invert one product on ``grid`` (see `estimate_values_from_product`)."""
-        values = estimate_values_from_product(grid, product, c, x_grid, support=support)
+        """Invert one conjugate-symmetric product on the grid of ``q``; raises
+        `HermitianSymmetryError` when it is not conjugate-symmetric."""
+        values = checked_real_part(invert_grid_values(q, product, c, x_grid, support=support))
         return cls(np.asarray(x_grid, dtype=float), values, c)
 
 
@@ -182,11 +188,10 @@ def cutoff_multiplier(
 ) -> MellinMultiplier:
     """Build the cut-off multiplier 1/M_g on the window of level k, zero
     outside.  The window ends at the grid node nearest to k
-    (`FrequencyGrid.window_index` on the grid of ``q``), as in the cut-off
-    bank and the windowed inversion."""
+    (`QuadratureConfig.window_index`), as in the cut-off bank and the
+    windowed inversion."""
     check_same_c("multiplier", spec.c, "noise", g_mellin.c)
-    grid = FrequencyGrid.from_config(q)
-    edge = float(grid.t[grid.center + grid.window_index(spec.k)])
+    edge = float(q.t[q.center + q.window_index(spec.k)])
     check_nonvanishing(g_mellin, edge, q.t_step)
 
     def eval_fn(t, edge=edge, g=g_mellin):
@@ -209,19 +214,18 @@ def multiplier_norm_sq(mult: MellinMultiplier, q: QuadratureConfig) -> float:
     against ``q.rel_tail_tol`` and a truncation warning is emitted if the
     window is too short.
     """
-    grid = FrequencyGrid.from_config(q)
-    vals = np.abs(mult(grid.t)) ** 2
+    vals = np.abs(mult(q.t)) ** 2
     if mult.support is not None:
-        return float(grid.window_integrate(vals, mult.support))
-    norm = float(grid.integrate(vals))
+        return float(q.window_integrate(vals, mult.support))
+    norm = float(q.integrate(vals))
     g = mult.g_mellin
     spec = mult.spec
     if isinstance(spec, RidgeSpec) and g.decay_exponent is not None:
-        # tail of |R|^2 <= (k^(r+2) C^(r+1))^2 (1+t^2)^(-gamma(r+1)) beyond t_max
+        # tail of |R|^2 <= (k^(r+2) C^(r+1))^2 (1+t^2)^(-gamma(r+1)) past the last node
         rate = 2.0 * g.decay_exponent * (spec.r + 1.0)
         if rate > 1.0:
             const = (spec.k ** (spec.r + 2.0) * g.decay_upper ** (spec.r + 1.0)) ** 2
-            tail = 2.0 * const * grid.t_max ** (1.0 - rate) / (rate - 1.0)
+            tail = 2.0 * const * (q.half_size * q.t_step) ** (1.0 - rate) / (rate - 1.0)
             if tail > q.rel_tail_tol * max(norm, np.finfo(float).tiny):
                 warnings.warn(
                     f"ridge norm truncated: analytic tail bound {tail:.3g} "
@@ -231,22 +235,6 @@ def multiplier_norm_sq(mult: MellinMultiplier, q: QuadratureConfig) -> float:
                     stacklevel=2,
                 )
     return norm
-
-
-def estimate_values_from_product(
-    grid: FrequencyGrid,
-    product: np.ndarray,
-    c: float,
-    x_grid: np.ndarray,
-    support: Optional[float] = None,
-) -> np.ndarray:
-    """Invert a conjugate-symmetric product, or a stack of them, to real x-values.
-
-    Raises `HermitianSymmetryError` when a product is not conjugate-symmetric.
-    """
-    return checked_real_part(
-        invert_grid_values(grid, product, c, x_grid, support=support)
-    )
 
 
 def estimate_density(
@@ -262,9 +250,8 @@ def estimate_density(
     is checked as in `inverse_mellin`.
     """
     check_same_c("sample", em.c, "multiplier", mult.spec.c)
-    grid = FrequencyGrid.from_config(q)
-    product = empirical_mellin_on_grid(em, grid) * mult(grid.t)
-    return DensityEstimate.from_product(grid, product, em.c, x_grid, mult.support)
+    product = empirical_mellin_on_grid(em, q) * mult(q.t)
+    return DensityEstimate.from_product(q, product, em.c, x_grid, mult.support)
 
 
 def write_estimate_csv(path, estimate: DensityEstimate) -> None:

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grids import FrequencyGrid, QuadratureConfig
+from .grids import QuadratureConfig
 from .special import log_beta, log_gamma
 
 
@@ -136,7 +136,7 @@ def empirical_mellin(em: EmpiricalMellin, t) -> np.ndarray:
     return vals[0] if scalar else vals
 
 
-def empirical_mellin_on_grid(em: EmpiricalMellin, grid: FrequencyGrid) -> np.ndarray:
+def empirical_mellin_on_grid(em: EmpiricalMellin, grid: QuadratureConfig) -> np.ndarray:
     """Empirical Mellin transform on a symmetric uniform grid.
 
     On t_m = m * t_step the transform is sum_j w_j exp(i m x_j) with
@@ -316,9 +316,9 @@ def catalog_mellin(name: str, c: float) -> MellinFunction:
     return MellinFunction(c=c, eval_fn=eval_fn, decay_exponent=decay, decay_upper=upper)
 
 
-def _eval_on_grid(transform, grid: FrequencyGrid) -> np.ndarray:
-    vals = np.asarray(transform(grid.t) if callable(transform) else transform)
-    if vals.shape != grid.t.shape:
+def _eval_on_grid(transform, q: QuadratureConfig) -> np.ndarray:
+    vals = np.asarray(transform(q.t) if callable(transform) else transform)
+    if vals.shape != q.t.shape:
         raise MellinError("transform values do not match the quadrature grid")
     vals = vals.astype(np.complex128, copy=False)
     if not np.all(np.isfinite(vals.real)) or not np.all(np.isfinite(vals.imag)):
@@ -327,7 +327,7 @@ def _eval_on_grid(transform, grid: FrequencyGrid) -> np.ndarray:
 
 
 def invert_grid_values(
-    grid: FrequencyGrid,
+    grid: QuadratureConfig,
     values: np.ndarray,
     c: float,
     x_grid: np.ndarray,
@@ -393,9 +393,8 @@ def inverse_mellin(
     conjugate-symmetric, H(-t) = conj(H(t)); a violation raises
     `HermitianSymmetryError` (see `checked_real_part`).
     """
-    grid = FrequencyGrid.from_config(q)
-    vals = _eval_on_grid(transform, grid)
-    re = checked_real_part(invert_grid_values(grid, vals, c, x_grid))
+    vals = _eval_on_grid(transform, q)
+    re = checked_real_part(invert_grid_values(q, vals, c, x_grid))
     return WeightedFunction(x_grid=np.asarray(x_grid, float), values=re, c=c)
 
 
@@ -405,9 +404,8 @@ def plancherel_norm_sq(transform, q: QuadratureConfig) -> float:
     Equals the squared weighted L^2 norm of the x-domain function whose
     transform is H, up to quadrature and truncation error.
     """
-    grid = FrequencyGrid.from_config(q)
-    vals = _eval_on_grid(transform, grid)
-    return float(grid.integrate(np.abs(vals) ** 2)) / (2.0 * np.pi)
+    vals = _eval_on_grid(transform, q)
+    return float(q.integrate(np.abs(vals) ** 2)) / (2.0 * np.pi)
 
 
 def weighted_l2_dist_sq(a: WeightedFunction, b: WeightedFunction) -> float:

@@ -261,12 +261,11 @@ def bias_variance_profile(
         quadrature=quadrature,
     )
     pipeline = _scenario_pipeline(cfg)
-    grid = pipeline.grid
     bank = pipeline.fixed_ridge_bank(k_grid)
-    mf = np.asarray(catalog_mellin(target, c)(grid.t), dtype=np.complex128)
+    mf = np.asarray(catalog_mellin(target, c)(quadrature.t), dtype=np.complex128)
 
-    sum_mhat = np.zeros(grid.t.size, dtype=np.complex128)
-    sum_sq = np.zeros(grid.t.size)
+    sum_mhat = np.zeros(len(quadrature), dtype=np.complex128)
+    sum_sq = np.zeros(len(quadrature))
     for rep in range(reps):
         tf = pipeline.transform(_replication_sample(cfg, rep))
         sum_mhat += tf.mhat
@@ -277,10 +276,10 @@ def bias_variance_profile(
     sig_c = sigma_c_true(target, error, c)
     out = []
     for k, row, norm in zip(bank.k_values, bank.rows, bank.norms_sq):
-        bias_sq = float(grid.integrate(np.abs(mf - mean_mhat * row) ** 2)) / TWO_PI
-        variance = float(grid.integrate(var_mhat * np.abs(row) ** 2)) / TWO_PI
-        in_gk = ridge_threshold(grid.t, float(k), selection.xi) > bank.abs_mg
-        bound_bias = float(grid.integrate(np.abs(mf) ** 2 * in_gk)) / TWO_PI
+        bias_sq = float(quadrature.integrate(np.abs(mf - mean_mhat * row) ** 2)) / TWO_PI
+        variance = float(quadrature.integrate(var_mhat * np.abs(row) ** 2)) / TWO_PI
+        in_gk = ridge_threshold(quadrature.t, float(k), selection.xi) > bank.abs_mg
+        bound_bias = float(quadrature.integrate(np.abs(mf) ** 2 * in_gk)) / TWO_PI
         bound_var = float(sig_c * norm / (TWO_PI * n))
         out.append(
             ProfileRow(

@@ -33,17 +33,19 @@ import numpy as np
 from .estimators import (
     DensityEstimate,
     check_nonvanishing,
-    estimate_values_from_product,
+    check_ridge_exponents,
     ridge_threshold,
     ridge_values,
 )
-from .grids import FrequencyGrid, QuadratureConfig, default_x_grid
+from .grids import QuadratureConfig, default_x_grid
 from .mellin import (
     EmpiricalMellin,
     MellinError,
     MellinFunction,
     check_same_c,
+    checked_real_part,
     empirical_mellin_on_grid,
+    invert_grid_values,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -58,9 +60,10 @@ class SelectionConfig:
     """Constants and candidate grid for the data-driven rules.
 
     chi1/chi2 scale the ridge penalties (chi2 >= chi1 > 0), chi the cut-off
-    penalty.  ``k_grid`` of None means consecutive integers 1, 2, ... with
-    the scan stopping at the first inadmissible level (for the ridge rule
-    also after the first saturated level; see `RidgeBank`).
+    penalty, all finite; xi and r as in `RidgeSpec`.  ``k_grid`` of None
+    means consecutive integers 1, 2, ... with the scan stopping at the first
+    inadmissible level (for the ridge rule also after the first saturated
+    level; see `RidgeBank`).
     """
 
     chi1: float
@@ -72,10 +75,11 @@ class SelectionConfig:
     k_grid: Optional[Sequence[int]] = None
 
     def __post_init__(self):
-        if not (self.chi2 >= self.chi1 > 0.0):
-            raise ValueError("need chi2 >= chi1 > 0")
-        if not self.chi > 0.0:
-            raise ValueError("need chi > 0")
+        if not (np.inf > self.chi2 >= self.chi1 > 0.0):
+            raise ValueError("need finite chi2 >= chi1 > 0")
+        if not np.inf > self.chi > 0.0:
+            raise ValueError("need finite chi > 0")
+        check_ridge_exponents(self.xi, self.r)
         if self.k_grid is not None:
             kg = tuple(int(k) for k in self.k_grid)
             if len(kg) == 0:
@@ -137,20 +141,20 @@ class RidgeBank:
         self,
         g_mellin: MellinFunction,
         cfg: SelectionConfig,
-        grid: FrequencyGrid,
+        q: QuadratureConfig,
         n_cap: float,
     ):
-        self.grid = grid
+        self.q = q
         self.cfg = cfg
-        mg = np.asarray(g_mellin(grid.t), dtype=np.complex128)
+        mg = np.asarray(g_mellin(q.t), dtype=np.complex128)
         amg = self.abs_mg = np.abs(mg)
         levels = []
         rows = []
         norms = []
         for k in cfg.k_grid or itertools.count(1):
-            thresh = ridge_threshold(grid.t, float(k), cfg.xi)
+            thresh = ridge_threshold(q.t, float(k), cfg.xi)
             row = ridge_values(mg, mg[::-1], thresh, cfg.r)
-            norm = float(grid.integrate(np.abs(row) ** 2))
+            norm = float(q.integrate(np.abs(row) ** 2))
             if norm > n_cap:
                 break
             levels.append(int(k))
@@ -159,7 +163,7 @@ class RidgeBank:
             if cfg.k_grid is None and np.all((amg >= thresh) | (amg == 0.0)):
                 break
         self.k_values = np.array(levels, dtype=int)
-        self.rows = np.array(rows) if rows else np.empty((0, grid.t.size), complex)
+        self.rows = np.array(rows) if rows else np.empty((0, len(q)), complex)
         self.norms_sq = np.array(norms, dtype=float)
 
     def __len__(self) -> int:
@@ -182,7 +186,7 @@ class RidgeBank:
         contrast = np.zeros((m, m))
         for j in range(1, m):
             diff_sq = np.abs(self.rows[j] - self.rows[:j]) ** 2
-            contrast[:j, j] = self.grid.integrate(mhat_abs_sq * diff_sq) / TWO_PI
+            contrast[:j, j] = self.q.integrate(mhat_abs_sq * diff_sq) / TWO_PI
 
         a_hat = np.zeros(m)
         for i in range(m - 1):
@@ -196,7 +200,7 @@ class RidgeBank:
 class CutoffBank:
     """Cut-off window norms tabulated for a prefix of admissible levels.
 
-    Each level's window, `FrequencyGrid.window_index` (nearest node), is
+    Each level's window, `QuadratureConfig.window_index` (nearest node), is
     worked out once as ``windows`` and serves the norms, the selection
     contrasts, `row` and the zero check of the largest window.
     """
@@ -205,23 +209,23 @@ class CutoffBank:
         self,
         g_mellin: MellinFunction,
         cfg: SelectionConfig,
-        grid: FrequencyGrid,
+        q: QuadratureConfig,
         n_cap: float,
     ):
-        self.grid = grid
+        self.q = q
         self.cfg = cfg
-        mg = np.asarray(g_mellin(grid.t), dtype=np.complex128)
+        mg = np.asarray(g_mellin(q.t), dtype=np.complex128)
         amg = np.abs(mg)
         # guarded reciprocal; true zero-freeness is certified per window below
         safe = np.where(amg > 0.0, mg, 1.0)
         self.inv_mg = np.where(amg > 0.0, 1.0 / safe, 0.0)
-        cum = grid.centered_cumulative(np.abs(self.inv_mg) ** 2)
+        cum = q.centered_cumulative(np.abs(self.inv_mg) ** 2)
 
         levels = []
         windows = []
         for k in cfg.k_grid or itertools.count(1):
             try:
-                j = grid.window_index(k)
+                j = q.window_index(k)
             except ValueError:  # the window passes the grid edge
                 break
             if cum[j] > TWO_PI * n_cap:
@@ -232,8 +236,8 @@ class CutoffBank:
         self.windows = np.array(windows, dtype=int)
         self.norms_sq = cum[self.windows]
         if len(levels) > 0:
-            edge = float(grid.t[grid.center + windows[-1]])
-            check_nonvanishing(g_mellin, edge, grid.t_step)
+            edge = float(q.t[q.center + windows[-1]])
+            check_nonvanishing(g_mellin, edge, q.t_step)
 
     def __len__(self) -> int:
         return self.k_values.size
@@ -241,7 +245,7 @@ class CutoffBank:
     def row(self, k: int) -> np.ndarray:
         """Cut-off multiplier of level ``k``: 1/M_g on its window, zero outside."""
         j = self.windows[int(np.nonzero(self.k_values == k)[0][0])]
-        offsets = np.abs(np.arange(len(self.grid)) - self.grid.center)
+        offsets = np.abs(np.arange(len(self.q)) - self.q.center)
         return np.where(offsets <= j, self.inv_mg, 0.0)
 
     def select(
@@ -249,7 +253,7 @@ class CutoffBank:
     ) -> SelectionResult:
         """Penalised-contrast selection given |M_hat|^2 on the bank's grid."""
         _require_levels(self, "cut-off", n)
-        cum = self.grid.centered_cumulative(mhat_abs_sq * np.abs(self.inv_mg) ** 2)
+        cum = self.q.centered_cumulative(mhat_abs_sq * np.abs(self.inv_mg) ** 2)
         window_norms = cum[self.windows] / TWO_PI
         pen = 2.0 * self.cfg.chi * sig_hat * self.norms_sq / (TWO_PI * n)
         return _selection_result(
@@ -298,7 +302,7 @@ class SampleTransform:
 class Pipeline:
     """The estimation chain for one configuration and sample size ``n``.
 
-    Owns the frequency grid of ``q`` and the x-grid of the estimates.  The
+    Holds the frequency grid ``q`` and the x-grid of the estimates.  The
     ridge and cut-off banks are built on first use, so the ridge rule works
     where the cut-off bank raises `NoiseTransformZeroError`.  The
     development points of ``g_mellin``, ``cfg`` and every sample must
@@ -314,22 +318,21 @@ class Pipeline:
         x_grid: np.ndarray,
     ):
         check_same_c("selection", cfg.c, "noise", g_mellin.c)
-        self.g_mellin, self.cfg, self.c, self.n = g_mellin, cfg, cfg.c, int(n)
+        self.g_mellin, self.cfg, self.q, self.c, self.n = g_mellin, cfg, q, cfg.c, int(n)
         self.x_grid = np.asarray(x_grid, dtype=float)
-        self.grid = FrequencyGrid.from_config(q)
 
     @cached_property
     def ridge_bank(self) -> RidgeBank:
-        return RidgeBank(self.g_mellin, self.cfg, self.grid, n_cap=float(self.n))
+        return RidgeBank(self.g_mellin, self.cfg, self.q, n_cap=float(self.n))
 
     @cached_property
     def cutoff_bank(self) -> CutoffBank:
-        return CutoffBank(self.g_mellin, self.cfg, self.grid, n_cap=float(self.n))
+        return CutoffBank(self.g_mellin, self.cfg, self.q, n_cap=float(self.n))
 
     def fixed_ridge_bank(self, levels: Sequence[int]) -> RidgeBank:
         """Ridge rows at fixed increasing levels, without the admissibility cap."""
         cfg = replace(self.cfg, k_grid=tuple(levels))
-        return RidgeBank(self.g_mellin, cfg, self.grid, n_cap=np.inf)
+        return RidgeBank(self.g_mellin, cfg, self.q, n_cap=np.inf)
 
     def transform(self, em: EmpiricalMellin) -> SampleTransform:
         """Empirical transform of a sample; `MellinError` when c differs or
@@ -341,7 +344,7 @@ class Pipeline:
             sig = sigma_hat(em)
         if not np.isfinite(sig):
             raise MellinError(f"sigma_hat overflows at c={em.c}; rescale the sample")
-        mhat = empirical_mellin_on_grid(em, self.grid)
+        mhat = empirical_mellin_on_grid(em, self.q)
         return SampleTransform(mhat=mhat, abs_sq=np.abs(mhat) ** 2, sigma_hat=sig)
 
     def select(self, method: str, em) -> SelectionResult:
@@ -353,8 +356,8 @@ class Pipeline:
 
     def invert(self, product: np.ndarray, support: Optional[float] = None) -> np.ndarray:
         """Real x-grid values of a product, or of a stack of products."""
-        return estimate_values_from_product(
-            self.grid, product, self.c, self.x_grid, support=support
+        return checked_real_part(
+            invert_grid_values(self.q, product, self.c, self.x_grid, support=support)
         )
 
     def fit(self, method: str, em) -> tuple:
@@ -365,7 +368,7 @@ class Pipeline:
         product = tf.mhat * getattr(self, f"{method}_bank").row(result.k_hat)
         support = float(result.k_hat) if method == "cutoff" else None
         return result, DensityEstimate.from_product(
-            self.grid, product, self.c, self.x_grid, support
+            self.q, product, self.c, self.x_grid, support
         )
 
 

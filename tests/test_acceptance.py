@@ -18,7 +18,6 @@ from mellin_deconv import (
     CutoffSpec,
     EmpiricalMellin,
     ExperimentConfig,
-    FrequencyGrid,
     QuadratureConfig,
     RidgeSpec,
     RngStream,
@@ -384,7 +383,6 @@ def test_c9_invariants_standalone():
 
     # estimate realness on one fixed sample, both estimators
     q = QuadratureConfig(0.01, 150.0)
-    grid = FrequencyGrid.from_config(q)
     y = sample(density_spec("gamma5"), 500, RngStream(5, 1)) * sample(
         density_spec("noise_uniform"), 500, RngStream(5, 2)
     )
@@ -393,8 +391,8 @@ def test_c9_invariants_standalone():
 
     g = catalog_mellin("noise_uniform", 1.0)
     mult = ridge_multiplier(RidgeSpec(k=3.0, c=1.0, r=2.0), g)
-    product = empirical_mellin_on_grid(em, grid) * mult(grid.t)
-    complex_vals = invert_grid_values(grid, product, 1.0, default_x_grid(points=64))
+    product = empirical_mellin_on_grid(em, q) * mult(q.t)
+    complex_vals = invert_grid_values(q, product, 1.0, default_x_grid(points=64))
     realness = bool(
         np.abs(complex_vals.imag).max()
         <= 1e-8 * (1.0 + np.abs(complex_vals.real).max())
@@ -410,7 +408,7 @@ def test_c9_invariants_standalone():
     # prefix admissibility on an explicit grid
     cfg2 = SelectionConfig(chi1=1.0, chi2=1.0, chi=1.0, c=1.0, r=2.0,
                            k_grid=(1, 2, 3, 5, 8))
-    bank = RidgeBank(catalog_mellin("noise_beta", 1.0), cfg2, grid, n_cap=300.0)
+    bank = RidgeBank(catalog_mellin("noise_beta", 1.0), cfg2, q, n_cap=300.0)
     prefix = list(bank.k_values) == [1, 2, 3, 5]
     checks.append(("admissible set is a grid prefix", prefix))
 

@@ -1,9 +1,9 @@
 """The benchmark's golden outputs, checked in the test suite.
 
-Every `serve_estimate` and `mc_table` pool entry of ``perfbench/`` is run
-once and compared with its stored golden fingerprint (exact ``k_hat``,
-densities to 1e-9, MISE rows to their printed digits), and the Hermitian
-probe must refuse its lopsided product.  A change that flips a selected
+Every `serve_estimate`, `mc_table` and `oracle_sweep` pool entry of
+``perfbench/`` is run once and compared with its stored golden fingerprint
+(exact ``k_hat``, densities to 1e-9, MISE rows to their printed digits),
+and the Hermitian probe must refuse its lopsided product.  A change that flips a selected
 level fails here, before any benchmark run.  ``perfbench/workloads.py`` is
 imported as it stands and is not modified.
 """
@@ -21,7 +21,7 @@ sys.path.insert(0, str(PERFBENCH))
 import workloads  # noqa: E402
 
 
-@pytest.mark.parametrize("name", ["serve_estimate", "mc_table"])
+@pytest.mark.parametrize("name", ["serve_estimate", "mc_table", "oracle_sweep"])
 def test_every_pool_entry_matches_its_golden(name, tmp_path):
     workload = workloads.WORKLOADS[name](tmp_path)
     golden = workload.load_golden(workloads.GOLDEN_DIR)

@@ -157,3 +157,24 @@ def test_diagnose_single_k(tmp_path):
               "--t-max", "100", "--out", str(out))
     assert rc == 0
     assert len(out.read_text().strip().splitlines()) == 2
+
+
+def test_estimate_refuses_a_grid_past_the_node_bound(tmp_path, capsys):
+    s = tmp_path / "s.csv"
+    s.write_text("y\n0.5\n1.2\n2.0\n3.1\n")
+    rc = _run("estimate", "--sample", str(s), "--error", "noise_beta",
+              "--t-step", "1e-9", "--out", str(tmp_path / "x.csv"))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "300000000001 nodes" in err
+
+
+def test_estimate_refuses_a_negative_ridge_power(tmp_path, capsys):
+    s = tmp_path / "s.csv"
+    _run("simulate", "--target", "gamma5", "--error", "noise_beta",
+         "--n", "500", "--seed", "2", "--out", str(s))
+    rc = _run("estimate", "--sample", str(s), "--error", "noise_beta",
+              "--r", "-1", "--out", str(tmp_path / "x.csv"))
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "x.csv").exists()

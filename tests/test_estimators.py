@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from mellin_deconv import (
     CutoffSpec,
     EmpiricalMellin,
-    FrequencyGrid,
     HermitianSymmetryError,
     MellinError,
     MellinMultiplier,
@@ -21,8 +20,7 @@ from mellin_deconv import (
     multiplier_norm_sq,
     ridge_multiplier,
 )
-from mellin_deconv.estimators import estimate_values_from_product
-from mellin_deconv.mellin import invert_grid_values
+from mellin_deconv.mellin import checked_real_part, invert_grid_values
 from mellin_deconv.model import density_eval, density_spec
 
 Q = QuadratureConfig(0.01, 150.0)
@@ -200,10 +198,9 @@ def test_noiseless_population_estimate_recovers_target():
     mf = catalog_mellin("gamma5", 1.0)
     mult = ridge_multiplier(RidgeSpec(k=1e3, c=1.0, r=2.0), G_BETA)
     q = QuadratureConfig(0.01, 80.0)
-    grid = FrequencyGrid.from_config(q)
-    product = mf(grid.t) * G_BETA(grid.t) * mult(grid.t)
+    product = mf(q.t) * G_BETA(q.t) * mult(q.t)
     x = np.geomspace(0.1, 15.0, 200)
-    vals = invert_grid_values(grid, product, 1.0, x)
+    vals = invert_grid_values(q, product, 1.0, x)
     truth = density_eval(density_spec("gamma5"), x)
     assert np.max(np.abs(vals.real - truth)) < 1e-3
     assert np.max(np.abs(vals.imag)) < 1e-10
@@ -224,13 +221,12 @@ def test_estimate_realness_and_fast_path_equivalence(rng):
     x = default_x_grid(points=64)
     est = estimate_density(mult, em, x, Q)
     # the product estimate_density inverts, built here
-    grid = FrequencyGrid.from_config(Q)
-    product = empirical_mellin_on_grid(em, grid) * mult(grid.t)
+    product = empirical_mellin_on_grid(em, Q) * mult(Q.t)
     # generic two-sided inversion: imaginary residue within tolerance
-    complex_vals = invert_grid_values(grid, product, 1.0, x)
+    complex_vals = invert_grid_values(Q, product, 1.0, x)
     assert np.abs(complex_vals.imag).max() <= 1e-8 * (1.0 + np.abs(complex_vals.real).max())
     # the checked real part agrees with the two-sided sum
-    fast = estimate_values_from_product(grid, product, 1.0, x)
+    fast = checked_real_part(invert_grid_values(Q, product, 1.0, x))
     assert np.allclose(fast, complex_vals.real, atol=1e-12)
     assert np.allclose(fast, est.values, atol=1e-12)
 
@@ -240,15 +236,14 @@ def test_product_without_conjugate_symmetry_is_refused(rng):
     # H(-t) = conj(H(t)); the Monte-Carlo engine inverts one product or a
     # stack of them through this same call
     y = rng.gamma(5.0, 1.0, 500) * np.sqrt(rng.uniform(size=500))
-    grid = FrequencyGrid.from_config(Q)
-    mhat = empirical_mellin_on_grid(EmpiricalMellin(1.0, y), grid)
-    lopsided = mhat * np.where(grid.t > 0.0, 2.0, 1.0)
+    mhat = empirical_mellin_on_grid(EmpiricalMellin(1.0, y), Q)
+    lopsided = mhat * np.where(Q.t > 0.0, 2.0, 1.0)
     x = default_x_grid()
     with pytest.raises(HermitianSymmetryError):
-        estimate_values_from_product(grid, lopsided, 1.0, x)
+        checked_real_part(invert_grid_values(Q, lopsided, 1.0, x))
     with pytest.raises(HermitianSymmetryError):
-        estimate_values_from_product(grid, np.stack([mhat, lopsided]), 1.0, x)
-    assert estimate_values_from_product(grid, np.stack([mhat]), 1.0, x).shape == (1, x.size)
+        checked_real_part(invert_grid_values(Q, np.stack([mhat, lopsided]), 1.0, x))
+    assert checked_real_part(invert_grid_values(Q, np.stack([mhat]), 1.0, x)).shape == (1, x.size)
 
 
 def test_overflowing_sample_weights_are_refused(rng):

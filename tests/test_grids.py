@@ -2,6 +2,7 @@
 `ValueError`, or the frequency-domain routines built on it return finite
 values or raise a typed error."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,7 +14,6 @@ from mellin_deconv import (
     CutoffSpec,
     EmpiricalMellin,
     EmptyAdmissibleSetError,
-    FrequencyGrid,
     MellinError,
     Pipeline,
     QuadratureConfig,
@@ -27,6 +27,7 @@ from mellin_deconv import (
     plancherel_norm_sq,
     ridge_multiplier,
 )
+from mellin_deconv.grids import MAX_GRID_NODES
 
 #: the largest frequency grid a drawn configuration may build
 MAX_NODES = 20_001
@@ -50,13 +51,12 @@ def _configs(draw):
 @_SETTINGS
 @given(q=_configs())
 def test_config_near_its_limits_gives_finite_results_or_typed_errors(q):
-    grid = FrequencyGrid.from_config(q)
-    assert 21 <= len(grid) <= MAX_NODES
+    assert 21 <= len(q) <= MAX_NODES
     assert np.isfinite(plancherel_norm_sq(G_BETA, q))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # a short window warns of truncation
         assert np.isfinite(multiplier_norm_sq(ridge_multiplier(RidgeSpec(k=2.0, c=1.0), G_BETA), q))
-    if grid.t_max >= 1.0:
+    if q.half_size * q.t_step >= 1.0:  # the outermost node
         assert np.isfinite(multiplier_norm_sq(cutoff_multiplier(CutoffSpec(k=1.0, c=1.0), G_BETA, q), q))
     else:
         with pytest.raises(ValueError, match="exceeds the quadrature bound"):
@@ -64,8 +64,8 @@ def test_config_near_its_limits_gives_finite_results_or_typed_errors(q):
 
     pipeline = Pipeline(G_BETA, CFG, q, SAMPLE.n, X)
     mhat = pipeline.transform(SAMPLE).mhat
-    direct = empirical_mellin(SAMPLE, grid.t)
-    assert np.abs(mhat - direct).max() <= 1e-11 * abs(direct[grid.center])
+    direct = empirical_mellin(SAMPLE, q.t)
+    assert np.abs(mhat - direct).max() <= 1e-11 * abs(direct[q.center])
     for method in ("ridge", "cutoff"):
         try:
             result, est = pipeline.fit(method, SAMPLE)
@@ -96,3 +96,33 @@ def test_config_past_its_limits_is_refused(t_step, shortfall, excess):
 def test_non_finite_or_empty_config_is_refused(t_step, t_max):
     with pytest.raises(ValueError):
         QuadratureConfig(t_step, t_max)
+
+
+def test_grid_past_the_node_bound_is_refused_before_allocation():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="300000000001 nodes"):
+            QuadratureConfig(1e-9, 150.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_construction_builds_no_nodes_and_the_bound_is_inclusive():
+    tracemalloc.start()
+    try:
+        q = QuadratureConfig(0.01, 4.0e4)
+        at_bound = QuadratureConfig(1.0, (MAX_GRID_NODES - 1) / 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert len(q) == 8_000_001 and len(at_bound) == MAX_GRID_NODES
+    with pytest.raises(ValueError, match=f"{MAX_GRID_NODES + 2} nodes"):
+        QuadratureConfig(1.0, (MAX_GRID_NODES + 1) / 2)
+    small = QuadratureConfig(0.5, 5.0)
+    assert small.t is small.t and np.array_equal(small.t, np.arange(-10, 11) * 0.5)
+    with pytest.raises(ValueError):
+        small.t[0] = 0.0
+    assert small == QuadratureConfig(0.5, 5.0) and hash(small) == hash(QuadratureConfig(0.5, 5.0))

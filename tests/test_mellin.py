@@ -7,7 +7,6 @@ from scipy.integrate import quad
 from mellin_deconv import (
     CATALOG_IDS,
     EmpiricalMellin,
-    FrequencyGrid,
     HermitianSymmetryError,
     MellinError,
     QuadratureConfig,
@@ -62,7 +61,7 @@ def test_empirical_bounded_by_value_at_zero(sample, t, c):
 def test_grid_evaluation_matches_pointwise(rng):
     y = rng.gamma(5.0, 1.0, 200)
     em = EmpiricalMellin(0.5, y)
-    grid = FrequencyGrid(0.05, 20.0)
+    grid = QuadratureConfig(0.05, 20.0)
     fast = empirical_mellin_on_grid(em, grid)
     direct = empirical_mellin(em, grid.t)
     assert np.max(np.abs(fast - direct)) < 1e-11
@@ -93,7 +92,7 @@ def test_grid_evaluation_matches_rotator_oracle(
     if distinct is not None:
         y = rng.choice(y[:distinct], n)
     em = EmpiricalMellin(c, y)
-    grid = FrequencyGrid(*grid_pair)
+    grid = QuadratureConfig(*grid_pair)
     fast = empirical_mellin_on_grid(em, grid)
     ref = rotator_mellin_on_grid(em, grid)
     assert fast.shape == ref.shape == grid.t.shape

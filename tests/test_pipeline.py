@@ -12,7 +12,6 @@ from mellin_deconv import (
     CutoffSpec,
     EmpiricalMellin,
     EmptyAdmissibleSetError,
-    FrequencyGrid,
     MellinError,
     NoiseTransformZeroError,
     Pipeline,
@@ -81,7 +80,7 @@ def test_fit_matches_three_step_estimate(method, error, n):
     assert np.abs(est.values - ref.values).max() <= 1e-12 * scale
     assert np.array_equal(est.x_grid, ref.x_grid)
     # estimate_density builds its product on the grid of Q
-    assert np.array_equal(pipeline.grid.t, FrequencyGrid.from_config(Q).t)
+    assert np.array_equal(pipeline.q.t, Q.t)
 
 
 def test_banks_are_built_on_first_use():

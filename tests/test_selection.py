@@ -5,8 +5,8 @@ from mellin_deconv import (
     CutoffSpec,
     EmpiricalMellin,
     EmptyAdmissibleSetError,
-    FrequencyGrid,
     QuadratureConfig,
+    RidgeSpec,
     RngStream,
     SelectionConfig,
     admissible_ridge,
@@ -97,10 +97,9 @@ def test_cutoff_admissibility_closed_form():
     # that is at most 2 pi n
     from mellin_deconv.selection import CutoffBank
 
-    grid = FrequencyGrid.from_config(Q)
     for n in (10, 100, 1000):
         cfg = SelectionConfig(chi1=1.0, chi2=1.0, chi=1.0, c=1.0)
-        bank = CutoffBank(G_BETA, cfg, grid, n_cap=float(n))
+        bank = CutoffBank(G_BETA, cfg, Q, n_cap=float(n))
         k_max = bank.k_values[-1]
         assert 2 * k_max + k_max**3 / 6.0 <= TWO_PI * n
         k_next = k_max + 1
@@ -157,22 +156,21 @@ def test_penalty_scale_never_increases_level():
 def test_population_level_selection_is_sane():
     # true transform of Y in place of the empirical one: the chosen level
     # must track the best achievable error up to a small floor
-    grid = FrequencyGrid.from_config(Q)
     cfg = table1_selection_config("noise_beta")
     n = 2000
-    bank = RidgeBank(G_BETA, cfg, grid, n_cap=float(n))
+    bank = RidgeBank(G_BETA, cfg, Q, n_cap=float(n))
     mf = catalog_mellin("gamma5", 1.0)
-    my = mf(grid.t) * G_BETA(grid.t)
+    my = mf(Q.t) * G_BETA(Q.t)
     res = bank.select(np.abs(my) ** 2, 1.0, n)
     assert res.k_hat in set(bank.k_values)
     # population errors per level are pure smoothing biases
     errs = np.array(
         [
-            float(grid.integrate(np.abs(mf(grid.t) - my * row) ** 2)) / TWO_PI
+            float(Q.integrate(np.abs(mf(Q.t) - my * row) ** 2)) / TWO_PI
             for row in bank.rows
         ]
     )
-    norm_f = float(grid.integrate(np.abs(mf(grid.t)) ** 2)) / TWO_PI
+    norm_f = float(Q.integrate(np.abs(mf(Q.t)) ** 2)) / TWO_PI
     sel_err = errs[list(bank.k_values).index(res.k_hat)]
     assert sel_err <= 2.0 * errs.min() + 0.01 * norm_f
 
@@ -238,14 +236,13 @@ def test_cutoff_objective_matches_independent_recomputation():
         objectives = [d.objective for d in res.diagnostics]
         assert res.diagnostics[int(np.argmin(objectives))].k == res.k_hat
         sig = sigma_hat(em)
-        grid = FrequencyGrid.from_config(Q)
         for d in res.diagnostics:
             # window norm of the data part, recomputed from scratch on the
             # restricted subgrid with the pointwise transform
-            j = grid.window_index(float(d.k))
-            t_win = grid.t[grid.center - j : grid.center + j + 1]
+            j = Q.window_index(float(d.k))
+            t_win = Q.t[Q.center - j : Q.center + j + 1]
             vals = np.abs(empirical_mellin(em, t_win) / G_BETA(t_win)) ** 2
-            norm = grid.t_step * (vals[1:-1].sum() + 0.5 * (vals[0] + vals[-1]))
+            norm = Q.t_step * (vals[1:-1].sum() + 0.5 * (vals[0] + vals[-1]))
             norm /= TWO_PI
             cut = cutoff_multiplier(CutoffSpec(k=float(d.k), c=1.0), G_BETA, Q)
             pen = 2.0 * cfg.chi * sig * multiplier_norm_sq(cut, Q) / (TWO_PI * n)
@@ -270,9 +267,8 @@ def test_cutoff_bank_rejects_window_across_zero():
 
     g0 = catalog_mellin("noise_uniform", 0.0)
     cfg = SelectionConfig(chi1=1.0, chi2=1.0, chi=1.0, c=0.0, k_grid=(6,))
-    grid = FrequencyGrid.from_config(Q)
     with pytest.raises(NoiseTransformZeroError):
-        CutoffBank(g0, cfg, grid, n_cap=1e12)
+        CutoffBank(g0, cfg, Q, n_cap=1e12)
     y = _simulated_sample(100)
     with pytest.raises(EmptyAdmissibleSetError):
         select_cutoff(EmpiricalMellin(0.0, y), g0, cfg, Q)
@@ -283,17 +279,16 @@ def test_cutoff_windows_follow_the_grid_window_rule():
     # the bank's row and norm, the three-step multiplier and the inversion
     # window must all hold that node
     q = QuadratureConfig(0.3, 20.0)
-    grid = FrequencyGrid.from_config(q)
     cfg = SelectionConfig(chi1=1.0, chi2=1.0, chi=1.0, c=1.0)
-    bank = CutoffBank(G_BETA, cfg, grid, n_cap=1e6)
+    bank = CutoffBank(G_BETA, cfg, q, n_cap=1e6)
     assert list(bank.k_values) == list(range(1, 21))
     for k, norm in zip(bank.k_values, bank.norms_sq):
-        j = grid.window_index(k)
+        j = q.window_index(k)
         row = bank.row(k)
-        assert np.array_equal(np.nonzero(row)[0], np.arange(grid.center - j, grid.center + j + 1))
-        assert norm == pytest.approx(grid.window_integrate(np.abs(row) ** 2, k), rel=1e-12)
+        assert np.array_equal(np.nonzero(row)[0], np.arange(q.center - j, q.center + j + 1))
+        assert norm == pytest.approx(q.window_integrate(np.abs(row) ** 2, k), rel=1e-12)
         cut = cutoff_multiplier(CutoffSpec(k=float(k), c=1.0), G_BETA, q)
-        assert np.allclose(cut(grid.t), row, rtol=1e-15, atol=0.0)
+        assert np.allclose(cut(q.t), row, rtol=1e-15, atol=0.0)
 
 
 def test_diagnostics_csv(tmp_path):
@@ -314,3 +309,23 @@ def test_selection_config_validation():
         SelectionConfig(chi1=0.0, chi2=1.0, chi=1.0)
     with pytest.raises(ValueError):
         SelectionConfig(chi1=1.0, chi2=1.0, chi=1.0, k_grid=(3, 2))
+
+
+@pytest.mark.parametrize("name", ["r", "xi"])
+@pytest.mark.parametrize("bad", [-1.0, -2.0, np.nan, np.inf])
+def test_selection_config_refuses_the_exponents_ridge_spec_refuses(name, bad):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        SelectionConfig(chi1=1.0, chi2=1.0, chi=1.0, **{name: bad})
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        RidgeSpec(k=1.0, c=1.0, **{name: bad})
+
+
+@pytest.mark.parametrize(
+    "chis",
+    [(1.0, np.inf, np.inf), (1.0, np.inf, 1.0), (1.0, 1.0, np.inf), (np.inf, np.inf, 1.0),
+     (np.nan, 1.0, 1.0), (1.0, np.nan, 1.0), (1.0, 1.0, np.nan)],
+)
+def test_selection_config_refuses_non_finite_penalty_constants(chis):
+    chi1, chi2, chi = chis
+    with pytest.raises(ValueError, match="finite"):
+        SelectionConfig(chi1=chi1, chi2=chi2, chi=chi)
