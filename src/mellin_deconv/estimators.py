@@ -13,8 +13,9 @@ The damped region G_k = {t : (1+|t|)^xi / k > |M_g(t)|} shrinks as k grows;
 multiplier magnitudes grow monotonically in k.
 
 Every product, one at a time or stacked, is inverted by
-`mellin.invert_grid_values` and passes the Hermitian residue check of
-`mellin.checked_real_part` before its real part is used.
+`mellin.invert_grid_values`, a type-2 non-uniform FFT, and passes the
+Hermitian residue check of `mellin.checked_real_part`, which returns an
+owned real copy.
 """
 
 from __future__ import annotations

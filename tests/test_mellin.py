@@ -19,10 +19,15 @@ from mellin_deconv import (
     plancherel_norm_sq,
     weighted_l2_dist_sq,
 )
-from mellin_deconv.mellin import checked_real_part, probe_minimum
+from mellin_deconv.mellin import checked_real_part, invert_grid_values, probe_minimum
 from mellin_deconv.model import density_eval, density_spec
 
-from conftest import mellin_quad_oracle, norm_sq_quad_oracle, rotator_mellin_on_grid
+from conftest import (
+    mellin_quad_oracle,
+    norm_sq_quad_oracle,
+    rotator_invert_grid_values,
+    rotator_mellin_on_grid,
+)
 
 
 # ---------------------------------------------------------------------- #
@@ -234,6 +239,76 @@ def test_checked_real_part_rejects_non_finite_rows():
     with pytest.raises(MellinError, match="not finite"):
         checked_real_part(np.array([[1.0 + 0.0j, 2.0 + 0.0j], [np.inf + 0.0j, 0.0j]]))
     assert np.array_equal(checked_real_part(np.array([1.0 + 1e-12j, 2.0 + 0.0j])), [1.0, 2.0])
+
+
+def test_checked_real_part_owns_its_values():
+    # a view of .real would keep the whole complex inversion output alive
+    q = QuadratureConfig(0.01, 30.0)
+    x = default_x_grid(points=16)
+    product = catalog_mellin("gamma5", 1.0)(q.t)
+    for values in (product, np.stack([product, 2.0 * product])):
+        raw = invert_grid_values(q, values, 1.0, x)
+        re = checked_real_part(raw)
+        assert re.flags.owndata
+        assert np.array_equal(re, raw.real)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_inversion_refuses_a_bad_x_grid_up_front(bad):
+    q = QuadratureConfig(0.01, 30.0)
+    x = np.array([0.5, bad, 2.0])
+    with pytest.raises(MellinError, match="x_grid"):
+        invert_grid_values(q, catalog_mellin("gamma5", 1.0)(q.t), 1.0, x)
+
+
+def _x_grid(kind: str, points: int, rng) -> np.ndarray:
+    if kind == "geomspace":
+        return np.geomspace(0.01, 30.0, points)
+    if kind == "linspace":
+        return np.linspace(0.01, 30.0, points)
+    if kind == "random":
+        return np.sort(rng.uniform(1e-3, 50.0, points))
+    return np.geomspace(1e-8, 1e8, points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hermitian=st.booleans(),
+    rows=st.integers(min_value=1, max_value=4),
+    support_share=st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.0)),
+    grid_pair=st.sampled_from(_NUFFT_GRIDS),
+    c=st.sampled_from([0.0, 0.5, 1.0, 1.5]),
+    kind=st.sampled_from(["geomspace", "linspace", "random", "wide"]),
+    points=st.integers(min_value=1, max_value=300),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_inversion_matches_rotator_oracle(
+    hermitian, rows, support_share, grid_pair, c, kind, points, seed
+):
+    # random products, conjugate-symmetric or lopsided, inverted over the
+    # whole grid or a cut-off window; error measured against the l1 bound
+    rng = np.random.default_rng(seed)
+    grid = QuadratureConfig(*grid_pair)
+    shape = (rows, grid.half_size + 1 if hermitian else len(grid))
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if hermitian:
+        values[:, 0] = values[:, 0].real
+        values = np.stack([grid.mirror(half) for half in values])
+    support = None if support_share is None else support_share * grid.half_size * grid.t_step
+    j = grid.half_size if support is None else grid.window_index(support)
+    window = np.abs(values[:, grid.center - j : grid.center + j + 1]).sum(axis=-1)
+    x = _x_grid(kind, points, rng)
+    bound = 1e-12 * grid.t_step / (2.0 * np.pi) * window[:, None] * x ** (-c)
+
+    fast = invert_grid_values(grid, values, c, x, support)
+    ref = rotator_invert_grid_values(grid, values, c, x, support)
+    assert fast.shape == ref.shape == (rows, x.size)
+    assert np.all(np.abs(fast - ref) <= bound)
+    for row in range(rows):
+        single = invert_grid_values(grid, values[row], c, x, support)
+        assert single.shape == x.shape
+        assert np.all(np.abs(fast[row] - single) <= bound[row])
 
 
 def test_zero_probe_finds_a_zero_between_nodes():
