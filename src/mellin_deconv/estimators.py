@@ -9,8 +9,12 @@ multiplier built from the known error transform M_g and invert the product:
   which equals 1/M_g wherever |M_g| clears the threshold and is damped to
   zero where it does not, so no zero-freeness is needed.
 
-The damped region G_k = {t : (1+|t|)^xi / k > |M_g(t)|} shrinks as k grows;
-multiplier magnitudes grow monotonically in k.
+The ridge multiplier factors into k-free vectors: with
+kappa = (1+|t|)^xi / |M_g| (infinite where M_g = 0),
+R_k = (1/M_g) min(1, k/kappa)^(r+2) = a min(kappa, k)^(r+2), where
+a = conj(M_g) |M_g|^r (1+|t|)^(-xi(r+2)).  `ridge_factors` is the one place
+that formula is written.  The damped region G_k = {kappa > k} shrinks as k
+grows; multiplier magnitudes grow monotonically in k.
 
 Every product, one at a time or stacked, is inverted by
 `mellin.invert_grid_values`, a type-2 non-uniform FFT, and passes the
@@ -109,38 +113,30 @@ class DensityEstimate:
         return cls(np.asarray(x_grid, dtype=float), values, c)
 
 
-def ridge_threshold(t: np.ndarray, k: float, xi: float) -> np.ndarray:
-    """Ridge threshold (1+|t|)^xi / k; G_k is where |M_g| falls below it."""
-    return (1.0 + np.abs(t)) ** xi / k
+def ridge_factors(mg: np.ndarray, t: np.ndarray, xi: float, r: float) -> tuple:
+    """Factors (inv, kappa) of the ridge multiplier at nodes ``t`` from M_g there.
 
-
-def ridge_values(
-    mg: np.ndarray, mg_neg: np.ndarray, thresh: np.ndarray, r: float
-) -> np.ndarray:
-    """Ridge multiplier from M_g(t), M_g(-t) and the threshold at the same t.
-
-    1/M_g(t) where |M_g(t)| >= thresh, otherwise the damped branch
-    M_g(-t) |M_g(t)|^r / max(|M_g(t)|, thresh)^(r+2), which never divides
-    by zero.  For real noise densities M_g(-t) = conj(M_g(t)).
+    inv = 1/M_g (0 where M_g = 0) and kappa = (1+|t|)^xi / |M_g| (infinite
+    where M_g = 0) give R_k = inv * min(1, k/kappa)^(r+2): exactly 1/M_g
+    where kappa <= k, damped elsewhere.  This is the defining form
+    M_g(-t) |M_g|^r / max(|M_g|, (1+|t|)^xi / k)^(r+2) with M_g(-t) taken
+    as conj(M_g(t)), which holds for every real noise density (bitwise for
+    the catalog noises on symmetric grids).  In the form a min(kappa, k)^(r+2)
+    the k-free factor has |a| = |inv| kappa^-(r+2).
     """
     amg = np.abs(mg)
-    exact = amg >= thresh
-    out = np.empty_like(mg)
-    out[exact] = 1.0 / mg[exact]
-    damped = ~exact
-    out[damped] = (
-        mg_neg[damped]
-        * amg[damped] ** r
-        / np.maximum(amg[damped], thresh[damped]) ** (r + 2.0)
-    )
-    return out
+    inv = np.divide(1.0, mg, out=np.zeros_like(mg), where=amg > 0.0)
+    with np.errstate(divide="ignore"):
+        kappa = (1.0 + np.abs(t)) ** xi / amg
+    return inv, kappa
 
 
 def ridge_multiplier(spec: RidgeSpec, g_mellin: MellinFunction) -> MellinMultiplier:
     """Build the ridge multiplier for an error transform.
 
-    Exactly 1/M_g(t) wherever |M_g(t)| >= (1+|t|)^xi / k; the damped branch
-    is used elsewhere and never divides by zero.
+    Exactly 1/M_g(t) wherever |M_g(t)| >= (1+|t|)^xi / k; the damped form
+    is used elsewhere and never divides by zero.  M_g is evaluated at t
+    only: `ridge_factors` takes M_g(-t) as its conjugate.
     """
     check_same_c("multiplier", spec.c, "noise", g_mellin.c)
     if g_mellin.decay_exponent is not None:
@@ -158,9 +154,8 @@ def ridge_multiplier(spec: RidgeSpec, g_mellin: MellinFunction) -> MellinMultipl
 
     def eval_fn(t, k=k, xi=xi, r=r, g=g_mellin):
         t = np.asarray(t, dtype=float)
-        mg = np.asarray(g.eval_fn(t), dtype=np.complex128)
-        mg_neg = np.asarray(g.eval_fn(-t), dtype=np.complex128)
-        return ridge_values(mg, mg_neg, ridge_threshold(t, k, xi), r)
+        inv, kappa = ridge_factors(np.asarray(g.eval_fn(t), dtype=np.complex128), t, xi, r)
+        return inv * np.minimum(1.0, k / kappa) ** (r + 2.0)
 
     return MellinMultiplier(spec=spec, g_mellin=g_mellin, eval_fn=eval_fn, support=None)
 

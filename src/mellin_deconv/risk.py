@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimators import ridge_threshold
 from .grids import QuadratureConfig, default_x_grid
 from .mellin import EmpiricalMellin, WeightedFunction, catalog_mellin
 from .model import (
@@ -148,7 +147,8 @@ def _mise_reports(cfg: ExperimentConfig, methods: Sequence[str]) -> dict:
     error = _error_integral(cfg.target, cfg.c, pipeline.x_grid)
     fixed_row = None
     if cfg.fixed_k is not None:
-        fixed_row = pipeline.fixed_ridge_bank((int(cfg.fixed_k),)).rows[0]
+        k = int(cfg.fixed_k)
+        fixed_row = pipeline.fixed_ridge_bank((k,)).row(k)
     errors = {m: np.empty(cfg.replications) for m in methods}
     for rep in range(cfg.replications):
         tf = pipeline.transform(_replication_sample(cfg, rep))
@@ -275,10 +275,11 @@ def bias_variance_profile(
 
     sig_c = sigma_c_true(target, error, c)
     out = []
-    for k, row, norm in zip(bank.k_values, bank.rows, bank.norms_sq):
+    for k, norm in zip(bank.k_values, bank.norms_sq):
+        row = bank.row(k)
         bias_sq = float(quadrature.integrate(np.abs(mf - mean_mhat * row) ** 2)) / TWO_PI
         variance = float(quadrature.integrate(var_mhat * np.abs(row) ** 2)) / TWO_PI
-        in_gk = ridge_threshold(quadrature.t, float(k), selection.xi) > bank.abs_mg
+        in_gk = bank.kappa > k
         bound_bias = float(quadrature.integrate(np.abs(mf) ** 2 * in_gk)) / TWO_PI
         bound_var = float(sig_c * norm / (TWO_PI * n))
         out.append(
@@ -306,12 +307,13 @@ def run_selection_oracle_comparison(cfg: ExperimentConfig) -> dict:
     pipeline = _scenario_pipeline(cfg)
     error = _error_integral(cfg.target, cfg.c, pipeline.x_grid)
     bank = pipeline.ridge_bank
+    rows = bank.rows
     selected = np.empty(cfg.replications)
     oracle = np.empty(cfg.replications)
     for rep in range(cfg.replications):
         tf = pipeline.transform(_replication_sample(cfg, rep))
         k_hat = pipeline.select("ridge", tf).k_hat
-        errs = error(pipeline.invert(tf.mhat[None, :] * bank.rows))
+        errs = error(pipeline.invert(tf.mhat[None, :] * rows))
         selected[rep] = errs[list(bank.k_values).index(k_hat)]
         oracle[rep] = errs.min()
     return {

@@ -14,7 +14,11 @@ pen(k) = 2 * chi * sigma_hat * ||1_[-k,k] / M_g||^2 / (2 pi n) over
 {k : ||1_[-k,k] / M_g||^2 <= 2 pi n}.
 
 Contrast norms are computed in the Mellin domain via the Plancherel
-identity, so the whole selection runs on one shared frequency grid.
+identity, so the whole selection runs on one shared frequency grid.  The
+ridge rows are k-free vectors times a real scale min(kappa, k)^(r+2), so
+`RidgeBank` keeps no rows: ||R_k||^2 comes from cumulative sums over the
+kappa-sorted nodes, and all pairwise contrasts of a sample from three
+per-bucket moments, in O(N + m^2) for N nodes and m levels.
 
 `Pipeline` is the package's one chain of grid, banks, empirical transform,
 selection and inversion; every data-driven estimate runs through it.
@@ -34,8 +38,7 @@ from .estimators import (
     DensityEstimate,
     check_nonvanishing,
     check_ridge_exponents,
-    ridge_threshold,
-    ridge_values,
+    ridge_factors,
 )
 from .grids import QuadratureConfig, default_x_grid
 from .mellin import (
@@ -126,15 +129,25 @@ def sigma_hat(em: EmpiricalMellin) -> float:
 
 
 class RidgeBank:
-    """Ridge multipliers tabulated on a shared grid for a prefix of levels.
+    """Ridge multipliers of a prefix of levels, held as k-free factors.
 
     Levels are taken from ``cfg.k_grid`` (or 1, 2, ... when absent) as long
     as ||R_k||^2 <= n_cap; by magnitude monotonicity in k the admissible set
-    is always such a prefix.  M_g is tabulated once per build, and M_g(-t)
-    is that table reversed (the grid is symmetric); |M_g| is kept as
-    ``abs_mg``.  The consecutive scan also ends at the first saturated
-    level, whose threshold clears |M_g| at every node where M_g != 0: every
-    later level is the same estimator.
+    is always such a prefix.  M_g is tabulated once per build and factored
+    by `ridge_factors`: with p = r + 2,
+    R_k = (1/M_g) min(1, k/kappa)^p = a min(kappa, k)^p, |a| = |1/M_g| kappa^-p.
+    ``kappa`` is kept, so G_k = {kappa > k}.
+
+    The norm of any level comes from cumulative sums over the kappa-sorted
+    nodes: a node with kappa <= k adds w/|M_g|^2, the others w |a|^2 k^(2p)
+    (w the trapezoid weight).  The consecutive scan also ends at the first
+    saturated level, k >= every finite kappa, whose multiplier is 1/M_g
+    wherever M_g != 0: every later level is the same estimator.
+
+    Each node's bucket l, where k_(l-1) < kappa <= k_l (l = m past the
+    last of the m levels), is fixed per bank, so `contrasts` reduces a
+    sample to per-bucket moments in O(N) and combines them in O(m^2).  No
+    (levels x nodes) table is kept: `row` and `rows` evaluate on demand.
     """
 
     def __init__(
@@ -146,54 +159,94 @@ class RidgeBank:
     ):
         self.q = q
         self.cfg = cfg
+        p = self._p = cfg.r + 2.0
         mg = np.asarray(g_mellin(q.t), dtype=np.complex128)
-        amg = self.abs_mg = np.abs(mg)
+        self._inv, self.kappa = ridge_factors(mg, q.t, cfg.xi, cfg.r)
+        w = np.full(len(q), q.t_step)
+        w[[0, -1]] *= 0.5
+        abs_inv = np.abs(self._inv)
+        self._scale_sq = w * (abs_inv * self.kappa**-p) ** 2  # w |a|^2
+        with np.errstate(over="ignore"):  # |M_g| < 1e-154: kappa is past every level
+            exact_sq = w * abs_inv**2  # w |R_k|^2 where kappa <= k
+
+        order = np.argsort(self.kappa)
+        kappa_sorted = self.kappa[order]
+        below = np.concatenate(([0.0], np.cumsum(exact_sq[order])))
+        above = np.concatenate((np.cumsum(self._scale_sq[order][::-1])[::-1], [0.0]))
+        saturation = np.max(self.kappa, where=np.isfinite(self.kappa), initial=0.0)
+
         levels = []
-        rows = []
         norms = []
         for k in cfg.k_grid or itertools.count(1):
-            thresh = ridge_threshold(q.t, float(k), cfg.xi)
-            row = ridge_values(mg, mg[::-1], thresh, cfg.r)
-            norm = float(q.integrate(np.abs(row) ** 2))
+            i = np.searchsorted(kappa_sorted, k, side="right")  # nodes with kappa <= k
+            norm = float(below[i] + float(k) ** (2.0 * p) * above[i])
             if norm > n_cap:
                 break
             levels.append(int(k))
-            rows.append(row)
             norms.append(norm)
-            if cfg.k_grid is None and np.all((amg >= thresh) | (amg == 0.0)):
+            if cfg.k_grid is None and k >= saturation:
                 break
         self.k_values = np.array(levels, dtype=int)
-        self.rows = np.array(rows) if rows else np.empty((0, len(q)), complex)
         self.norms_sq = np.array(norms, dtype=float)
+
+        m = len(levels)
+        self._powers = self.k_values ** p
+        self._bucket = np.searchsorted(self.k_values, self.kappa)
+        # kappa^p above the bucket's lower level, where a later level holds kappa
+        inner = (self._bucket > 0) & (self._bucket < m)
+        self._excess = np.zeros(len(q))
+        self._excess[inner] = self.kappa[inner] ** p - self._powers[self._bucket[inner] - 1]
 
     def __len__(self) -> int:
         return self.k_values.size
 
+    def _multipliers(self, k) -> np.ndarray:
+        return self._inv * np.minimum(1.0, k / self.kappa) ** self._p
+
     def row(self, k: int) -> np.ndarray:
-        """Tabulated multiplier of level ``k``."""
-        return self.rows[int(np.nonzero(self.k_values == k)[0][0])]
+        """Multiplier of the bank level ``k`` on the bank's grid."""
+        return self._multipliers(float(self.k_values[_level_index(self, k)]))
+
+    @property
+    def rows(self) -> np.ndarray:
+        """(levels x nodes) stack of every level's multiplier, built on each access."""
+        return self._multipliers(self.k_values[:, None].astype(float))
+
+    def contrasts(self, mhat_abs_sq: np.ndarray) -> np.ndarray:
+        """C[i, j] = ||f_hat_{k_j} - f_hat_{k_i}||^2 for i < j, zero elsewhere.
+
+        By Plancherel C[i, j] = (2 pi)^-1 sum_t w |a|^2 |M_hat|^2 (s_j - s_i)^2
+        with s_k = min(kappa, k)^p.  A node of bucket l adds (u + d)^2, with
+        u = kappa^p - k_(l-1)^p and d = k_(l-1)^p - k_i^p, when i < l <= j,
+        and (k_j^p - k_i^p)^2 when l > j.  So three per-bucket moments of
+        b = w |a|^2 |M_hat|^2, times 1, u and u^2, give every contrast as a
+        sum of nonnegative terms.
+        """
+        m = len(self)
+        b = self._scale_sq * mhat_abs_sq
+        bu = b * self._excess
+        b0, b1, b2 = (
+            np.bincount(self._bucket, weights=x, minlength=m + 1)[1:]
+            for x in (b, bu, bu * self._excess)
+        )
+        powers = self._powers
+        # buckets 1..m-1 against levels i, kept where the bucket lies above k_i
+        d = powers[None, :-1] - powers[:, None]
+        between = np.where(d >= 0.0, b2[:-1] + d * (2.0 * b1[:-1] + d * b0[:-1]), 0.0)
+        beyond = np.cumsum(b0[::-1])[::-1]  # beyond[j] = sum of b0 over buckets past k_j
+        out = np.zeros((m, m))
+        out[:, 1:] = np.cumsum(between, axis=1) + (powers[1:] - powers[:, None]) ** 2 * beyond[1:]
+        return np.triu(out, 1) / TWO_PI
 
     def select(
         self, mhat_abs_sq: np.ndarray, sig_hat: float, n: int
     ) -> SelectionResult:
         """Goldenshluger-Lepski selection given |M_hat|^2 on the bank's grid."""
         _require_levels(self, "ridge", n)
-        cfg = self.cfg
-        m = len(self)
         v_hat = 2.0 * sig_hat * self.norms_sq / n
-
-        # contrast(i, j) = ||f_hat_{k_j} - f_hat_{k_i}||^2 for i < j, via Plancherel
-        contrast = np.zeros((m, m))
-        for j in range(1, m):
-            diff_sq = np.abs(self.rows[j] - self.rows[:j]) ** 2
-            contrast[:j, j] = self.q.integrate(mhat_abs_sq * diff_sq) / TWO_PI
-
-        a_hat = np.zeros(m)
-        for i in range(m - 1):
-            terms = contrast[i, i + 1 :] - cfg.chi1 * v_hat[i + 1 :]
-            a_hat[i] = np.max(terms, initial=0.0)
-
-        objective = a_hat + cfg.chi2 * v_hat
+        excess = self.contrasts(mhat_abs_sq) - self.cfg.chi1 * v_hat
+        a_hat = np.triu(excess, 1).max(axis=1, initial=0.0)
+        objective = a_hat + self.cfg.chi2 * v_hat
         return _selection_result("ridge", self.k_values, a_hat, v_hat, objective, sig_hat)
 
 
@@ -243,8 +296,9 @@ class CutoffBank:
         return self.k_values.size
 
     def row(self, k: int) -> np.ndarray:
-        """Cut-off multiplier of level ``k``: 1/M_g on its window, zero outside."""
-        j = self.windows[int(np.nonzero(self.k_values == k)[0][0])]
+        """Cut-off multiplier of the bank level ``k``: 1/M_g on its window,
+        zero outside."""
+        j = self.windows[_level_index(self, k)]
         offsets = np.abs(np.arange(len(self.q)) - self.q.center)
         return np.where(offsets <= j, self.inv_mg, 0.0)
 
@@ -259,6 +313,15 @@ class CutoffBank:
         return _selection_result(
             "cutoff", self.k_values, window_norms, pen, pen - window_norms, sig_hat
         )
+
+
+def _level_index(bank, k) -> int:
+    hits = np.flatnonzero(bank.k_values == k)
+    if hits.size == 0:
+        raise ValueError(
+            f"level k={k!r} is not in this bank; its levels are {bank.k_values.tolist()}"
+        )
+    return int(hits[0])
 
 
 def _require_levels(bank, name: str, n: int) -> None:
@@ -330,7 +393,7 @@ class Pipeline:
         return CutoffBank(self.g_mellin, self.cfg, self.q, n_cap=float(self.n))
 
     def fixed_ridge_bank(self, levels: Sequence[int]) -> RidgeBank:
-        """Ridge rows at fixed increasing levels, without the admissibility cap."""
+        """Ridge bank of fixed increasing levels, without the admissibility cap."""
         cfg = replace(self.cfg, k_grid=tuple(levels))
         return RidgeBank(self.g_mellin, cfg, self.q, n_cap=np.inf)
 

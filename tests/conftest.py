@@ -8,8 +8,12 @@ expected squared error of a fixed-level ridge estimate, independent of the
 package's Monte-Carlo and risk-bound code.  The two rotator oracles are the
 package's former blockwise grid evaluations of the empirical transform and
 of the inversion, kept as the references for the type-1 and type-2 NUFFTs
-that replaced them.
+that replaced them.  `RowRidgeBank` is the package's former ridge bank,
+which tabulated every level's multiplier and compared each pair of levels
+with a pass over all nodes; it is the reference for the factored bank.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -157,6 +161,88 @@ def rotator_invert_grid_values(grid, values, c, x_grid, support=None) -> np.ndar
         start = np.exp(-1j * grid.t[lo + i] * logx)
         out += (wh[..., i : i + nb] @ rotator_powers[:nb]) * start
     return out * x ** (-c) / (2.0 * np.pi)
+
+
+def ridge_threshold(t: np.ndarray, k: float, xi: float) -> np.ndarray:
+    """Ridge threshold (1+|t|)^xi / k; G_k is where |M_g| falls below it."""
+    return (1.0 + np.abs(t)) ** xi / k
+
+
+def ridge_values(
+    mg: np.ndarray, mg_neg: np.ndarray, thresh: np.ndarray, r: float
+) -> np.ndarray:
+    """Ridge multiplier from M_g(t), M_g(-t) and the threshold at the same t.
+
+    1/M_g(t) where |M_g(t)| >= thresh, otherwise the damped branch
+    M_g(-t) |M_g(t)|^r / max(|M_g(t)|, thresh)^(r+2), which never divides
+    by zero.  For real noise densities M_g(-t) = conj(M_g(t)).
+    """
+    amg = np.abs(mg)
+    exact = amg >= thresh
+    out = np.empty_like(mg)
+    out[exact] = 1.0 / mg[exact]
+    damped = ~exact
+    out[damped] = (
+        mg_neg[damped]
+        * amg[damped] ** r
+        / np.maximum(amg[damped], thresh[damped]) ** (r + 2.0)
+    )
+    return out
+
+
+class RowRidgeBank:
+    """Ridge multipliers tabulated on a shared grid for a prefix of levels.
+
+    Levels are taken from ``cfg.k_grid`` (or 1, 2, ... when absent) as long
+    as ||R_k||^2 <= n_cap.  Each level's row is built with `ridge_values`
+    (M_g(-t) is the table reversed, the grid being symmetric) and its norm
+    integrated directly; the consecutive scan ends at the first level whose
+    threshold clears |M_g| wherever M_g != 0.
+    """
+
+    def __init__(self, g_mellin, cfg, q, n_cap):
+        self.q = q
+        self.cfg = cfg
+        mg = np.asarray(g_mellin(q.t), dtype=np.complex128)
+        amg = np.abs(mg)
+        levels = []
+        rows = []
+        norms = []
+        for k in cfg.k_grid or itertools.count(1):
+            thresh = ridge_threshold(q.t, float(k), cfg.xi)
+            row = ridge_values(mg, mg[::-1], thresh, cfg.r)
+            norm = float(q.integrate(np.abs(row) ** 2))
+            if norm > n_cap:
+                break
+            levels.append(int(k))
+            rows.append(row)
+            norms.append(norm)
+            if cfg.k_grid is None and np.all((amg >= thresh) | (amg == 0.0)):
+                break
+        self.k_values = np.array(levels, dtype=int)
+        self.rows = np.array(rows) if rows else np.empty((0, len(q)), complex)
+        self.norms_sq = np.array(norms, dtype=float)
+
+    def contrasts(self, mhat_abs_sq):
+        """contrast[i, j] = ||f_hat_{k_j} - f_hat_{k_i}||^2 for i < j, via Plancherel."""
+        m = self.k_values.size
+        contrast = np.zeros((m, m))
+        for j in range(1, m):
+            diff_sq = np.abs(self.rows[j] - self.rows[:j]) ** 2
+            contrast[:j, j] = self.q.integrate(mhat_abs_sq * diff_sq) / (2.0 * np.pi)
+        return contrast
+
+    def objectives(self, mhat_abs_sq, sig_hat, n):
+        """Goldenshluger-Lepski (a_hat, v_hat, objective) per level."""
+        cfg = self.cfg
+        m = self.k_values.size
+        v_hat = 2.0 * sig_hat * self.norms_sq / n
+        contrast = self.contrasts(mhat_abs_sq)
+        a_hat = np.zeros(m)
+        for i in range(m - 1):
+            terms = contrast[i, i + 1 :] - cfg.chi1 * v_hat[i + 1 :]
+            a_hat[i] = np.max(terms, initial=0.0)
+        return a_hat, v_hat, a_hat + cfg.chi2 * v_hat
 
 
 @pytest.fixture(scope="session")

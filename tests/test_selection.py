@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mellin_deconv import (
     CutoffSpec,
     EmpiricalMellin,
     EmptyAdmissibleSetError,
+    MellinFunction,
     QuadratureConfig,
     RidgeSpec,
     RngStream,
@@ -23,8 +26,10 @@ from mellin_deconv import (
     write_diagnostics_csv,
 )
 from mellin_deconv.risk import run_selection_oracle_comparison
-from mellin_deconv.selection import CutoffBank, RidgeBank
-from mellin_deconv import ExperimentConfig, table1_selection_config
+from mellin_deconv.selection import CutoffBank, Pipeline, RidgeBank
+from mellin_deconv import ExperimentConfig, default_x_grid, table1_selection_config
+
+from conftest import RowRidgeBank
 
 Q = QuadratureConfig(0.01, 150.0)
 G_BETA = catalog_mellin("noise_beta", 1.0)
@@ -173,6 +178,88 @@ def test_population_level_selection_is_sane():
     norm_f = float(Q.integrate(np.abs(mf(Q.t)) ** 2)) / TWO_PI
     sel_err = errs[list(bank.k_values).index(res.k_hat)]
     assert sel_err <= 2.0 * errs.min() + 0.01 * norm_f
+
+
+def _assert_bank_matches_row_oracle(g, cfg, q, n, y):
+    bank = RidgeBank(g, cfg, q, n_cap=float(n))
+    oracle = RowRidgeBank(g, cfg, q, n_cap=float(n))
+    assert np.array_equal(bank.k_values, oracle.k_values)
+    if oracle.k_values.size == 0:
+        return
+    np.testing.assert_allclose(bank.norms_sq, oracle.norms_sq, rtol=1e-12, atol=0.0)
+    for row, ref in zip(bank.rows, oracle.rows):
+        assert np.abs(row - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    tf = Pipeline(g, cfg, q, n, default_x_grid(points=8)).transform(EmpiricalMellin(cfg.c, y))
+    contrast = bank.contrasts(tf.abs_sq)
+    np.testing.assert_allclose(contrast, oracle.contrasts(tf.abs_sq), rtol=1e-12, atol=0.0)
+    assert np.all(contrast >= 0.0)
+    _, _, objective = oracle.objectives(tf.abs_sq, tf.sigma_hat, n)
+    res = bank.select(tf.abs_sq, tf.sigma_hat, n)
+    best = np.sort(objective)[:2]
+    if best.size < 2 or best[1] - best[0] > 1e-12 * np.abs(best).max():
+        assert res.k_hat == oracle.k_values[np.argmin(objective)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    noise=st.sampled_from([("noise_beta", 1.0), ("noise_uniform", 0.0), ("noise_uniform", 1.0)]),
+    xi=st.sampled_from([0.0, 0.5, 1.0]),
+    r=st.sampled_from([0.0, 1.0, 2.0, 3.0]),
+    k_grid=st.none() | st.sets(st.integers(1, 60), min_size=1, max_size=8).map(sorted),
+    grid=st.sampled_from([(0.01, 150.0), (0.05, 60.0)]),
+    n=st.sampled_from([1, 50, 500, 2000, 10_000]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ridge_bank_matches_row_table_oracle(noise, xi, r, k_grid, grid, n, seed):
+    # the factored bank against the former row table: same admissible levels,
+    # norms and contrasts to 1e-12, rows to 1e-13 of their peak, same k_hat
+    # unless the two best objectives tie; zeros of the c = 0 uniform-noise
+    # transform give kappa = inf.  At xi = 1 and large n the consecutive scan
+    # admits hundreds of levels, too many for the O(m^2 N) oracle.
+    name, c = noise
+    g, q = catalog_mellin(name, c), QuadratureConfig(*grid)
+    cfg = SelectionConfig(chi1=0.125, chi2=0.125, chi=1.0, c=c, r=r, xi=xi, k_grid=k_grid)
+    assume(len(RidgeBank(g, cfg, q, n_cap=float(n))) <= 40)
+    y = _simulated_sample(n, rep=seed, target="gamma5", error=name)
+    _assert_bank_matches_row_oracle(g, cfg, q, n, y)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-100, 1e100])
+def test_ridge_bank_is_quiet_at_zeros_and_extreme_scales(scale):
+    # noise_uniform at c = 0 vanishes between grid nodes and the sample
+    # weights Y^(c-1) reach 1e+-100; no floating-point warning may escape
+    g0 = catalog_mellin("noise_uniform", 0.0)
+    cfg = SelectionConfig(chi1=0.125, chi2=0.125, chi=5.0, c=0.0, r=2.0)
+    y = scale * _simulated_sample(2000, rep=7, target="gamma5")
+    _assert_bank_matches_row_oracle(g0, cfg, Q, 2000, y)
+    res, est = Pipeline(g0, cfg, Q, 2000, default_x_grid()).fit("ridge", EmpiricalMellin(0.0, y))
+    assert res.k_hat in res.admissible and np.all(np.isfinite(est.values))
+
+
+def test_ridge_bank_rows_where_the_noise_transform_is_zero():
+    # an exact zero of M_g gives kappa = inf: every row is 0 there, the node
+    # sits past every level and adds nothing to the norms
+    t0 = Q.t[Q.center + 250]
+    g = MellinFunction(
+        c=1.0, eval_fn=lambda t: np.where(np.abs(np.asarray(t)) == t0, 0.0, G_BETA.eval_fn(t))
+    )
+    cfg = SelectionConfig(chi1=1.0, chi2=1.0, chi=1.0, c=1.0, r=2.0)
+    bank = RidgeBank(g, cfg, Q, n_cap=1e6)
+    oracle = RowRidgeBank(g, cfg, Q, n_cap=1e6)
+    assert np.isinf(bank.kappa[Q.center + 250]) and np.array_equal(bank.k_values, oracle.k_values)
+    assert np.all(bank.rows[:, Q.center + 250] == 0.0)
+    np.testing.assert_allclose(bank.norms_sq, oracle.norms_sq, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("method", ["ridge", "cutoff"])
+@pytest.mark.parametrize("k", [99, 2.5, 0])
+def test_bank_row_refuses_a_level_outside_the_bank(method, k):
+    pipeline = Pipeline(G_BETA, table1_selection_config("noise_beta"), Q, 2000, default_x_grid())
+    bank = getattr(pipeline, f"{method}_bank")
+    with pytest.raises(ValueError, match=rf"k={k}\b.*levels are \[1, 2"):
+        bank.row(k)
 
 
 def test_selected_risk_tracks_oracle():
