@@ -42,9 +42,6 @@ from .selection import Pipeline, write_diagnostics_csv
 
 def _add_common_selection_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--c", type=float, default=1.0, help="development point")
-    p.add_argument("--chi1", type=float, default=None, help="ridge constant chi1")
-    p.add_argument("--chi2", type=float, default=None, help="ridge constant chi2")
-    p.add_argument("--chi", type=float, default=None, help="cut-off constant chi")
     p.add_argument("--r", type=float, default=2.0, help="ridge power r")
     p.add_argument("--t-step", type=float, default=0.01)
     p.add_argument("--t-max", type=float, default=150.0)
@@ -77,7 +74,7 @@ def cmd_estimate(args) -> int:
     em = EmpiricalMellin(args.c, y)
     g = catalog_mellin(args.error, args.c)
     q = QuadratureConfig(t_step=args.t_step, t_max=args.t_max)
-    pipeline = Pipeline(g, _selection_for(args, args.error), q, em.n, XGridSpec().build())
+    pipeline = Pipeline(g, _selection_for(args, args.error), q, XGridSpec().build())
     result, est = pipeline.fit(args.method, em)
     out = Path(args.out)
     write_estimate_csv(out, est)
@@ -182,6 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--error", required=True, choices=TABLE1_ERRORS)
     p.add_argument("--method", choices=("ridge", "cutoff"), default="ridge")
     p.add_argument("--out", required=True, help="output estimate CSV path")
+    p.add_argument("--chi1", type=float, default=None, help="ridge constant chi1")
+    p.add_argument("--chi2", type=float, default=None, help="ridge constant chi2")
+    p.add_argument("--chi", type=float, default=None, help="cut-off constant chi")
     _add_common_selection_flags(p)
     p.set_defaults(func=cmd_estimate)
 

@@ -103,15 +103,6 @@ class DensityEstimate:
     values: np.ndarray
     c: float
 
-    @classmethod
-    def from_product(
-        cls, q: QuadratureConfig, product: np.ndarray, c: float, x_grid, support=None
-    ) -> "DensityEstimate":
-        """Invert one conjugate-symmetric product on the grid of ``q``; raises
-        `HermitianSymmetryError` when it is not conjugate-symmetric."""
-        values = checked_real_part(invert_grid_values(q, product, c, x_grid, support=support))
-        return cls(np.asarray(x_grid, dtype=float), values, c)
-
 
 def ridge_factors(mg: np.ndarray, t: np.ndarray, xi: float, r: float) -> tuple:
     """Factors (inv, kappa) of the ridge multiplier at nodes ``t`` from M_g there.
@@ -247,7 +238,8 @@ def estimate_density(
     """
     check_same_c("sample", em.c, "multiplier", mult.spec.c)
     product = empirical_mellin_on_grid(em, q) * mult(q.t)
-    return DensityEstimate.from_product(q, product, em.c, x_grid, mult.support)
+    values = checked_real_part(invert_grid_values(q, product, em.c, x_grid, support=mult.support))
+    return DensityEstimate(np.asarray(x_grid, dtype=float), values, em.c)
 
 
 def write_estimate_csv(path, estimate: DensityEstimate) -> None:

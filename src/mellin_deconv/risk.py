@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .grids import QuadratureConfig, default_x_grid
-from .mellin import EmpiricalMellin, WeightedFunction, catalog_mellin
+from .mellin import EmpiricalMellin, WeightedFunction, catalog_mellin, check_same_c
 from .model import (
     RngStream,
     contaminate,
@@ -111,7 +111,9 @@ def oracle_error(estimate, target: str, c: float) -> float:
 
     ``estimate`` provides ``x_grid``/``values``/``c`` (a DensityEstimate or
     WeightedFunction); the truth is evaluated on the estimate's own grid.
+    An estimate at another development point than ``c`` raises `MellinError`.
     """
+    check_same_c("estimate", estimate.c, "error metric", c)
     est = WeightedFunction(estimate.x_grid, estimate.values, c)  # checks the grid
     return float(_error_integral(target, c, est.x_grid)(est.values))
 
@@ -135,7 +137,7 @@ def _replication_sample(cfg: ExperimentConfig, rep: int) -> EmpiricalMellin:
 
 def _scenario_pipeline(cfg: ExperimentConfig) -> Pipeline:
     g_mellin = catalog_mellin(cfg.error, cfg.c)
-    return Pipeline(g_mellin, cfg.selection, cfg.quadrature, cfg.n, cfg.x_grid.build())
+    return Pipeline(g_mellin, cfg.selection, cfg.quadrature, cfg.x_grid.build())
 
 
 def _mise_reports(cfg: ExperimentConfig, methods: Sequence[str]) -> dict:
@@ -306,7 +308,7 @@ def run_selection_oracle_comparison(cfg: ExperimentConfig) -> dict:
         raise ValueError("the oracle comparison runs the data-driven ridge rule only")
     pipeline = _scenario_pipeline(cfg)
     error = _error_integral(cfg.target, cfg.c, pipeline.x_grid)
-    bank = pipeline.ridge_bank
+    bank = pipeline.bank("ridge", cfg.n)
     rows = bank.rows
     selected = np.empty(cfg.replications)
     oracle = np.empty(cfg.replications)

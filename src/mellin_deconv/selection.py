@@ -21,7 +21,8 @@ kappa-sorted nodes, and all pairwise contrasts of a sample from three
 per-bucket moments, in O(N + m^2) for N nodes and m levels.
 
 `Pipeline` is the package's one chain of grid, banks, empirical transform,
-selection and inversion; every data-driven estimate runs through it.
+selection and inversion for a configuration; every data-driven estimate
+runs through it, whatever the sample size.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 import csv
 import itertools
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -63,10 +63,10 @@ class SelectionConfig:
     """Constants and candidate grid for the data-driven rules.
 
     chi1/chi2 scale the ridge penalties (chi2 >= chi1 > 0), chi the cut-off
-    penalty, all finite; xi and r as in `RidgeSpec`.  ``k_grid`` of None
-    means consecutive integers 1, 2, ... with the scan stopping at the first
-    inadmissible level (for the ridge rule also after the first saturated
-    level; see `RidgeBank`).
+    penalty, all finite; xi and r as in `RidgeSpec`.  ``k_grid`` holds whole
+    numbers (a bool or a fraction raises `ValueError`); None means 1, 2, ...
+    with the scan stopping at the first inadmissible level (for the ridge
+    rule also after the first saturated level; see `RidgeBank`).
     """
 
     chi1: float
@@ -84,6 +84,10 @@ class SelectionConfig:
             raise ValueError("need finite chi > 0")
         check_ridge_exponents(self.xi, self.r)
         if self.k_grid is not None:
+            bad = [k for k in self.k_grid if isinstance(k, (bool, np.bool_))
+                   or not float(k).is_integer()]
+            if bad:
+                raise ValueError(f"k_grid entries must be whole numbers, got {bad[0]!r}")
             kg = tuple(int(k) for k in self.k_grid)
             if len(kg) == 0:
                 raise ValueError("k_grid must be nonempty")
@@ -355,21 +359,23 @@ def _selection_result(method, k_values, a_hat, v_hat, objective, sig_hat):
 @dataclass(frozen=True)
 class SampleTransform:
     """A sample's empirical transform M_hat on a pipeline's grid, with
-    |M_hat|^2 and sigma_hat."""
+    |M_hat|^2, sigma_hat and the sample size n."""
 
     mhat: np.ndarray
     abs_sq: np.ndarray
     sigma_hat: float
+    n: int
 
 
 class Pipeline:
-    """The estimation chain for one configuration and sample size ``n``.
+    """The estimation chain for one configuration.
 
-    Holds the frequency grid ``q`` and the x-grid of the estimates.  The
-    ridge and cut-off banks are built on first use, so the ridge rule works
-    where the cut-off bank raises `NoiseTransformZeroError`.  The
-    development points of ``g_mellin``, ``cfg`` and every sample must
-    agree; a mismatch raises `MellinError`.
+    Holds the frequency grid ``q`` and the x-grid of the estimates; the
+    sample size comes from each sample.  The banks are built per sample
+    size on first use, so the ridge rule works where the cut-off bank
+    raises `NoiseTransformZeroError`, and only the last size's banks are
+    kept.  The development points of ``g_mellin``, ``cfg`` and every sample
+    must agree; a mismatch raises `MellinError`.
     """
 
     def __init__(
@@ -377,20 +383,24 @@ class Pipeline:
         g_mellin: MellinFunction,
         cfg: SelectionConfig,
         q: QuadratureConfig,
-        n: int,
         x_grid: np.ndarray,
     ):
         check_same_c("selection", cfg.c, "noise", g_mellin.c)
-        self.g_mellin, self.cfg, self.q, self.c, self.n = g_mellin, cfg, q, cfg.c, int(n)
+        self.g_mellin, self.cfg, self.q, self.c = g_mellin, cfg, q, cfg.c
         self.x_grid = np.asarray(x_grid, dtype=float)
+        self._banks_n, self._banks = None, {}
 
-    @cached_property
-    def ridge_bank(self) -> RidgeBank:
-        return RidgeBank(self.g_mellin, self.cfg, self.q, n_cap=float(self.n))
-
-    @cached_property
-    def cutoff_bank(self) -> CutoffBank:
-        return CutoffBank(self.g_mellin, self.cfg, self.q, n_cap=float(self.n))
+    def bank(self, method: str, n: int):
+        """The ``method`` bank of the levels admissible at sample size ``n``."""
+        if method not in ("ridge", "cutoff"):
+            raise ValueError(f"method must be 'ridge' or 'cutoff', got {method!r}")
+        n = int(n)
+        if n != self._banks_n:
+            self._banks_n, self._banks = n, {}
+        if method not in self._banks:
+            cls = RidgeBank if method == "ridge" else CutoffBank
+            self._banks[method] = cls(self.g_mellin, self.cfg, self.q, n_cap=float(n))
+        return self._banks[method]
 
     def fixed_ridge_bank(self, levels: Sequence[int]) -> RidgeBank:
         """Ridge bank of fixed increasing levels, without the admissibility cap."""
@@ -401,21 +411,17 @@ class Pipeline:
         """Empirical transform of a sample; `MellinError` when c differs or
         sigma_hat or the moment weights Y^(c-1) overflow."""
         check_same_c("sample", em.c, "pipeline", self.c)
-        if em.n != self.n:
-            raise ValueError(f"sample size {em.n} differs from pipeline n={self.n}")
         with np.errstate(over="ignore"):
             sig = sigma_hat(em)
         if not np.isfinite(sig):
             raise MellinError(f"sigma_hat overflows at c={em.c}; rescale the sample")
         mhat = empirical_mellin_on_grid(em, self.q)
-        return SampleTransform(mhat=mhat, abs_sq=np.abs(mhat) ** 2, sigma_hat=sig)
+        return SampleTransform(mhat=mhat, abs_sq=np.abs(mhat) ** 2, sigma_hat=sig, n=em.n)
 
     def select(self, method: str, em) -> SelectionResult:
         """Data-driven level; ``em`` is an `EmpiricalMellin` or its `transform`."""
-        if method not in ("ridge", "cutoff"):
-            raise ValueError(f"method must be 'ridge' or 'cutoff', got {method!r}")
         tf = em if isinstance(em, SampleTransform) else self.transform(em)
-        return getattr(self, f"{method}_bank").select(tf.abs_sq, tf.sigma_hat, self.n)
+        return self.bank(method, tf.n).select(tf.abs_sq, tf.sigma_hat, tf.n)
 
     def invert(self, product: np.ndarray, support: Optional[float] = None) -> np.ndarray:
         """Real x-grid values of a product, or of a stack of products."""
@@ -428,11 +434,9 @@ class Pipeline:
         passing the transform lets both methods share it."""
         tf = em if isinstance(em, SampleTransform) else self.transform(em)
         result = self.select(method, tf)
-        product = tf.mhat * getattr(self, f"{method}_bank").row(result.k_hat)
+        product = tf.mhat * self.bank(method, tf.n).row(result.k_hat)
         support = float(result.k_hat) if method == "cutoff" else None
-        return result, DensityEstimate.from_product(
-            self.q, product, self.c, self.x_grid, support
-        )
+        return result, DensityEstimate(self.x_grid, self.invert(product, support), self.c)
 
 
 def admissible_ridge(
@@ -446,7 +450,7 @@ def admissible_ridge(
     Raises `EmptyAdmissibleSetError` when even the first candidate fails
     (the grid starts too high for this sample size).
     """
-    bank = Pipeline(g_mellin, cfg, q, n, default_x_grid()).ridge_bank
+    bank = Pipeline(g_mellin, cfg, q, default_x_grid()).bank("ridge", n)
     _require_levels(bank, "ridge", n)
     return [int(k) for k in bank.k_values]
 
@@ -458,7 +462,7 @@ def select_ridge(
     q: QuadratureConfig,
 ) -> SelectionResult:
     """Data-driven ridge level for a sample."""
-    return Pipeline(g_mellin, cfg, q, em.n, default_x_grid()).select("ridge", em)
+    return Pipeline(g_mellin, cfg, q, default_x_grid()).select("ridge", em)
 
 
 def select_cutoff(
@@ -468,7 +472,7 @@ def select_cutoff(
     q: QuadratureConfig,
 ) -> SelectionResult:
     """Data-driven cut-off level for a sample."""
-    return Pipeline(g_mellin, cfg, q, em.n, default_x_grid()).select("cutoff", em)
+    return Pipeline(g_mellin, cfg, q, default_x_grid()).select("cutoff", em)
 
 
 def write_diagnostics_csv(path, result: SelectionResult) -> None:

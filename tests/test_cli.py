@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from mellin_deconv.cli import main
 from mellin_deconv.model import read_sample_csv
@@ -157,6 +158,25 @@ def test_diagnose_single_k(tmp_path):
               "--t-max", "100", "--out", str(out))
     assert rc == 0
     assert len(out.read_text().strip().splitlines()) == 2
+
+
+def test_diagnose_refuses_the_penalty_constants_estimate_takes(tmp_path, capsys):
+    # the profile reads only c, r and xi, so diagnose has no chi flags
+    for flag in ("--chi1", "--chi2", "--chi"):
+        with pytest.raises(SystemExit) as exc:
+            _run("diagnose", "--target", "gamma5", "--error", "noise_beta",
+                 flag, "0.5", "--out", str(tmp_path / "prof.csv"))
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    s = tmp_path / "s.csv"
+    _run("simulate", "--target", "gamma5", "--error", "noise_beta",
+         "--n", "500", "--seed", "2", "--out", str(s))
+    rc = _run("estimate", "--sample", str(s), "--error", "noise_beta", "--chi1", "0.1",
+              "--chi2", "0.2", "--chi", "2.0", "--out", str(tmp_path / "est.csv"))
+    assert rc == 0
+    rc = _run("estimate", "--sample", str(s), "--error", "noise_beta", "--chi1", "0.5",
+              "--out", str(tmp_path / "est.csv"))
+    assert rc == 1 and "need finite chi2 >= chi1 > 0" in capsys.readouterr().err
 
 
 def test_estimate_refuses_a_grid_past_the_node_bound(tmp_path, capsys):

@@ -28,6 +28,7 @@ from mellin_deconv import (
     sample,
     select_cutoff,
     select_ridge,
+    selection,
     stream_id_for,
     table1_selection_config,
 )
@@ -63,7 +64,7 @@ def test_fit_matches_three_step_estimate(method, error, n):
     g = _noise(error, 1.0)
     cfg = table1_selection_config(error)
     x = default_x_grid()
-    pipeline = Pipeline(g, cfg, Q, n, x)
+    pipeline = Pipeline(g, cfg, Q, x)
     result, est = pipeline.fit(method, em)
 
     if method == "ridge":
@@ -83,18 +84,70 @@ def test_fit_matches_three_step_estimate(method, error, n):
     assert np.array_equal(pipeline.q.t, Q.t)
 
 
-def test_banks_are_built_on_first_use():
+def test_banks_are_built_on_first_use(monkeypatch):
     # uniform noise at c = 0 has a zero near t = 5.72: a cut-off bank with a
     # window past it raises, while the ridge rule never needs that bank
+    built = []
+
+    class CountedCutoffBank(selection.CutoffBank):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs["n_cap"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(selection, "CutoffBank", CountedCutoffBank)
     cfg = SelectionConfig(chi1=0.125, chi2=0.125, chi=5.0, c=0.0, k_grid=(1, 2, 6))
     y = _draw("gamma5", "noise_uniform", 2000)
-    pipeline = Pipeline(_noise("noise_uniform", 0.0), cfg, Q, y.size, default_x_grid())
+    pipeline = Pipeline(_noise("noise_uniform", 0.0), cfg, Q, default_x_grid())
     result, est = pipeline.fit("ridge", EmpiricalMellin(0.0, y))
     assert np.all(np.isfinite(est.values))
-    assert "cutoff_bank" not in vars(pipeline)
-    big = Pipeline(_noise("noise_uniform", 0.0), cfg, Q, 10**9, default_x_grid())
+    assert built == []
     with pytest.raises(NoiseTransformZeroError):
-        big.cutoff_bank
+        pipeline.bank("cutoff", 10**9)
+    assert built == [1e9]
+    pipeline.fit("cutoff", EmpiricalMellin(0.0, y))
+    pipeline.fit("cutoff", EmpiricalMellin(0.0, y))
+    assert built == [1e9, 2000.0]  # one build per sample size, reused after
+
+
+def _fit_outcome(pipeline, method, em):
+    """k_hat, diagnostics and density bytes of a fit, or its typed error."""
+    try:
+        result, est = pipeline.fit(method, em)
+    except TYPED_ERRORS as exc:
+        return type(exc), str(exc)
+    return result, est.values.tobytes()
+
+
+#: on this step no node sits close to the zero of uniform noise at c = 0
+#: (t = 2 pi / log 3), so the cut-off bank reaches it from n of about 1900
+Q_COARSE = QuadratureConfig(t_step=0.05, t_max=40.0)
+
+
+@pytest.mark.parametrize(
+    "noise, c, q",
+    [("noise_uniform", 1.0, Q), ("noise_beta", 1.0, Q), ("noise_uniform", 0.0, Q),
+     ("noise_uniform", 0.0, Q_COARSE)],
+)
+def test_one_pipeline_across_sample_sizes_matches_fresh_ones(noise, c, q):
+    # the banks depend on n only through the admissibility cap: a pipeline
+    # reused across sizes, and back to an earlier one, is bitwise a fresh one
+    cfg = table1_selection_config(noise, c)
+    x = default_x_grid()
+    shared = Pipeline(_noise(noise, c), cfg, q, x)
+    outcomes = {}
+    for n in (1, 500, 2000, 10_000, 500):
+        em = EmpiricalMellin(c, _draw("gamma5", noise, n))
+        for method in ("ridge", "cutoff"):
+            got = _fit_outcome(shared, method, em)
+            assert got == _fit_outcome(Pipeline(_noise(noise, c), cfg, q, x), method, em)
+            outcomes[method, n] = got[0]
+    assert outcomes["ridge", 1] is EmptyAdmissibleSetError
+    if q is Q_COARSE:
+        # the cut-off windows of the larger samples hold the zero; ridge fits
+        assert outcomes["cutoff", 2000] is outcomes["cutoff", 10_000] is NoiseTransformZeroError
+        assert outcomes["ridge", 10_000].k_hat >= 1
+    else:
+        assert all(outcomes[m, n].k_hat >= 1 for m in ("ridge", "cutoff") for n in (500, 2000, 10_000))
 
 
 # ---------------------------------------------------------------------- #
@@ -114,7 +167,7 @@ def test_development_point_mismatch_is_refused():
     with pytest.raises(MellinError):
         select_ridge(EmpiricalMellin(1.0, y), g, off, Q)
     with pytest.raises(MellinError):
-        Pipeline(g, off, Q, y.size, default_x_grid())
+        Pipeline(g, off, Q, default_x_grid())
 
 
 def test_non_finite_moment_weights_are_refused():
@@ -123,7 +176,7 @@ def test_non_finite_moment_weights_are_refused():
     em = EmpiricalMellin(0.0, y)
     g = _noise("noise_beta", 0.0)
     cfg = SelectionConfig(chi1=0.125, chi2=0.125, chi=3.0, c=0.0)
-    pipeline = Pipeline(g, cfg, Q, y.size, default_x_grid())
+    pipeline = Pipeline(g, cfg, Q, default_x_grid())
     for method in ("ridge", "cutoff"):
         with pytest.raises(MellinError):
             pipeline.fit(method, em)
@@ -134,11 +187,8 @@ def test_non_finite_moment_weights_are_refused():
 def test_sample_size_must_match_pipeline():
     y = _draw("gamma5", "noise_beta", 100)
     pipeline = Pipeline(
-        _noise("noise_beta", 1.0), table1_selection_config("noise_beta"), Q, 99,
-        default_x_grid(),
+        _noise("noise_beta", 1.0), table1_selection_config("noise_beta"), Q, default_x_grid()
     )
-    with pytest.raises(ValueError):
-        pipeline.fit("ridge", EmpiricalMellin(1.0, y))
     with pytest.raises(ValueError):
         pipeline.fit("magic", EmpiricalMellin(1.0, y[:99]))
 
@@ -162,7 +212,7 @@ _PROPERTY_SETTINGS = settings(
 
 def _check_fit(method, noise, c, y, x):
     cfg = SelectionConfig(chi1=0.125, chi2=0.125, chi=3.0, c=c)
-    pipeline = Pipeline(_noise(noise, c), cfg, Q_SHORT, len(y), x)
+    pipeline = Pipeline(_noise(noise, c), cfg, Q_SHORT, x)
     try:
         result, est = pipeline.fit(method, EmpiricalMellin(c, np.asarray(y)))
     except TYPED_ERRORS as exc:

@@ -3,7 +3,9 @@ import pytest
 from scipy.integrate import quad
 
 from mellin_deconv import (
+    DensityEstimate,
     ExperimentConfig,
+    MellinError,
     QuadratureConfig,
     WeightedFunction,
     bias_variance_profile,
@@ -79,6 +81,15 @@ def test_oracle_error_of_zero_estimate():
     x = default_x_grid()
     est = WeightedFunction(x, np.zeros_like(x), 1.0)
     assert oracle_error(est, "gamma5", 1.0) == pytest.approx(ref, rel=1e-3)
+
+
+def test_oracle_error_refuses_an_estimate_at_another_development_point():
+    # an estimate of ones at c = 1 scored at c = 0.5 used to read 28.13
+    x = default_x_grid()
+    est = DensityEstimate(x, np.ones_like(x), 1.0)
+    with pytest.raises(MellinError, match="development point mismatch"):
+        oracle_error(est, "gamma5", 0.5)
+    assert oracle_error(est, "gamma5", 1.0) == pytest.approx(440.6, rel=1e-3)
 
 
 def test_oracle_error_stable_under_grid_refinement():

@@ -190,7 +190,7 @@ def _assert_bank_matches_row_oracle(g, cfg, q, n, y):
     for row, ref in zip(bank.rows, oracle.rows):
         assert np.abs(row - ref).max() <= 1e-13 * np.abs(ref).max()
 
-    tf = Pipeline(g, cfg, q, n, default_x_grid(points=8)).transform(EmpiricalMellin(cfg.c, y))
+    tf = Pipeline(g, cfg, q, default_x_grid(points=8)).transform(EmpiricalMellin(cfg.c, y))
     contrast = bank.contrasts(tf.abs_sq)
     np.testing.assert_allclose(contrast, oracle.contrasts(tf.abs_sq), rtol=1e-12, atol=0.0)
     assert np.all(contrast >= 0.0)
@@ -234,7 +234,7 @@ def test_ridge_bank_is_quiet_at_zeros_and_extreme_scales(scale):
     cfg = SelectionConfig(chi1=0.125, chi2=0.125, chi=5.0, c=0.0, r=2.0)
     y = scale * _simulated_sample(2000, rep=7, target="gamma5")
     _assert_bank_matches_row_oracle(g0, cfg, Q, 2000, y)
-    res, est = Pipeline(g0, cfg, Q, 2000, default_x_grid()).fit("ridge", EmpiricalMellin(0.0, y))
+    res, est = Pipeline(g0, cfg, Q, default_x_grid()).fit("ridge", EmpiricalMellin(0.0, y))
     assert res.k_hat in res.admissible and np.all(np.isfinite(est.values))
 
 
@@ -256,8 +256,8 @@ def test_ridge_bank_rows_where_the_noise_transform_is_zero():
 @pytest.mark.parametrize("method", ["ridge", "cutoff"])
 @pytest.mark.parametrize("k", [99, 2.5, 0])
 def test_bank_row_refuses_a_level_outside_the_bank(method, k):
-    pipeline = Pipeline(G_BETA, table1_selection_config("noise_beta"), Q, 2000, default_x_grid())
-    bank = getattr(pipeline, f"{method}_bank")
+    pipeline = Pipeline(G_BETA, table1_selection_config("noise_beta"), Q, default_x_grid())
+    bank = pipeline.bank(method, 2000)
     with pytest.raises(ValueError, match=rf"k={k}\b.*levels are \[1, 2"):
         bank.row(k)
 
@@ -396,6 +396,12 @@ def test_selection_config_validation():
         SelectionConfig(chi1=0.0, chi2=1.0, chi=1.0)
     with pytest.raises(ValueError):
         SelectionConfig(chi1=1.0, chi2=1.0, chi=1.0, k_grid=(3, 2))
+    # a bool or a fraction is refused by name, not truncated
+    for bad, shown in (((2.9, 4), "2.9"), ((True, 3), "True"), ((1, np.float64(1.5)), "1.5")):
+        with pytest.raises(ValueError, match=rf"whole numbers, got .*{shown}"):
+            SelectionConfig(chi1=1.0, chi2=1.0, chi=1.0, k_grid=bad)
+    whole = SelectionConfig(chi1=1.0, chi2=1.0, chi=1.0, k_grid=(1, 2.0, np.int64(3)))
+    assert whole.k_grid == (1, 2, 3) and all(type(k) is int for k in whole.k_grid)
 
 
 @pytest.mark.parametrize("name", ["r", "xi"])
