@@ -88,13 +88,31 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _set_values(sec, keys) -> dict:
-    """{name: conv(value)} for each (INI key, name, conv) that ``sec`` sets."""
-    return {name: conv(sec[key]) for key, name, conv in keys if key in sec}
+def _names(text: str) -> tuple:
+    return tuple(v.strip() for v in text.split(",") if v.strip())
+
+
+#: section -> {INI key: (`run_table_grid` argument, parser)} of a `mise` config
+_MISE_KEYS = {
+    "experiment": {
+        "targets": ("targets", _names),
+        "errors": ("errors", _names),
+        "methods": ("methods", _names),
+        "sample_sizes": ("sizes", lambda text: tuple(int(v) for v in text.split(","))),
+        "replications": ("reps", int),
+        "seed": ("seed", int),
+        "c": ("c", float),
+    },
+    **{f"selection.{error}": {k: (k, float) for k in ("chi1", "chi2", "chi")}
+       for error in TABLE1_ERRORS},
+    "quadrature": {k: (k, float) for k in ("t_step", "t_max", "rel_tail_tol")},
+    "grid": {"x_min": ("x_min", float), "x_max": ("x_max", float), "x_points": ("points", int)},
+}
 
 
 def _read_mise_config(path) -> dict:
-    """`run_table_grid` arguments for the keys an INI file sets."""
+    """`run_table_grid` arguments for the keys an INI file sets; a section or
+    key outside `_MISE_KEYS` raises `ValueError` naming it."""
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)
@@ -102,30 +120,25 @@ def _read_mise_config(path) -> dict:
         raise ValueError(f"config parse error: {exc}") from None
     if not read:
         raise ValueError(f"config file {path} not found")
-    out = {}
-    if parser.has_section("experiment"):
-        sec = parser["experiment"]
-        for key in ("targets", "errors", "methods"):
-            if key in sec:
-                out[key] = tuple(v.strip() for v in sec[key].split(",") if v.strip())
-        if "sample_sizes" in sec:
-            out["sizes"] = tuple(int(v) for v in sec["sample_sizes"].split(","))
-        keys = (("replications", "reps", int), ("seed", "seed", int), ("c", "c", float))
-        out.update(_set_values(sec, keys))
-    chi = {}
-    for error in TABLE1_ERRORS:
-        section = f"selection.{error}"
-        if parser.has_section(section):
-            keys = ((k, k, float) for k in ("chi1", "chi2", "chi"))
-            chi[error] = _set_values(parser[section], keys)
-    if chi:
-        out["chi_overrides"] = chi
-    if parser.has_section("quadrature"):
-        keys = ((k, k, float) for k in ("t_step", "t_max", "rel_tail_tol"))
-        out["quadrature"] = QuadratureConfig(**_set_values(parser["quadrature"], keys))
-    if parser.has_section("grid"):
-        keys = (("x_min", "x_min", float), ("x_max", "x_max", float), ("x_points", "points", int))
-        out["x_grid"] = XGridSpec(**_set_values(parser["grid"], keys))
+    if parser.defaults():
+        raise ValueError("config section [DEFAULT] is not read; set its keys in their own sections")
+    sections = {}
+    for section in parser.sections():
+        if section not in _MISE_KEYS:
+            raise ValueError(f"unknown config section [{section}]; known: {', '.join(_MISE_KEYS)}")
+        sections[section] = {}
+        for key, text in parser[section].items():
+            if key not in _MISE_KEYS[section]:
+                raise ValueError(f"unknown config key {key!r} in [{section}]")
+            name, conv = _MISE_KEYS[section][key]
+            sections[section][name] = conv(text)
+    out = sections.pop("experiment", {})
+    if "quadrature" in sections:
+        out["quadrature"] = QuadratureConfig(**sections.pop("quadrature"))
+    if "grid" in sections:
+        out["x_grid"] = XGridSpec(**sections.pop("grid"))
+    if sections:  # only selection.<error> sections are left
+        out["chi_overrides"] = {s.split(".", 1)[1]: chi for s, chi in sections.items()}
     return out
 
 

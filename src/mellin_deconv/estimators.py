@@ -104,6 +104,12 @@ class DensityEstimate:
     c: float
 
 
+def _reciprocal(mg: np.ndarray) -> np.ndarray:
+    """1/M_g, 0 where M_g = 0: the package's one reciprocal of M_g, shared by
+    the ridge factors (so by both banks) and the cut-off multiplier."""
+    return np.divide(1.0, mg, out=np.zeros_like(mg), where=np.abs(mg) > 0.0)
+
+
 def ridge_factors(mg: np.ndarray, t: np.ndarray, xi: float, r: float) -> tuple:
     """Factors (inv, kappa) of the ridge multiplier at nodes ``t`` from M_g there.
 
@@ -116,7 +122,7 @@ def ridge_factors(mg: np.ndarray, t: np.ndarray, xi: float, r: float) -> tuple:
     the k-free factor has |a| = |inv| kappa^-(r+2).
     """
     amg = np.abs(mg)
-    inv = np.divide(1.0, mg, out=np.zeros_like(mg), where=amg > 0.0)
+    inv = _reciprocal(mg)
     with np.errstate(divide="ignore"):
         kappa = (1.0 + np.abs(t)) ** xi / amg
     return inv, kappa
@@ -183,11 +189,8 @@ def cutoff_multiplier(
 
     def eval_fn(t, edge=edge, g=g_mellin):
         t = np.asarray(t, dtype=float)
-        mg = np.asarray(g.eval_fn(t), dtype=np.complex128)
-        inside = np.abs(t) <= edge
-        out = np.zeros_like(mg)
-        out[inside] = 1.0 / mg[inside]
-        return out
+        inv = _reciprocal(np.asarray(g.eval_fn(t), dtype=np.complex128))
+        return np.where(np.abs(t) <= edge, inv, 0.0)
 
     return MellinMultiplier(spec=spec, g_mellin=g_mellin, eval_fn=eval_fn, support=spec.k)
 

@@ -99,7 +99,8 @@ def sample(spec: DensitySpec, n: int, rng: RngStream) -> np.ndarray:
 
     Exact samplers: beta25 ~ Beta(2,5); gamma5 ~ Gamma(5, rate 1);
     lognormal = exp(N(0, 0.04)); loggamma = exp(Gamma(5, rate 5));
-    noise_uniform ~ U(0.5, 1.5); noise_beta = sqrt(U(0,1)).
+    noise_uniform ~ U(0.5, 1.5); noise_beta = sqrt(U(tiny, 1)), tiny the
+    smallest normal float, so no draw is 0.
     """
     if n < 1:
         raise ValueError("sample size must be at least 1")
@@ -114,7 +115,7 @@ def sample(spec: DensitySpec, n: int, rng: RngStream) -> np.ndarray:
         return np.exp(gen.gamma(5.0, 0.2, size=n))
     if spec.id == "noise_uniform":
         return gen.uniform(0.5, 1.5, size=n)
-    return np.sqrt(gen.uniform(0.0, 1.0, size=n))  # noise_beta
+    return np.sqrt(gen.uniform(np.finfo(float).tiny, 1.0, size=n))  # noise_beta
 
 
 def contaminate(

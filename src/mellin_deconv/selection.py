@@ -20,9 +20,9 @@ ridge rows are k-free vectors times a real scale min(kappa, k)^(r+2), so
 kappa-sorted nodes, and all pairwise contrasts of a sample from three
 per-bucket moments, in O(N + m^2) for N nodes and m levels.
 
-`Pipeline` is the package's one chain of grid, banks, empirical transform,
-selection and inversion for a configuration; every data-driven estimate
-runs through it, whatever the sample size.
+`Pipeline` is the package's one chain of grid, noise-transform table,
+banks, empirical transform, selection and inversion for a configuration;
+every data-driven estimate runs through it, whatever the sample size.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from __future__ import annotations
 import csv
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -137,8 +138,8 @@ class RidgeBank:
 
     Levels are taken from ``cfg.k_grid`` (or 1, 2, ... when absent) as long
     as ||R_k||^2 <= n_cap; by magnitude monotonicity in k the admissible set
-    is always such a prefix.  M_g is tabulated once per build and factored
-    by `ridge_factors`: with p = r + 2,
+    is always such a prefix.  ``inv`` = 1/M_g and ``kappa`` are the
+    `ridge_factors` of the pipeline's noise-transform table: with p = r + 2,
     R_k = (1/M_g) min(1, k/kappa)^p = a min(kappa, k)^p, |a| = |1/M_g| kappa^-p.
     ``kappa`` is kept, so G_k = {kappa > k}.
 
@@ -154,18 +155,9 @@ class RidgeBank:
     (levels x nodes) table is kept: `row` and `rows` evaluate on demand.
     """
 
-    def __init__(
-        self,
-        g_mellin: MellinFunction,
-        cfg: SelectionConfig,
-        q: QuadratureConfig,
-        n_cap: float,
-    ):
-        self.q = q
-        self.cfg = cfg
+    def __init__(self, inv, kappa, cfg: SelectionConfig, q: QuadratureConfig, n_cap: float):
+        self.q, self.cfg, self._inv, self.kappa = q, cfg, inv, kappa
         p = self._p = cfg.r + 2.0
-        mg = np.asarray(g_mellin(q.t), dtype=np.complex128)
-        self._inv, self.kappa = ridge_factors(mg, q.t, cfg.xi, cfg.r)
         w = np.full(len(q), q.t_step)
         w[[0, -1]] *= 0.5
         abs_inv = np.abs(self._inv)
@@ -242,9 +234,7 @@ class RidgeBank:
         out[:, 1:] = np.cumsum(between, axis=1) + (powers[1:] - powers[:, None]) ** 2 * beyond[1:]
         return np.triu(out, 1) / TWO_PI
 
-    def select(
-        self, mhat_abs_sq: np.ndarray, sig_hat: float, n: int
-    ) -> SelectionResult:
+    def select(self, mhat_abs_sq: np.ndarray, sig_hat: float, n: int) -> SelectionResult:
         """Goldenshluger-Lepski selection given |M_hat|^2 on the bank's grid."""
         _require_levels(self, "ridge", n)
         v_hat = 2.0 * sig_hat * self.norms_sq / n
@@ -259,24 +249,14 @@ class CutoffBank:
 
     Each level's window, `QuadratureConfig.window_index` (nearest node), is
     worked out once as ``windows`` and serves the norms, the selection
-    contrasts, `row` and the zero check of the largest window.
+    contrasts, `row` and the zero check of the largest window; ``inv_mg``
+    is the pipeline's 1/M_g table and ``g_mellin`` serves only that check.
     """
 
-    def __init__(
-        self,
-        g_mellin: MellinFunction,
-        cfg: SelectionConfig,
-        q: QuadratureConfig,
-        n_cap: float,
-    ):
-        self.q = q
-        self.cfg = cfg
-        mg = np.asarray(g_mellin(q.t), dtype=np.complex128)
-        amg = np.abs(mg)
-        # guarded reciprocal; true zero-freeness is certified per window below
-        safe = np.where(amg > 0.0, mg, 1.0)
-        self.inv_mg = np.where(amg > 0.0, 1.0 / safe, 0.0)
-        cum = q.centered_cumulative(np.abs(self.inv_mg) ** 2)
+    def __init__(self, g_mellin, inv_mg, cfg: SelectionConfig, q: QuadratureConfig, n_cap: float):
+        self.q, self.cfg, self.inv_mg = q, cfg, inv_mg
+        self._inv_sq = np.abs(inv_mg) ** 2
+        cum = q.centered_cumulative(self._inv_sq)
 
         levels = []
         windows = []
@@ -306,12 +286,10 @@ class CutoffBank:
         offsets = np.abs(np.arange(len(self.q)) - self.q.center)
         return np.where(offsets <= j, self.inv_mg, 0.0)
 
-    def select(
-        self, mhat_abs_sq: np.ndarray, sig_hat: float, n: int
-    ) -> SelectionResult:
+    def select(self, mhat_abs_sq: np.ndarray, sig_hat: float, n: int) -> SelectionResult:
         """Penalised-contrast selection given |M_hat|^2 on the bank's grid."""
         _require_levels(self, "cut-off", n)
-        cum = self.q.centered_cumulative(mhat_abs_sq * np.abs(self.inv_mg) ** 2)
+        cum = self.q.centered_cumulative(mhat_abs_sq * self._inv_sq)
         window_norms = cum[self.windows] / TWO_PI
         pen = 2.0 * self.cfg.chi * sig_hat * self.norms_sq / (TWO_PI * n)
         return _selection_result(
@@ -340,42 +318,36 @@ def _selection_result(method, k_values, a_hat, v_hat, objective, sig_hat):
     """Result with per-level diagnostics; k_hat is the first minimiser."""
     best = int(np.argmin(objective))  # first minimiser = smallest k
     diags = tuple(
-        LevelDiagnostics(
-            k=int(k_values[i]),
-            a_hat=float(a_hat[i]),
-            v_hat=float(v_hat[i]),
-            objective=float(objective[i]),
-        )
-        for i in range(len(k_values))
+        LevelDiagnostics(int(k), float(a), float(v), float(o))
+        for k, a, v, o in zip(k_values, a_hat, v_hat, objective)
     )
-    return SelectionResult(
-        method=method,
-        k_hat=int(k_values[best]),
-        sigma_hat=float(sig_hat),
-        diagnostics=diags,
-    )
+    return SelectionResult(method, int(k_values[best]), float(sig_hat), diags)
 
 
 @dataclass(frozen=True)
 class SampleTransform:
-    """A sample's empirical transform M_hat on a pipeline's grid, with
-    |M_hat|^2, sigma_hat and the sample size n."""
+    """A sample's empirical transform M_hat on the grid ``q`` at development
+    point ``c``, with |M_hat|^2, sigma_hat and the sample size n."""
 
     mhat: np.ndarray
     abs_sq: np.ndarray
     sigma_hat: float
     n: int
+    c: float
+    q: QuadratureConfig
 
 
 class Pipeline:
     """The estimation chain for one configuration.
 
     Holds the frequency grid ``q`` and the x-grid of the estimates; the
-    sample size comes from each sample.  The banks are built per sample
-    size on first use, so the ridge rule works where the cut-off bank
-    raises `NoiseTransformZeroError`, and only the last size's banks are
-    kept.  The development points of ``g_mellin``, ``cfg`` and every sample
-    must agree; a mismatch raises `MellinError`.
+    sample size comes from each sample.  M_g is tabulated on the grid once,
+    on first bank use, and both banks are built from that table per sample
+    size on first use, so the ridge rule works where the cut-off bank raises
+    `NoiseTransformZeroError`; only the last size's banks are kept.  The
+    development points of ``g_mellin``, ``cfg`` and every sample must agree,
+    and a given `SampleTransform` must be on this grid; a mismatch raises
+    `MellinError`.
     """
 
     def __init__(
@@ -390,6 +362,15 @@ class Pipeline:
         self.x_grid = np.asarray(x_grid, dtype=float)
         self._banks_n, self._banks = None, {}
 
+    @cached_property
+    def _noise_table(self) -> tuple:
+        """(1/M_g, kappa) on the grid from the one evaluation of M_g, shared
+        read-only by every bank of this pipeline."""
+        mg = np.asarray(self.g_mellin(self.q.t), dtype=np.complex128)
+        inv, kappa = ridge_factors(mg, self.q.t, self.cfg.xi, self.cfg.r)
+        inv.flags.writeable = kappa.flags.writeable = False
+        return inv, kappa
+
     def bank(self, method: str, n: int):
         """The ``method`` bank of the levels admissible at sample size ``n``."""
         if method not in ("ridge", "cutoff"):
@@ -398,14 +379,18 @@ class Pipeline:
         if n != self._banks_n:
             self._banks_n, self._banks = n, {}
         if method not in self._banks:
-            cls = RidgeBank if method == "ridge" else CutoffBank
-            self._banks[method] = cls(self.g_mellin, self.cfg, self.q, n_cap=float(n))
+            inv, kappa = self._noise_table
+            self._banks[method] = (
+                RidgeBank(inv, kappa, self.cfg, self.q, n_cap=float(n))
+                if method == "ridge"
+                else CutoffBank(self.g_mellin, inv, self.cfg, self.q, n_cap=float(n))
+            )
         return self._banks[method]
 
     def fixed_ridge_bank(self, levels: Sequence[int]) -> RidgeBank:
         """Ridge bank of fixed increasing levels, without the admissibility cap."""
         cfg = replace(self.cfg, k_grid=tuple(levels))
-        return RidgeBank(self.g_mellin, cfg, self.q, n_cap=np.inf)
+        return RidgeBank(*self._noise_table, cfg, self.q, n_cap=np.inf)
 
     def transform(self, em: EmpiricalMellin) -> SampleTransform:
         """Empirical transform of a sample; `MellinError` when c differs or
@@ -416,11 +401,20 @@ class Pipeline:
         if not np.isfinite(sig):
             raise MellinError(f"sigma_hat overflows at c={em.c}; rescale the sample")
         mhat = empirical_mellin_on_grid(em, self.q)
-        return SampleTransform(mhat=mhat, abs_sq=np.abs(mhat) ** 2, sigma_hat=sig, n=em.n)
+        return SampleTransform(mhat, np.abs(mhat) ** 2, sig, em.n, em.c, self.q)
+
+    def _sample_transform(self, em) -> SampleTransform:
+        """``em``'s `transform`, or ``em`` itself if made at this c and on this grid."""
+        if not isinstance(em, SampleTransform):
+            return self.transform(em)
+        check_same_c("transform", em.c, "pipeline", self.c)
+        if em.q != self.q:
+            raise MellinError(f"transform grid {em.q} is not the pipeline grid {self.q}")
+        return em
 
     def select(self, method: str, em) -> SelectionResult:
         """Data-driven level; ``em`` is an `EmpiricalMellin` or its `transform`."""
-        tf = em if isinstance(em, SampleTransform) else self.transform(em)
+        tf = self._sample_transform(em)
         return self.bank(method, tf.n).select(tf.abs_sq, tf.sigma_hat, tf.n)
 
     def invert(self, product: np.ndarray, support: Optional[float] = None) -> np.ndarray:
@@ -432,7 +426,7 @@ class Pipeline:
     def fit(self, method: str, em) -> tuple:
         """(SelectionResult, DensityEstimate) for a sample or its `transform`;
         passing the transform lets both methods share it."""
-        tf = em if isinstance(em, SampleTransform) else self.transform(em)
+        tf = self._sample_transform(em)
         result = self.select(method, tf)
         product = tf.mhat * self.bank(method, tf.n).row(result.k_hat)
         support = float(result.k_hat) if method == "cutoff" else None

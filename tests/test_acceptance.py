@@ -41,7 +41,7 @@ from mellin_deconv.risk import (
     TABLE1_REFERENCE,
     bias_variance_profile,
 )
-from mellin_deconv.selection import RidgeBank, SelectionConfig
+from mellin_deconv.selection import Pipeline, SelectionConfig
 
 from conftest import mellin_quad_oracle, norm_sq_quad_oracle, ridge_risk_oracle
 
@@ -408,7 +408,8 @@ def test_c9_invariants_standalone():
     # prefix admissibility on an explicit grid
     cfg2 = SelectionConfig(chi1=1.0, chi2=1.0, chi=1.0, c=1.0, r=2.0,
                            k_grid=(1, 2, 3, 5, 8))
-    bank = RidgeBank(catalog_mellin("noise_beta", 1.0), cfg2, q, n_cap=300.0)
+    pipeline = Pipeline(catalog_mellin("noise_beta", 1.0), cfg2, q, default_x_grid())
+    bank = pipeline.bank("ridge", 300)
     prefix = list(bank.k_values) == [1, 2, 3, 5]
     checks.append(("admissible set is a grid prefix", prefix))
 

@@ -120,6 +120,27 @@ def test_mise_missing_config(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "body, named",
+    [
+        ("[experiment]\nreplication = 5\n", "replication"),
+        ("[experiment]\nseed = 5\n[quadrature]\nt_stp = 0.02\n", "t_stp"),
+        ("[selection.noise_beta]\nchi3 = 1.0\n", "chi3"),
+        ("[selection.noise_bta]\nchi = 1.0\n", "selection.noise_bta"),
+        ("[grids]\nx_min = 0.1\n", "grids"),
+        ("[DEFAULT]\nseed = 5\n", "DEFAULT"),
+    ],
+)
+def test_mise_refuses_unknown_config_keys(tmp_path, capsys, body, named):
+    cfgfile = tmp_path / "cfg.ini"
+    cfgfile.write_text(body)
+    out = tmp_path / "mise.csv"
+    assert _run("mise", "--config", str(cfgfile), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not out.exists()
+
+
 def test_mise_chi_override_section(tmp_path):
     out = tmp_path / "mise.csv"
     cfgfile = tmp_path / "cfg.ini"

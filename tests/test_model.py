@@ -105,6 +105,26 @@ def test_reproducibility_and_stream_independence():
     assert not np.array_equal(a, c)
 
 
+class _ZeroStream:
+    """A stream whose generator's unit draw is exactly 0.0."""
+
+    class _Gen:
+        def uniform(self, low, high, size):
+            return low + (high - low) * np.zeros(size)
+
+    def generator(self):
+        return self._Gen()
+
+
+def test_beta_noise_draws_are_positive_and_unchanged():
+    # a unit draw of 0 would give Y = 0, which the empirical transform refuses
+    assert np.all(sample(density_spec("noise_beta"), 3, _ZeroStream()) > 0.0)
+    for seed in range(5):
+        rng = RngStream(seed, 7)
+        ref = np.sqrt(rng.generator().uniform(0.0, 1.0, size=10_000))
+        assert np.array_equal(sample(density_spec("noise_beta"), 10_000, rng), ref)
+
+
 def test_stream_id_is_stable():
     assert stream_id_for("x", "gamma5", 500, 0) == stream_id_for("x", "gamma5", 500, 0)
     assert stream_id_for("x", "gamma5", 500, 0) != stream_id_for("u", "gamma5", 500, 0)

@@ -1,6 +1,7 @@
 """The estimation pipeline: equivalence with the three-step form, input
 checks, and property tests over awkward samples and grids."""
 
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -13,6 +14,7 @@ from mellin_deconv import (
     EmpiricalMellin,
     EmptyAdmissibleSetError,
     MellinError,
+    MellinFunction,
     NoiseTransformZeroError,
     Pipeline,
     QuadratureConfig,
@@ -109,6 +111,26 @@ def test_banks_are_built_on_first_use(monkeypatch):
     assert built == [1e9, 2000.0]  # one build per sample size, reused after
 
 
+def test_noise_transform_is_tabulated_once_per_pipeline():
+    # both banks at two sample sizes come from one evaluation of M_g on the
+    # grid; only the cut-off zero probe evaluates it elsewhere
+    g = _noise("noise_uniform", 1.0)
+    on_grid = []
+
+    def counted(t):
+        on_grid.append(np.array_equal(t, Q.t))
+        return g.eval_fn(t)
+
+    counting = MellinFunction(g.c, counted, g.decay_exponent, g.decay_upper)
+    pipeline = Pipeline(counting, table1_selection_config("noise_uniform"), Q, default_x_grid())
+    for n in (500, 2000):
+        em = EmpiricalMellin(1.0, _draw("gamma5", "noise_uniform", n))
+        for method in ("ridge", "cutoff"):
+            result, est = pipeline.fit(method, em)
+            assert result == Pipeline(g, pipeline.cfg, Q, pipeline.x_grid).fit(method, em)[0]
+    assert on_grid.count(True) == 1
+
+
 def _fit_outcome(pipeline, method, em):
     """k_hat, diagnostics and density bytes of a fit, or its typed error."""
     try:
@@ -184,13 +206,32 @@ def test_non_finite_moment_weights_are_refused():
         select_ridge(em, g, cfg, Q)
 
 
-def test_sample_size_must_match_pipeline():
-    y = _draw("gamma5", "noise_beta", 100)
+def test_unknown_method_is_refused():
+    em = EmpiricalMellin(1.0, _draw("gamma5", "noise_beta", 100))
     pipeline = Pipeline(
         _noise("noise_beta", 1.0), table1_selection_config("noise_beta"), Q, default_x_grid()
     )
-    with pytest.raises(ValueError):
-        pipeline.fit("magic", EmpiricalMellin(1.0, y[:99]))
+    for call, arg in ((pipeline.fit, em), (pipeline.select, em), (pipeline.bank, em.n)):
+        with pytest.raises(ValueError, match="'magic'"):
+            call("magic", arg)
+
+
+def test_sample_transform_from_another_pipeline_is_refused():
+    # a transform carries its c and grid; a pipeline at another c or on
+    # another grid refuses it instead of selecting from foreign values
+    y = _draw("gamma5", "noise_uniform", 500)
+    cfg = table1_selection_config("noise_uniform")
+    x = default_x_grid()
+    tf = Pipeline(_noise("noise_uniform", 1.0), cfg, Q, x).transform(EmpiricalMellin(1.0, y))
+    at_half = Pipeline(_noise("noise_uniform", 0.5), replace(cfg, c=0.5), Q, x)
+    on_short = Pipeline(_noise("noise_uniform", 1.0), cfg, Q_SHORT, x)
+    for pipeline in (at_half, on_short):
+        for call in (pipeline.select, pipeline.fit):
+            for method in ("ridge", "cutoff"):
+                with pytest.raises(MellinError, match="transform"):
+                    call(method, tf)
+    same = Pipeline(_noise("noise_uniform", 1.0), cfg, QuadratureConfig(), x)
+    assert same.fit("ridge", tf)[0] == same.fit("ridge", EmpiricalMellin(1.0, y))[0]
 
 
 # ---------------------------------------------------------------------- #

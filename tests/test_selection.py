@@ -26,7 +26,7 @@ from mellin_deconv import (
     write_diagnostics_csv,
 )
 from mellin_deconv.risk import run_selection_oracle_comparison
-from mellin_deconv.selection import CutoffBank, Pipeline, RidgeBank
+from mellin_deconv.selection import Pipeline
 from mellin_deconv import ExperimentConfig, default_x_grid, table1_selection_config
 
 from conftest import RowRidgeBank
@@ -100,11 +100,9 @@ def test_admissible_ridge_scan_stops_at_saturation():
 def test_cutoff_admissibility_closed_form():
     # window norm for the linear-beta noise is 2k + k^3/6; admissible iff
     # that is at most 2 pi n
-    from mellin_deconv.selection import CutoffBank
-
     for n in (10, 100, 1000):
         cfg = SelectionConfig(chi1=1.0, chi2=1.0, chi=1.0, c=1.0)
-        bank = CutoffBank(G_BETA, cfg, Q, n_cap=float(n))
+        bank = Pipeline(G_BETA, cfg, Q, default_x_grid()).bank("cutoff", n)
         k_max = bank.k_values[-1]
         assert 2 * k_max + k_max**3 / 6.0 <= TWO_PI * n
         k_next = k_max + 1
@@ -163,7 +161,7 @@ def test_population_level_selection_is_sane():
     # must track the best achievable error up to a small floor
     cfg = table1_selection_config("noise_beta")
     n = 2000
-    bank = RidgeBank(G_BETA, cfg, Q, n_cap=float(n))
+    bank = Pipeline(G_BETA, cfg, Q, default_x_grid()).bank("ridge", n)
     mf = catalog_mellin("gamma5", 1.0)
     my = mf(Q.t) * G_BETA(Q.t)
     res = bank.select(np.abs(my) ** 2, 1.0, n)
@@ -181,7 +179,8 @@ def test_population_level_selection_is_sane():
 
 
 def _assert_bank_matches_row_oracle(g, cfg, q, n, y):
-    bank = RidgeBank(g, cfg, q, n_cap=float(n))
+    pipeline = Pipeline(g, cfg, q, default_x_grid(points=8))
+    bank = pipeline.bank("ridge", n)
     oracle = RowRidgeBank(g, cfg, q, n_cap=float(n))
     assert np.array_equal(bank.k_values, oracle.k_values)
     if oracle.k_values.size == 0:
@@ -190,7 +189,7 @@ def _assert_bank_matches_row_oracle(g, cfg, q, n, y):
     for row, ref in zip(bank.rows, oracle.rows):
         assert np.abs(row - ref).max() <= 1e-13 * np.abs(ref).max()
 
-    tf = Pipeline(g, cfg, q, default_x_grid(points=8)).transform(EmpiricalMellin(cfg.c, y))
+    tf = pipeline.transform(EmpiricalMellin(cfg.c, y))
     contrast = bank.contrasts(tf.abs_sq)
     np.testing.assert_allclose(contrast, oracle.contrasts(tf.abs_sq), rtol=1e-12, atol=0.0)
     assert np.all(contrast >= 0.0)
@@ -220,7 +219,7 @@ def test_ridge_bank_matches_row_table_oracle(noise, xi, r, k_grid, grid, n, seed
     name, c = noise
     g, q = catalog_mellin(name, c), QuadratureConfig(*grid)
     cfg = SelectionConfig(chi1=0.125, chi2=0.125, chi=1.0, c=c, r=r, xi=xi, k_grid=k_grid)
-    assume(len(RidgeBank(g, cfg, q, n_cap=float(n))) <= 40)
+    assume(len(Pipeline(g, cfg, q, default_x_grid(points=8)).bank("ridge", n)) <= 40)
     y = _simulated_sample(n, rep=seed, target="gamma5", error=name)
     _assert_bank_matches_row_oracle(g, cfg, q, n, y)
 
@@ -246,7 +245,7 @@ def test_ridge_bank_rows_where_the_noise_transform_is_zero():
         c=1.0, eval_fn=lambda t: np.where(np.abs(np.asarray(t)) == t0, 0.0, G_BETA.eval_fn(t))
     )
     cfg = SelectionConfig(chi1=1.0, chi2=1.0, chi=1.0, c=1.0, r=2.0)
-    bank = RidgeBank(g, cfg, Q, n_cap=1e6)
+    bank = Pipeline(g, cfg, Q, default_x_grid()).bank("ridge", 10**6)
     oracle = RowRidgeBank(g, cfg, Q, n_cap=1e6)
     assert np.isinf(bank.kappa[Q.center + 250]) and np.array_equal(bank.k_values, oracle.k_values)
     assert np.all(bank.rows[:, Q.center + 250] == 0.0)
@@ -350,12 +349,11 @@ def test_cutoff_bank_rejects_window_across_zero():
     # (t ~ 5.72) fails the zero-freeness check; at realistic sample sizes
     # the admissibility bound already stops short of it
     from mellin_deconv import NoiseTransformZeroError
-    from mellin_deconv.selection import CutoffBank
 
     g0 = catalog_mellin("noise_uniform", 0.0)
     cfg = SelectionConfig(chi1=1.0, chi2=1.0, chi=1.0, c=0.0, k_grid=(6,))
     with pytest.raises(NoiseTransformZeroError):
-        CutoffBank(g0, cfg, Q, n_cap=1e12)
+        Pipeline(g0, cfg, Q, default_x_grid()).bank("cutoff", 10**12)
     y = _simulated_sample(100)
     with pytest.raises(EmptyAdmissibleSetError):
         select_cutoff(EmpiricalMellin(0.0, y), g0, cfg, Q)
@@ -367,7 +365,7 @@ def test_cutoff_windows_follow_the_grid_window_rule():
     # window must all hold that node
     q = QuadratureConfig(0.3, 20.0)
     cfg = SelectionConfig(chi1=1.0, chi2=1.0, chi=1.0, c=1.0)
-    bank = CutoffBank(G_BETA, cfg, q, n_cap=1e6)
+    bank = Pipeline(G_BETA, cfg, q, default_x_grid()).bank("cutoff", 10**6)
     assert list(bank.k_values) == list(range(1, 21))
     for k, norm in zip(bank.k_values, bank.norms_sq):
         j = q.window_index(k)
