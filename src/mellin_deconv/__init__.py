@@ -8,9 +8,6 @@ and inverting.  Both regularisation levels are chosen from the data.
 
 from .grids import QuadratureConfig, default_x_grid
 from .mellin import (
-    CATALOG_IDS,
-    ERROR_IDS,
-    TARGET_IDS,
     EmpiricalMellin,
     HermitianSymmetryError,
     MellinError,
@@ -24,6 +21,9 @@ from .mellin import (
     weighted_l2_dist_sq,
 )
 from .model import (
+    CATALOG_IDS,
+    ERROR_IDS,
+    TARGET_IDS,
     DensitySpec,
     RngStream,
     contaminate,

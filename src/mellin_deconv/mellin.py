@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .grids import QuadratureConfig
-from .special import log_beta, log_gamma
+from .model import CATALOG
 
 
 class MellinError(ValueError):
@@ -34,12 +34,6 @@ def check_same_c(what: str, c: float, other: str, c_other: float) -> None:
     if c != c_other:
         raise MellinError(f"development point mismatch: {what} c={c}, {other} c={c_other}")
 
-
-#: ids of the built-in target densities
-TARGET_IDS = ("beta25", "loggamma", "gamma5", "lognormal")
-#: ids of the built-in multiplicative error densities
-ERROR_IDS = ("noise_uniform", "noise_beta")
-CATALOG_IDS = TARGET_IDS + ERROR_IDS
 
 _DECAY_PROBE_MAX = 500.0
 _DECAY_PROBE_STEP = 0.05
@@ -241,99 +235,39 @@ def probe_minimum(fn, t: np.ndarray, values: np.ndarray, trigger: float) -> tupl
     return best, at
 
 
-def _certify_decay(
-    eval_fn: Callable[[np.ndarray], np.ndarray], exponent: float
-) -> Optional[float]:
-    """Certify two-sided decay of |H(t)|*(1+t^2)^(g/2) over a probe grid.
-
-    Returns its upper constant, or None when the lower one degenerates, i.e.
-    the transform has a (near-)zero (see `probe_minimum`).
-    """
-    ratio = lambda t: np.abs(eval_fn(t)) * (1.0 + t**2) ** (exponent / 2.0)
-    t = np.arange(0.0, _DECAY_PROBE_MAX + _DECAY_PROBE_STEP, _DECAY_PROBE_STEP)
-    values = ratio(t)
-    hi = float(values.max())
-    if not np.isfinite(hi):
-        return None
-    return None if probe_minimum(ratio, t, values, 1e-2 * hi)[0] <= 1e-9 * hi else hi
-
-
 def catalog_mellin(name: str, c: float) -> MellinFunction:
-    """Closed-form Mellin transform of a catalog density at development point c.
+    """Closed-form Mellin transform of a catalog density at development point
+    c, built from its `model.CATALOG` record.
 
-    Raises on unknown ids and on (name, c) pairs for which the defining
-    integral diverges.
+    An unknown id, or a c outside the record's open interval (where the
+    defining integral diverges; NaN included), raises `MellinError`.  A
+    record's decay order g is certified on a probe grid of [0, 500]: the
+    maximum of |H(t)|*(1+t^2)^(g/2) is the upper constant, and a (near-)zero
+    of H (see `probe_minimum`; e.g. noise_uniform at c = 0) drops the
+    certificate, as two-sided polynomial decay then fails.
     """
-    c = float(c)
-    if name == "beta25":
-        if c <= -1.0:
-            raise MellinError("beta25 transform requires c > -1")
-        log_b25 = log_beta(2.0, 5.0)
-
-        def eval_fn(t, c=c, log_b25=log_b25):
-            a = (c + 1.0) + 1j * t
-            return np.exp(log_beta(a, 5.0) - log_b25)
-
-        decay = 5.0
-    elif name == "loggamma":
-        if c >= 6.0:
-            raise MellinError("loggamma transform requires c < 6")
-
-        def eval_fn(t, c=c):
-            return (5.0 / ((6.0 - c) - 1j * t)) ** 5
-
-        decay = 5.0
-    elif name == "gamma5":
-        if c <= -4.0:
-            raise MellinError("gamma5 transform requires c > -4")
-        log_24 = np.log(24.0)
-
-        def eval_fn(t, c=c, log_24=log_24):
-            return np.exp(log_gamma((c + 4.0) + 1j * t) - log_24)
-
-        decay = None  # faster than polynomial
-    elif name == "lognormal":
-
-        def eval_fn(t, c=c):
-            return np.exp(0.02 * ((c - 1.0) + 1j * t) ** 2)
-
-        decay = None  # faster than polynomial
-    elif name == "noise_uniform":
-
-        def eval_fn(t, c=c):
-            z = np.asarray(c + 1j * t, dtype=np.complex128)
-            small = np.abs(z) < 1e-4
-            zs = np.where(small, 1.0, z)
-            exact = (1.5**zs - 0.5**zs) / zs
-            a, b = np.log(1.5), np.log(0.5)
-            series = np.log(3.0) * (
-                1.0 + z * (a + b) / 2.0 + z**2 * (a * a + a * b + b * b) / 6.0
-            )
-            return np.where(small, series, exact)
-
-        decay = 1.0
-    elif name == "noise_beta":
-        if c <= -1.0:
-            raise MellinError("noise_beta transform requires c > -1")
-
-        def eval_fn(t, c=c):
-            return 2.0 / ((c + 1.0) + 1j * t)
-
-        decay = 1.0
-    else:
-        raise MellinError(f"unknown density id {name!r}")
-
-    upper = None
+    if name not in CATALOG:
+        raise MellinError(f"unknown density id {name!r}; the catalog holds {tuple(CATALOG)}")
+    record, c = CATALOG[name], float(c)
+    lo, hi = record.c_range
+    if not lo < c < hi:
+        raise MellinError(f"{name} transform requires c in ({lo}, {hi}), got c={c}")
+    transform, decay, upper = record.transform, record.decay, None
+    eval_fn = lambda t: transform(t, c)
     if decay is not None:
-        upper = _certify_decay(eval_fn, decay)
-        if upper is None:
-            # e.g. noise_uniform at c = 0 has zeros: polynomial decay holds
-            # only one-sidedly, so no exponent is recorded.
-            decay = None
-    return MellinFunction(c=c, eval_fn=eval_fn, decay_exponent=decay, decay_upper=upper)
+        ratio = lambda t: np.abs(eval_fn(t)) * (1.0 + t**2) ** (decay / 2.0)
+        t = np.arange(0.0, _DECAY_PROBE_MAX + _DECAY_PROBE_STEP, _DECAY_PROBE_STEP)
+        values = ratio(t)
+        top = float(values.max())
+        if np.isfinite(top) and probe_minimum(ratio, t, values, 1e-2 * top)[0] > 1e-9 * top:
+            upper = top
+    return MellinFunction(c, eval_fn, None if upper is None else decay, upper)
 
 
-def _eval_on_grid(transform, q: QuadratureConfig) -> np.ndarray:
+def eval_on_grid(transform, q: QuadratureConfig) -> np.ndarray:
+    """Complex values of a transform (callable, or values already on the
+    grid) at the nodes of ``q``; a shape mismatch or a non-finite value
+    raises `MellinError`."""
     vals = np.asarray(transform(q.t) if callable(transform) else transform)
     if vals.shape != q.t.shape:
         raise MellinError("transform values do not match the quadrature grid")
@@ -419,7 +353,7 @@ def inverse_mellin(
     conjugate-symmetric, H(-t) = conj(H(t)); a violation raises
     `HermitianSymmetryError` (see `checked_real_part`).
     """
-    vals = _eval_on_grid(transform, q)
+    vals = eval_on_grid(transform, q)
     re = checked_real_part(invert_grid_values(q, vals, c, x_grid))
     return WeightedFunction(x_grid=np.asarray(x_grid, float), values=re, c=c)
 
@@ -430,7 +364,7 @@ def plancherel_norm_sq(transform, q: QuadratureConfig) -> float:
     Equals the squared weighted L^2 norm of the x-domain function whose
     transform is H, up to quadrature and truncation error.
     """
-    vals = _eval_on_grid(transform, q)
+    vals = eval_on_grid(transform, q)
     return float(q.integrate(np.abs(vals) ** 2)) / (2.0 * np.pi)
 
 

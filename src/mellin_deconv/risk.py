@@ -28,6 +28,7 @@ from .model import (
     density_spec,
     sample,
     stream_id_for,
+    whole_count,
 )
 from .selection import Pipeline, SelectionConfig
 
@@ -48,7 +49,8 @@ class XGridSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Scenario descriptor for a Monte-Carlo run.
+    """Scenario descriptor for a Monte-Carlo run; ``n`` and ``replications``
+    are whole numbers of at least 1.
 
     ``fixed_k`` bypasses the data-driven selection and estimates with the
     given whole-number ridge level in every replication (used by rate
@@ -70,12 +72,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.method not in ("ridge", "cutoff"):
             raise ValueError("method must be 'ridge' or 'cutoff'")
-        if self.n < 1 or self.replications < 1:
-            raise ValueError("n and replications must be at least 1")
-        if self.fixed_k is not None and not (
-            self.fixed_k >= 1 and float(self.fixed_k).is_integer()
-        ):
-            raise ValueError("fixed_k must be a whole number of at least 1")
+        for name in ("n", "replications"):
+            object.__setattr__(self, name, whole_count(getattr(self, name), name))
+        if self.fixed_k is not None:
+            whole_count(self.fixed_k, "fixed_k")
 
 
 @dataclass(frozen=True)
@@ -197,6 +197,8 @@ def run_oracle_rate(
     """
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be increasing")
+    if not (np.inf > s >= 0.0 and np.inf > gamma > 0.0):
+        raise ValueError(f"need finite s >= 0 and gamma > 0, got s={s!r}, gamma={gamma!r}")
     if selection is None:
         selection = table1_selection_config(error, c)
     out = []

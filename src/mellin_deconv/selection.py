@@ -49,6 +49,7 @@ from .mellin import (
     check_same_c,
     checked_real_part,
     empirical_mellin_on_grid,
+    eval_on_grid,
     invert_grid_values,
 )
 
@@ -365,8 +366,8 @@ class Pipeline:
     @cached_property
     def _noise_table(self) -> tuple:
         """(1/M_g, kappa) on the grid from the one evaluation of M_g, shared
-        read-only by every bank of this pipeline."""
-        mg = np.asarray(self.g_mellin(self.q.t), dtype=np.complex128)
+        read-only by every bank of this pipeline; `MellinError` if not finite."""
+        mg = eval_on_grid(self.g_mellin, self.q)
         inv, kappa = ridge_factors(mg, self.q.t, self.cfg.xi, self.cfg.r)
         inv.flags.writeable = kappa.flags.writeable = False
         return inv, kappa
@@ -404,11 +405,11 @@ class Pipeline:
         return SampleTransform(mhat, np.abs(mhat) ** 2, sig, em.n, em.c, self.q)
 
     def _sample_transform(self, em) -> SampleTransform:
-        """``em``'s `transform`, or ``em`` itself if made at this c and on this grid."""
+        """``em``'s `transform`, or ``em`` itself if made at this c and on these nodes."""
         if not isinstance(em, SampleTransform):
             return self.transform(em)
         check_same_c("transform", em.c, "pipeline", self.c)
-        if em.q != self.q:
+        if (em.q.t_step, em.q.half_size) != (self.q.t_step, self.q.half_size):
             raise MellinError(f"transform grid {em.q} is not the pipeline grid {self.q}")
         return em
 

@@ -78,3 +78,27 @@ def _functions_calling(name: str) -> list:
 def test_one_zero_probe_polishes_grid_minima():
     # the probe-and-polish search is written once, in `mellin.probe_minimum`
     assert _functions_calling("golden_section_min") == ["mellin.py:probe_minimum"]
+
+
+def _catalog_id_comparisons(path: Path) -> list:
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Compare):
+            continue
+        if not any(isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) for op in node.ops):
+            continue
+        found += [
+            f"{path.name}:{node.lineno} compares against {literal.value!r}"
+            for operand in (node.left, *node.comparators)
+            for literal in ast.walk(operand)
+            if isinstance(literal, ast.Constant) and literal.value in mellin_deconv.CATALOG_IDS
+        ]
+    return found
+
+
+def test_catalog_ids_are_dispatched_only_through_the_table():
+    # every fact about a built-in density is read from its `model.CATALOG`
+    # record, so a new density is one record and no if-chain can miss it
+    found = [line for path in sorted(PACKAGE_DIR.glob("*.py"))
+             for line in _catalog_id_comparisons(path)]
+    assert found == []

@@ -20,7 +20,7 @@ from mellin_deconv import (
     weighted_l2_dist_sq,
 )
 from mellin_deconv.mellin import checked_real_part, invert_grid_values, probe_minimum
-from mellin_deconv.model import density_eval, density_spec
+from mellin_deconv.model import CATALOG, density_eval, density_spec
 
 from conftest import (
     mellin_quad_oracle,
@@ -141,6 +141,16 @@ def test_catalog_domain_errors():
         catalog_mellin("beta25", -1.0)
     with pytest.raises(MellinError):
         catalog_mellin("nope", 1.0)
+
+
+@pytest.mark.parametrize("name", CATALOG_IDS)
+def test_catalog_refuses_c_outside_its_interval(name):
+    # NaN, the interval's ends and beyond are refused, naming id and interval
+    lo, hi = CATALOG[name].c_range
+    outside = [np.nan] + [v for v in (lo, lo - 1.0, hi, hi + 1.0) if np.isfinite(v)]
+    for c in outside:
+        with pytest.raises(MellinError, match=rf"{name} transform requires c in \({lo}, {hi}\)"):
+            catalog_mellin(name, c)
 
 
 @pytest.mark.parametrize("name", CATALOG_IDS)

@@ -5,6 +5,8 @@ import scipy.stats as stats
 import mellin_deconv.model as model
 from mellin_deconv import (
     CATALOG_IDS,
+    ERROR_IDS,
+    TARGET_IDS,
     EmpiricalMellin,
     RngStream,
     catalog_mellin,
@@ -209,3 +211,21 @@ def test_sample_csv_rejects_bad_rows(tmp_path):
 def test_sample_size_validation():
     with pytest.raises(ValueError):
         sample(density_spec("gamma5"), 0, RngStream(1))
+    # a bool or a fraction is refused by name; whole floats and numpy
+    # integers draw exactly what the int draws
+    for bad in (300.5, True, np.bool_(True), np.nan, -2):
+        with pytest.raises(ValueError, match="sample size must be a whole number"):
+            sample(density_spec("gamma5"), bad, RngStream(1))
+    ref = sample(density_spec("gamma5"), 300, RngStream(1))
+    for whole in (300.0, np.int64(300), np.float64(300.0)):
+        assert np.array_equal(sample(density_spec("gamma5"), whole, RngStream(1)), ref)
+
+
+def test_catalog_tables_every_density_once():
+    assert CATALOG_IDS == tuple(model.CATALOG) == TARGET_IDS + ERROR_IDS
+    assert TARGET_IDS == ("beta25", "loggamma", "gamma5", "lognormal")
+    assert ERROR_IDS == ("noise_uniform", "noise_beta")
+    for name, record in model.CATALOG.items():
+        assert density_spec(name).role == record.role
+        lo, hi = record.c_range
+        assert lo < 1.0 < hi  # the package's default development point

@@ -206,6 +206,21 @@ def test_non_finite_moment_weights_are_refused():
         select_ridge(em, g, cfg, Q)
 
 
+def test_non_finite_noise_transform_is_refused():
+    # a noise transform that is NaN at one node (t = 3) is refused by name
+    # before any bank is built: it used to select k_hat = 1 from all-NaN
+    # objectives (ridge) or fail the Hermitian check after inversion (cut-off)
+    g = _noise("noise_uniform", 1.0)
+    nan_at_3 = MellinFunction(1.0, lambda t: np.where(np.abs(t - 3.0) < 1e-9, np.nan, g(t)))
+    em = EmpiricalMellin(1.0, _draw("gamma5", "noise_uniform", 500))
+    cfg = table1_selection_config("noise_uniform")
+    for method in ("ridge", "cutoff"):
+        for call in ("select", "fit"):
+            pipeline = Pipeline(nan_at_3, cfg, Q, default_x_grid())
+            with pytest.raises(MellinError, match="non-finite values on the grid"):
+                getattr(pipeline, call)(method, em)
+
+
 def test_unknown_method_is_refused():
     em = EmpiricalMellin(1.0, _draw("gamma5", "noise_beta", 100))
     pipeline = Pipeline(
@@ -232,6 +247,15 @@ def test_sample_transform_from_another_pipeline_is_refused():
                     call(method, tf)
     same = Pipeline(_noise("noise_uniform", 1.0), cfg, QuadratureConfig(), x)
     assert same.fit("ridge", tf)[0] == same.fit("ridge", EmpiricalMellin(1.0, y))[0]
+    # the grid is its nodes: another tail tolerance or a t_max rounding to
+    # the same outermost node is the same grid, one node more is not
+    for q in (QuadratureConfig(0.01, 150.0, 1e-3), QuadratureConfig(0.01, 150.004)):
+        assert Pipeline(_noise("noise_uniform", 1.0), cfg, q, x).fit("ridge", tf)[0] == (
+            same.fit("ridge", tf)[0]
+        )
+    wider = Pipeline(_noise("noise_uniform", 1.0), cfg, QuadratureConfig(0.01, 150.01), x)
+    with pytest.raises(MellinError, match="transform"):
+        wider.select("ridge", tf)
 
 
 # ---------------------------------------------------------------------- #

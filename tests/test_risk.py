@@ -158,6 +158,15 @@ def test_config_validation():
         _cfg(method="magic")
     with pytest.raises(ValueError):
         _cfg(replications=0)
+    # a bool or a fraction is refused by name instead of failing inside numpy
+    for name, bad in (("n", 300.5), ("n", True), ("replications", 2.5), ("n", np.nan),
+                      ("fixed_k", True), ("fixed_k", 2.5)):
+        with pytest.raises(ValueError, match=rf"{name} must be a whole number"):
+            _cfg(**{name: bad})
+    whole = _cfg(n=400.0, replications=np.int64(2))
+    assert (whole.n, whole.replications) == (400, 2)
+    assert type(whole.n) is int and type(whole.replications) is int
+    assert run_mise(whole).mise == run_mise(_cfg()).mise
 
 
 # ---------------------------------------------------------------------- #
@@ -193,6 +202,16 @@ def test_oracle_rate_mise_nonincreasing():
 def test_oracle_rate_requires_increasing_n():
     with pytest.raises(ValueError):
         run_oracle_rate("gamma5", "noise_uniform", 1.0, [500, 500], 2.0, 1.0, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "s, gamma", [(-0.5, 0.0), (-0.1, 1.0), (2.0, 0.0), (2.0, -1.0), (np.nan, 1.0), (2.0, np.inf)]
+)
+def test_oracle_rate_requires_finite_smoothness_and_decay(s, gamma):
+    # the level n^(gamma/(2s+2gamma+1)) needs s >= 0 and gamma > 0, both finite;
+    # s = -0.5, gamma = 0 used to divide by zero
+    with pytest.raises(ValueError, match="need finite s >= 0 and gamma > 0"):
+        run_oracle_rate("gamma5", "noise_uniform", 1.0, [300], s, gamma, 1, 1)
 
 
 def test_profile_structure_and_bounds():
