@@ -38,7 +38,6 @@ from .mellin import (
     MellinFunction,
     check_same_c,
     checked_real_part,
-    empirical_mellin_on_grid,
     invert_grid_values,
     probe_minimum,
 )
@@ -240,7 +239,8 @@ def estimate_density(
     is checked as in `inverse_mellin`.
     """
     check_same_c("sample", em.c, "multiplier", mult.spec.c)
-    product = empirical_mellin_on_grid(em, q) * mult(q.t)
+    product = em._on_grid(q).copy()
+    product *= mult(q.t)  # in place: numpy rounds this a bit apart from a * b
     values = checked_real_part(invert_grid_values(q, product, em.c, x_grid, support=mult.support))
     return DensityEstimate(np.asarray(x_grid, dtype=float), values, em.c)
 

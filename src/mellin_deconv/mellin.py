@@ -11,7 +11,8 @@ FFTs sharing one Gaussian-gridding kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -42,6 +43,8 @@ _DECAY_PROBE_STEP = 0.05
 #: and the least ratio of FFT grid size to the number of modes
 _NUFFT_SPREAD = 16
 _NUFFT_OVERSAMPLING = 2
+#: points spread per block by the empirical transform
+_SPREAD_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -69,22 +72,34 @@ class MellinFunction:
 
 @dataclass(frozen=True)
 class EmpiricalMellin:
-    """A positive sample together with the development point c."""
+    """A positive sample, kept as a read-only copy, and the development point c."""
 
     c: float
     sample: np.ndarray
+    _transforms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sample = np.asarray(self.sample, dtype=float)
+        sample = np.array(self.sample, dtype=float)
         if sample.ndim != 1 or sample.size == 0:
             raise ValueError("sample must be a nonempty 1-D array")
         if not np.all(np.isfinite(sample)) or np.any(sample <= 0.0):
             raise ValueError("sample values must be finite and positive")
+        sample.flags.writeable = False
         object.__setattr__(self, "sample", sample)
 
     @property
     def n(self) -> int:
         return self.sample.size
+
+    def _on_grid(self, grid: QuadratureConfig) -> np.ndarray:
+        """`empirical_mellin_on_grid`, computed once per grid (t_step,
+        half_size) and kept read-only; for the pipeline and
+        `estimate_density`."""
+        key = (grid.t_step, grid.half_size)
+        if key not in self._transforms:
+            self._transforms[key] = empirical_mellin_on_grid(self, grid)
+            self._transforms[key].flags.writeable = False
+        return self._transforms[key]
 
 
 @dataclass(frozen=True)
@@ -131,26 +146,32 @@ def empirical_mellin(em: EmpiricalMellin, t) -> np.ndarray:
     return vals[0] if scalar else vals
 
 
-def _gaussian_gridding(phases: np.ndarray, k: np.ndarray) -> tuple:
-    """Gaussian gridding of the modes ``k`` at ``phases`` in [-pi, pi]
-    (Greengard & Lee 2004, SIAM Review 46:443): (size, nodes, kernel,
-    deconvolution).  The FFT grid has a power of two >= `_NUFFT_OVERSAMPLING`
-    * len(k) nodes; each phase gets its 2 * `_NUFFT_SPREAD` nearest nodes
-    and the Gaussian exp(-d^2/(4 tau)) at their distances d, along a new
-    last axis; deconvolution = sqrt(pi/tau) * exp(k^2 tau) divides out the
-    Gaussian's Fourier coefficients, with tau set from size/len(k).
+def _gaussian_gridding(k: np.ndarray) -> tuple:
+    """Gaussian gridding of the modes ``k`` (Greengard & Lee 2004, SIAM
+    Review 46:443): (size, tau, deconvolution).  The FFT grid has a power of
+    two >= `_NUFFT_OVERSAMPLING` * len(k) nodes; tau, the Gaussian's width,
+    is set from size/len(k); deconvolution = sqrt(pi/tau) * exp(k^2 tau)
+    divides out the Gaussian's Fourier coefficients.
     """
     size = 1 << (_NUFFT_OVERSAMPLING * k.size - 1).bit_length()
     ratio = size / k.size
     tau = np.pi * _NUFFT_SPREAD / (k.size**2 * ratio * (ratio - 0.5))
+    return size, tau, np.sqrt(np.pi / tau) * np.exp(k * k * tau)
+
+
+def _gaussian_kernel(phases: np.ndarray, size: int, tau: float) -> tuple:
+    """(nodes, kernel) of ``phases`` in [-pi, pi] on the FFT grid of
+    `_gaussian_gridding`: each phase's 2 * `_NUFFT_SPREAD` nearest nodes and
+    the Gaussian exp(-d^2/(4 tau)) at their distances d, along a new last
+    axis."""
     spacing = 2.0 * np.pi / size
     u = phases / spacing
     base = np.floor(u)
     offsets = np.arange(1 - _NUFFT_SPREAD, _NUFFT_SPREAD + 1)
-    dist = ((u - base)[..., None] - offsets) * spacing
-    kernel = np.exp(-(dist * dist) / (4.0 * tau))
-    nodes = (base.astype(np.int64)[..., None] + offsets) % size
-    return size, nodes, kernel, np.sqrt(np.pi / tau) * np.exp(k * k * tau)
+    kernel = ((u - base)[..., None] - offsets) * spacing  # distances d
+    kernel *= kernel
+    kernel /= -4.0 * tau
+    return (base.astype(np.int64)[..., None] + offsets) % size, np.exp(kernel, out=kernel)
 
 
 def _reduced_phases(log_points: np.ndarray, t_step: float) -> np.ndarray:
@@ -171,29 +192,43 @@ def empirical_mellin_on_grid(em: EmpiricalMellin, grid: QuadratureConfig) -> np.
       by the factor exp(i*(K//2)*x_j) on the weights;
     - each point is spread with a periodised Gaussian over
       `_NUFFT_SPREAD` nodes on each side of a power-of-two grid of
-      Mr >= `_NUFFT_OVERSAMPLING` * K nodes (32 768 for the default grid);
-    - one inverse FFT, then division by the Gaussian's Fourier coefficients.
+      Mr >= `_NUFFT_OVERSAMPLING` * K nodes (32 768 for the default grid),
+      `_SPREAD_BLOCK` points at a time, in sample order;
+    - one inverse FFT in place, then division by the Gaussian's Fourier
+      coefficients, written with the mirrored half into the output.
 
-    Working memory is O(32*n + Mr); no n x K array is formed.  The t = 0
-    node is sum_j w_j, exactly real, and negative frequencies follow by
-    conjugation (the weights are real).  It stays within 1e-11 * |M_hat(0)|
-    of the direct sum over the sample for n up to 3 000, c in 0..1.5 and
-    sample scales 1e-6..1e6 (tested).  Overflowing weights Y_j^(c-1) raise
-    `MellinError`.
+    Working memory is O(32*`_SPREAD_BLOCK` + Mr) besides a few arrays of
+    length n; no n x K array is formed.  The t = 0 node is sum_j w_j,
+    exactly real, and negative frequencies follow by conjugation (the
+    weights are real).  It stays within 1e-11 * |M_hat(0)| of the direct sum
+    over the sample for n up to 3 000, c in 0..1.5 and sample scales
+    1e-6..1e6 (tested).  Overflowing weights Y_j^(c-1) raise `MellinError`.
     """
     w = _sample_weights(em) / em.n
     k_modes = grid.half_size + 1
     x = _reduced_phases(np.log(em.sample), grid.t_step)
     shift = k_modes // 2
-    centred = w * np.exp(1j * shift * x)
-    k = np.arange(k_modes) - shift
-    size, nodes, kernel, deconvolution = _gaussian_gridding(x, k)
-    nodes = nodes.ravel()
-    spread = np.bincount(nodes, (centred.real[:, None] * kernel).ravel(), size)
-    spread = spread + 1j * np.bincount(nodes, (centred.imag[:, None] * kernel).ravel(), size)
-    half = np.fft.ifft(spread)[k % size] * deconvolution
+    size, tau, deconvolution = _gaussian_gridding(np.arange(k_modes) - shift)
+    spread = np.zeros(size, dtype=np.complex128)
+    parts = spread.view(np.float64)  # real and imaginary part of node m at 2m and 2m+1
+    for lo in range(0, em.n, _SPREAD_BLOCK):
+        block = slice(lo, lo + _SPREAD_BLOCK)
+        centred = w[block] * np.exp(1j * shift * x[block])
+        nodes, kernel = _gaussian_kernel(x[block], size, tau)
+        nodes = 2 * nodes.ravel()  # ufunc.at is fast on flat indices
+        np.add.at(parts, nodes, (centred.real[:, None] * kernel).ravel())
+        nodes += 1
+        np.add.at(parts, nodes, np.multiply(centred.imag[:, None], kernel, out=kernel).ravel())
+    np.fft.ifft(spread, out=spread)
+    # mode k = m - shift sits at node k mod size
+    out = np.empty(len(grid), dtype=np.complex128)
+    half = out[grid.center :]
+    half[:shift] = spread[size - shift :]
+    half[shift:] = spread[: k_modes - shift]
+    half *= deconvolution
     half[0] = w.sum()
-    return grid.mirror(half)
+    np.conjugate(half[:0:-1], out=out[: grid.center])
+    return out
 
 
 def golden_section_min(fn, lo: float, hi: float, iters: int = 80) -> tuple:
@@ -235,16 +270,32 @@ def probe_minimum(fn, t: np.ndarray, values: np.ndarray, trigger: float) -> tupl
     return best, at
 
 
+@lru_cache(maxsize=64)
+def _decay_upper(name: str, c: float) -> Optional[float]:
+    """Upper decay constant of a catalog transform at c, or None when its
+    record has no decay order or the order fails to certify."""
+    transform, decay = CATALOG[name].transform, CATALOG[name].decay
+    if decay is None:
+        return None
+    ratio = lambda t: np.abs(transform(t, c)) * (1.0 + t**2) ** (decay / 2.0)
+    t = np.arange(0.0, _DECAY_PROBE_MAX + _DECAY_PROBE_STEP, _DECAY_PROBE_STEP)
+    values = ratio(t)
+    top = float(values.max())
+    certified = np.isfinite(top) and probe_minimum(ratio, t, values, 1e-2 * top)[0] > 1e-9 * top
+    return top if certified else None
+
+
 def catalog_mellin(name: str, c: float) -> MellinFunction:
     """Closed-form Mellin transform of a catalog density at development point
     c, built from its `model.CATALOG` record.
 
     An unknown id, or a c outside the record's open interval (where the
     defining integral diverges; NaN included), raises `MellinError`.  A
-    record's decay order g is certified on a probe grid of [0, 500]: the
-    maximum of |H(t)|*(1+t^2)^(g/2) is the upper constant, and a (near-)zero
-    of H (see `probe_minimum`; e.g. noise_uniform at c = 0) drops the
-    certificate, as two-sided polynomial decay then fails.
+    record's decay order g is certified on a probe grid of [0, 500], once
+    per (id, c): the maximum of |H(t)|*(1+t^2)^(g/2) is the upper constant,
+    and a (near-)zero of H (see `probe_minimum`; e.g. noise_uniform at c = 0)
+    drops the certificate, as two-sided polynomial decay then fails.
+    Each call returns a new object.
     """
     if name not in CATALOG:
         raise MellinError(f"unknown density id {name!r}; the catalog holds {tuple(CATALOG)}")
@@ -252,16 +303,9 @@ def catalog_mellin(name: str, c: float) -> MellinFunction:
     lo, hi = record.c_range
     if not lo < c < hi:
         raise MellinError(f"{name} transform requires c in ({lo}, {hi}), got c={c}")
-    transform, decay, upper = record.transform, record.decay, None
+    transform, upper = record.transform, _decay_upper(name, c)
     eval_fn = lambda t: transform(t, c)
-    if decay is not None:
-        ratio = lambda t: np.abs(eval_fn(t)) * (1.0 + t**2) ** (decay / 2.0)
-        t = np.arange(0.0, _DECAY_PROBE_MAX + _DECAY_PROBE_STEP, _DECAY_PROBE_STEP)
-        values = ratio(t)
-        top = float(values.max())
-        if np.isfinite(top) and probe_minimum(ratio, t, values, 1e-2 * top)[0] > 1e-9 * top:
-            upper = top
-    return MellinFunction(c, eval_fn, None if upper is None else decay, upper)
+    return MellinFunction(c, eval_fn, None if upper is None else record.decay, upper)
 
 
 def eval_on_grid(transform, q: QuadratureConfig) -> np.ndarray:
@@ -295,7 +339,7 @@ def invert_grid_values(
     evaluated as a type-2 non-uniform FFT (Dutt & Rokhlin 1993, SIAM J. Sci.
     Comput. 14:1368), the adjoint of `empirical_mellin_on_grid`: deconvolved
     modes on a grid of >= 2*(2j+1) nodes (65 536 for the default grid), one
-    FFT per row, then Gaussian interpolation at each x (`_gaussian_gridding`).
+    FFT per row, then Gaussian interpolation at each x (`_gaussian_kernel`).
     Any positive x-grid works; the result stays within
     1e-12 * (t_step/2pi) * sum_m |H(t_m)| * x^-c of the direct sum (tested).
     A zero, negative or non-finite x raises `MellinError` before any work.
@@ -306,9 +350,7 @@ def invert_grid_values(
     if not np.all(np.isfinite(x) & (x > 0.0)):
         raise MellinError("x_grid must hold finite positive points only")
     j = grid.half_size if support is None else grid.window_index(support)
-    size, nodes, kernel, weights = _gaussian_gridding(
-        _reduced_phases(np.log(x), grid.t_step), np.arange(-j, j + 1)
-    )
+    size, tau, weights = _gaussian_gridding(np.arange(-j, j + 1))
     weights *= grid.t_step
     weights[0] *= 0.5
     weights[-1] *= 0.5
@@ -318,8 +360,13 @@ def invert_grid_values(
     mid = grid.center
     np.multiply(values[..., mid : mid + j + 1], weights[j:], out=spectrum[..., : j + 1])
     np.multiply(values[..., mid - j : mid], weights[:j], out=spectrum[..., size - j :])
+    del weights
     np.fft.fft(spectrum, out=spectrum)
-    out = (spectrum[..., nodes] * kernel).sum(axis=-1) / size
+    nodes, kernel = _gaussian_kernel(_reduced_phases(np.log(x), grid.t_step), size, tau)
+    near = spectrum[..., nodes]
+    del spectrum
+    near *= kernel
+    out = near.sum(axis=-1) / size
     return out * x ** (-c) / (2.0 * np.pi)
 
 

@@ -50,10 +50,11 @@ def _uniform_noise_transform(t, c):
     z = np.asarray(c + 1j * t, dtype=np.complex128)
     small = np.abs(z) < 1e-4  # removable singularity at z = 0
     zs = np.where(small, 1.0, z)
-    exact = (1.5**zs - 0.5**zs) / zs
+    out = np.asarray((1.5**zs - 0.5**zs) / zs)
     a, b = np.log(1.5), np.log(0.5)
-    series = np.log(3.0) * (1.0 + z * (a + b) / 2.0 + z**2 * (a * a + a * b + b * b) / 6.0)
-    return np.where(small, series, exact)
+    near = z[small]  # the series only where it is used
+    out[small] = np.log(3.0) * (1.0 + near * (a + b) / 2.0 + near**2 * (a * a + a * b + b * b) / 6.0)
+    return out
 
 
 _LOG_B25 = log_beta(2.0, 5.0)

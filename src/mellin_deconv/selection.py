@@ -48,7 +48,6 @@ from .mellin import (
     MellinFunction,
     check_same_c,
     checked_real_part,
-    empirical_mellin_on_grid,
     eval_on_grid,
     invert_grid_values,
 )
@@ -159,17 +158,21 @@ class RidgeBank:
     def __init__(self, inv, kappa, cfg: SelectionConfig, q: QuadratureConfig, n_cap: float):
         self.q, self.cfg, self._inv, self.kappa = q, cfg, inv, kappa
         p = self._p = cfg.r + 2.0
-        w = np.full(len(q), q.t_step)
-        w[[0, -1]] *= 0.5
-        abs_inv = np.abs(self._inv)
-        self._scale_sq = w * (abs_inv * self.kappa**-p) ** 2  # w |a|^2
+        exact_sq = np.full(len(q), q.t_step)  # trapezoid weights w
+        exact_sq[[0, -1]] *= 0.5
+        self._scale_sq = exact_sq * (np.abs(self._inv) * self.kappa**-p) ** 2  # w |a|^2
         with np.errstate(over="ignore"):  # |M_g| < 1e-154: kappa is past every level
-            exact_sq = w * abs_inv**2  # w |R_k|^2 where kappa <= k
+            exact_sq *= np.abs(self._inv) ** 2  # w |R_k|^2 where kappa <= k
 
+        # cumulative sums over the kappa-sorted nodes, from below and from
+        # above; mode "clip" spares take's copy (every index is in range)
         order = np.argsort(self.kappa)
-        kappa_sorted = self.kappa[order]
-        below = np.concatenate(([0.0], np.cumsum(exact_sq[order])))
-        above = np.concatenate((np.cumsum(self._scale_sq[order][::-1])[::-1], [0.0]))
+        below = np.zeros(len(q) + 1)
+        np.cumsum(np.take(exact_sq, order, out=below[1:], mode="clip"), out=below[1:])
+        above = np.zeros(len(q) + 1)
+        np.take(self._scale_sq, order, out=above[:-1], mode="clip")
+        np.cumsum(above[-2::-1], out=above[-2::-1])
+        kappa_sorted = np.take(self.kappa, order, out=exact_sq, mode="clip")
         saturation = np.max(self.kappa, where=np.isfinite(self.kappa), initial=0.0)
 
         levels = []
@@ -185,6 +188,9 @@ class RidgeBank:
                 break
         self.k_values = np.array(levels, dtype=int)
         self.norms_sq = np.array(norms, dtype=float)
+        # free the scan's four N-sized buffers before the bucket tables: this
+        # keeps them out of a request's memory peak
+        del order, below, above, exact_sq, kappa_sorted
 
         m = len(levels)
         self._powers = self.k_values ** p
@@ -221,11 +227,11 @@ class RidgeBank:
         """
         m = len(self)
         b = self._scale_sq * mhat_abs_sq
-        bu = b * self._excess
-        b0, b1, b2 = (
-            np.bincount(self._bucket, weights=x, minlength=m + 1)[1:]
-            for x in (b, bu, bu * self._excess)
-        )
+        b0 = np.bincount(self._bucket, weights=b, minlength=m + 1)[1:]
+        b *= self._excess  # b u
+        b1 = np.bincount(self._bucket, weights=b, minlength=m + 1)[1:]
+        b *= self._excess  # b u^2
+        b2 = np.bincount(self._bucket, weights=b, minlength=m + 1)[1:]
         powers = self._powers
         # buckets 1..m-1 against levels i, kept where the bucket lies above k_i
         d = powers[None, :-1] - powers[:, None]
@@ -401,7 +407,7 @@ class Pipeline:
             sig = sigma_hat(em)
         if not np.isfinite(sig):
             raise MellinError(f"sigma_hat overflows at c={em.c}; rescale the sample")
-        mhat = empirical_mellin_on_grid(em, self.q)
+        mhat = em._on_grid(self.q)
         return SampleTransform(mhat, np.abs(mhat) ** 2, sig, em.n, em.c, self.q)
 
     def _sample_transform(self, em) -> SampleTransform:

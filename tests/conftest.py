@@ -8,9 +8,11 @@ expected squared error of a fixed-level ridge estimate, independent of the
 package's Monte-Carlo and risk-bound code.  The two rotator oracles are the
 package's former blockwise grid evaluations of the empirical transform and
 of the inversion, kept as the references for the type-1 and type-2 NUFFTs
-that replaced them.  `RowRidgeBank` is the package's former ridge bank,
-which tabulated every level's multiplier and compared each pair of levels
-with a pass over all nodes; it is the reference for the factored bank.
+that replaced them; the bincount oracle is the type-1 NUFFT's former
+one-shot spread, the bitwise reference for the blocked one.
+`RowRidgeBank` is the package's former ridge bank, which tabulated every
+level's multiplier and compared each pair of levels with a pass over all
+nodes; it is the reference for the factored bank.
 """
 
 import itertools
@@ -130,6 +132,42 @@ def rotator_mellin_on_grid(em, grid) -> np.ndarray:
         half[m0 : m0 + nb] = carry @ zb[:, :nb]
         carry = carry * zstep
         m0 += nb
+    return grid.mirror(half)
+
+
+def bincount_mellin_on_grid(em, grid) -> np.ndarray:
+    """Empirical Mellin transform on a symmetric uniform grid, spread in one shot.
+
+    The package's former spread of the type-1 NUFFT: the 32 Gaussian
+    weights of every point form one n x 32 array, summed per FFT node by one
+    `np.bincount` for the real and one for the imaginary part, then one
+    inverse FFT and the deconvolution.  Costs O(32 * n) memory; the blocked
+    spread must reproduce it bit for bit.
+    """
+    from mellin_deconv.mellin import _NUFFT_OVERSAMPLING, _NUFFT_SPREAD
+
+    w = em.sample ** (em.c - 1.0) / em.n
+    k_modes = grid.half_size + 1
+    x = grid.t_step * np.log(em.sample)
+    x = x - 2.0 * np.pi * np.round(x / (2.0 * np.pi))
+    shift = k_modes // 2
+    centred = w * np.exp(1j * shift * x)
+    k = np.arange(k_modes) - shift
+    size = 1 << (_NUFFT_OVERSAMPLING * k_modes - 1).bit_length()
+    ratio = size / k_modes
+    tau = np.pi * _NUFFT_SPREAD / (k_modes**2 * ratio * (ratio - 0.5))
+    deconvolution = np.sqrt(np.pi / tau) * np.exp(k * k * tau)
+    spacing = 2.0 * np.pi / size
+    u = x / spacing
+    base = np.floor(u)
+    offsets = np.arange(1 - _NUFFT_SPREAD, _NUFFT_SPREAD + 1)
+    dist = ((u - base)[:, None] - offsets) * spacing
+    kernel = np.exp(-(dist * dist) / (4.0 * tau))
+    nodes = ((base.astype(np.int64)[:, None] + offsets) % size).ravel()
+    spread = np.bincount(nodes, (centred.real[:, None] * kernel).ravel(), size)
+    spread = spread + 1j * np.bincount(nodes, (centred.imag[:, None] * kernel).ravel(), size)
+    half = np.fft.ifft(spread)[k % size] * deconvolution
+    half[0] = w.sum()
     return grid.mirror(half)
 
 

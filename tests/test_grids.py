@@ -56,7 +56,9 @@ def test_config_near_its_limits_gives_finite_results_or_typed_errors(q):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # a short window warns of truncation
         assert np.isfinite(multiplier_norm_sq(ridge_multiplier(RidgeSpec(k=2.0, c=1.0), G_BETA), q))
-    if q.half_size * q.t_step >= 1.0:  # the outermost node
+    # the window ends at the node nearest to k = 1 (`window_index`), which may
+    # be the outermost node also when that lies below 1; past it it is refused
+    if int(round(1.0 / q.t_step)) <= q.half_size:
         assert np.isfinite(multiplier_norm_sq(cutoff_multiplier(CutoffSpec(k=1.0, c=1.0), G_BETA, q), q))
     else:
         with pytest.raises(ValueError, match="exceeds the quadrature bound"):

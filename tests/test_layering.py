@@ -33,7 +33,7 @@ def test_no_module_imports_private_names_of_another():
 
 #: building blocks of the estimation chain that only `selection.Pipeline`
 #: (and the functions it replaces) may assemble
-PIPELINE_PARTS = {"empirical_mellin_on_grid", "RidgeBank", "CutoffBank"}
+PIPELINE_PARTS = {"empirical_mellin_on_grid", "_on_grid", "RidgeBank", "CutoffBank"}
 
 
 def _pipeline_part_calls(path: Path) -> list:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,10 +21,12 @@ from mellin_deconv import (
     plancherel_norm_sq,
     weighted_l2_dist_sq,
 )
+from mellin_deconv import mellin
 from mellin_deconv.mellin import checked_real_part, invert_grid_values, probe_minimum
 from mellin_deconv.model import CATALOG, density_eval, density_spec
 
 from conftest import (
+    bincount_mellin_on_grid,
     mellin_quad_oracle,
     norm_sq_quad_oracle,
     rotator_invert_grid_values,
@@ -105,6 +109,55 @@ def test_grid_evaluation_matches_rotator_oracle(
     assert np.max(np.abs(fast - ref)) <= 1e-11 * abs(ref[grid.center])
 
 
+@pytest.mark.parametrize("grid_pair", [(0.01, 150.0), (0.01, 40.96)])
+@pytest.mark.parametrize("c", [0.0, 0.5, 1.0, 1.5])
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 10_000, 30_000])
+def test_blocked_spread_is_bitwise_the_one_shot_spread(n, c, grid_pair):
+    # sizes on both sides of one spread block, and several blocks
+    y = np.random.default_rng(n).lognormal(0.0, 1.0, n)
+    em = EmpiricalMellin(c, y)
+    grid = QuadratureConfig(*grid_pair)
+    blocked = empirical_mellin_on_grid(em, grid)
+    assert blocked.tobytes() == bincount_mellin_on_grid(em, grid).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e6])
+def test_blocked_spread_is_bitwise_the_one_shot_spread_at_extreme_scales(scale):
+    em = EmpiricalMellin(0.5, np.random.default_rng(7).gamma(5.0, 1.0, 3000) * scale)
+    grid = QuadratureConfig()
+    assert empirical_mellin_on_grid(em, grid).tobytes() == bincount_mellin_on_grid(em, grid).tobytes()
+
+
+def test_spread_memory_does_not_grow_with_32_n():
+    # the one-shot spread held 32 * n weights and node indices (about 430 MB
+    # here); the blocked one keeps a few arrays of length n
+    em = EmpiricalMellin(1.0, np.random.default_rng(5).gamma(5.0, 1.0, 400_000))
+    tracemalloc.start()
+    try:
+        empirical_mellin_on_grid(em, QuadratureConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32_000_000
+
+
+def test_sample_is_a_read_only_copy_and_the_grid_transform_is_kept():
+    y = np.array([0.5, 1.0, 2.0, 4.0])
+    em = EmpiricalMellin(1.0, y)
+    grid = QuadratureConfig(0.05, 20.0)
+    first = em._on_grid(grid)
+    y[0] = 100.0  # the caller's array is not the sample
+    assert em.sample[0] == 0.5
+    assert em._on_grid(grid) is first
+    assert np.array_equal(first, empirical_mellin_on_grid(EmpiricalMellin(1.0, [0.5, 1.0, 2.0, 4.0]), grid))
+    # a grid of another step or size gets its own transform
+    assert em._on_grid(QuadratureConfig(0.05, 10.0)).shape == (401,)
+    with pytest.raises(ValueError):
+        em.sample[1] = 3.0
+    with pytest.raises(ValueError):
+        first[0] = 0.0
+
+
 def test_empirical_validation():
     with pytest.raises(ValueError):
         EmpiricalMellin(1.0, np.array([]))
@@ -159,6 +212,26 @@ def test_catalog_hermitian_symmetry(name, c):
     mf = catalog_mellin(name, c)
     t = np.linspace(0.0, 40.0, 401)
     assert np.array_equal(mf(-t), np.conj(mf(t)))
+
+
+def test_catalog_objects_are_fresh_and_certified_once(monkeypatch):
+    # perfbench's tracer rewraps each returned object's eval_fn, so a shared
+    # object would collect one wrapper per call; the decay probe is cached
+    probes = []
+
+    def counted(*args, **kwargs):
+        probes.append(1)
+        return probe_minimum(*args, **kwargs)
+
+    monkeypatch.setattr(mellin, "probe_minimum", counted)
+    mellin._decay_upper.cache_clear()
+    first = catalog_mellin("noise_beta", 0.25)
+    second = catalog_mellin("noise_beta", 0.25)
+    assert first is not second
+    assert (first.decay_exponent, first.decay_upper) == (second.decay_exponent, second.decay_upper)
+    assert len(probes) == 1
+    catalog_mellin("noise_beta", 0.5)
+    assert len(probes) == 2
 
 
 def test_decay_certificates():

@@ -1,6 +1,7 @@
 """The estimation pipeline: equivalence with the three-step form, input
 checks, and property tests over awkward samples and grids."""
 
+import tracemalloc
 from dataclasses import replace
 from functools import lru_cache
 
@@ -26,6 +27,7 @@ from mellin_deconv import (
     default_x_grid,
     density_spec,
     estimate_density,
+    mellin,
     ridge_multiplier,
     sample,
     select_cutoff,
@@ -84,6 +86,64 @@ def test_fit_matches_three_step_estimate(method, error, n):
     assert np.array_equal(est.x_grid, ref.x_grid)
     # estimate_density builds its product on the grid of Q
     assert np.array_equal(pipeline.q.t, Q.t)
+
+
+def _three_step(method, em, noise, q=Q):
+    """select -> multiplier -> estimate_density on one sample and one noise
+    transform, as in the README quick tour."""
+    g = catalog_mellin(noise, em.c)
+    cfg = table1_selection_config(noise, em.c)
+    if method == "ridge":
+        result = select_ridge(em, g, cfg, q)
+        mult = ridge_multiplier(RidgeSpec(k=float(result.k_hat), c=em.c, xi=cfg.xi, r=cfg.r), g)
+    else:
+        result = select_cutoff(em, g, cfg, q)
+        mult = cutoff_multiplier(CutoffSpec(k=float(result.k_hat), c=em.c), g, q)
+    return result, estimate_density(mult, em, default_x_grid(), q)
+
+
+@pytest.mark.parametrize("method", ["ridge", "cutoff"])
+def test_three_step_spreads_the_sample_once(method, monkeypatch):
+    spreads = []
+    spread = mellin.empirical_mellin_on_grid
+
+    def counted(em, grid):
+        spreads.append(grid)
+        return spread(em, grid)
+
+    monkeypatch.setattr(mellin, "empirical_mellin_on_grid", counted)
+    em = EmpiricalMellin(1.0, _draw("gamma5", "noise_uniform", 2000))
+    result, est = _three_step(method, em, "noise_uniform")
+    assert spreads == [Q]
+    assert np.all(np.isfinite(est.values))
+
+
+@pytest.mark.parametrize("n", [500, 2000, 10_000])
+def test_three_step_ridge_request_peak_memory(n):
+    # the largest stages (the noise table, the ridge bank over it and the
+    # inversion's FFT grid) peak near 3.2 MB; the one-shot spread alone
+    # took 11 MB at n = 10 000
+    y = _draw("gamma5", "noise_uniform", n)
+    _three_step("ridge", EmpiricalMellin(1.0, y), "noise_uniform", QuadratureConfig())
+    tracemalloc.start()
+    try:
+        _three_step("ridge", EmpiricalMellin(1.0, y), "noise_uniform", QuadratureConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3_500_000
+
+
+def test_caller_array_changes_do_not_reach_the_estimate():
+    y = _draw("gamma5", "noise_beta", 500)
+    em = EmpiricalMellin(1.0, y)
+    kept = em.sample.copy()
+    before = _three_step("ridge", em, "noise_beta")
+    y *= 3.0
+    after = _three_step("ridge", em, "noise_beta")
+    assert np.array_equal(em.sample, kept)
+    assert before[0] == after[0]
+    assert before[1].values.tobytes() == after[1].values.tobytes()
 
 
 def test_banks_are_built_on_first_use(monkeypatch):
