@@ -16,8 +16,8 @@ a = conj(M_g) |M_g|^r (1+|t|)^(-xi(r+2)).  `ridge_factors` is the one place
 that formula is written.  The damped region G_k = {kappa > k} shrinks as k
 grows; multiplier magnitudes grow monotonically in k.
 
-Every product, one at a time or stacked, is inverted by
-`mellin.invert_grid_values`, a type-2 non-uniform FFT, and passes the
+Every product, one at a time or stacked, is inverted by a
+`mellin.InversionPlan`, a type-2 non-uniform FFT, and passes the
 Hermitian residue check of `mellin.checked_real_part`, which returns an
 owned real copy.
 """

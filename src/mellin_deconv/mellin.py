@@ -6,7 +6,10 @@ quadrature, and Plancherel-based norms in the weighted space
 L^2(R_+, x^(2c-1)).  The development point c selects the weight; transforms
 of real densities satisfy H(-t) = conj(H(t)), which inversion exploits and
 verifies.  On the uniform frequency grid both directions are non-uniform
-FFTs sharing one Gaussian-gridding kernel.
+FFTs sharing one Gaussian-gridding kernel.  An `InversionPlan` holds the
+product-free part of an inversion and reuses its FFT buffers from call to
+call, so neither a plan nor a `selection.Pipeline`, which keeps plans, is
+for concurrent calls.
 """
 
 from __future__ import annotations
@@ -171,7 +174,8 @@ def _gaussian_kernel(phases: np.ndarray, size: int, tau: float) -> tuple:
     kernel = ((u - base)[..., None] - offsets) * spacing  # distances d
     kernel *= kernel
     kernel /= -4.0 * tau
-    return (base.astype(np.int64)[..., None] + offsets) % size, np.exp(kernel, out=kernel)
+    # size is a power of two, so the mask reduces like % size, at a fraction of the cost
+    return (base.astype(np.int64)[..., None] + offsets) & (size - 1), np.exp(kernel, out=kernel)
 
 
 def _reduced_phases(log_points: np.ndarray, t_step: float) -> np.ndarray:
@@ -321,6 +325,90 @@ def eval_on_grid(transform, q: QuadratureConfig) -> np.ndarray:
     return vals
 
 
+class InversionPlan:
+    """Inversion on ``grid`` at the points ``x_grid``, with everything that
+    does not depend on the product built once.
+
+    Called on one product on the grid, or a (K, len(grid)) stack, the plan
+    returns the complex quadrature sum (2pi)^-1 sum_m w_m x^(-c-i t_m) H(t_m),
+    of shape (len(x),) or (K, len(x)).  With ``support`` = k the sum runs
+    over the sub-window [-k, k] with proper trapezoid end weights there.  A
+    zero, negative or non-finite x raises `MellinError` at construction; a
+    product whose last axis is not len(grid) long raises it before any work.
+
+    The sum over m = -j..j is a Fourier series in the phase t_step*log x,
+    evaluated as a type-2 non-uniform FFT (Dutt & Rokhlin 1993, SIAM J. Sci.
+    Comput. 14:1368), the adjoint of `empirical_mellin_on_grid`: deconvolved
+    modes on a grid of >= 2*(2j+1) nodes (65 536 for the default grid), then
+    Gaussian interpolation at each x (`_gaussian_kernel`).  Per row,
+    conj H(t_m) times the t >= 0 half of the weights goes into a
+    half-spectrum buffer and one real inverse FFT runs into a real buffer;
+    for a conjugate-symmetric product that is the whole sum, and the
+    imaginary part is exactly 0.  Where H(-t) differs from conj H(t) on the
+    window, the product's Hermitian and anti-Hermitian parts take one real
+    FFT each, the latter giving the imaginary part that `checked_real_part`
+    judges.  Every call reuses both buffers, so a plan is not for
+    concurrent calls.  The result stays within
+    1e-12 * (t_step/2pi) * sum_m |H(t_m)| * x^-c of the direct sum (tested).
+    """
+
+    def __init__(self, grid: QuadratureConfig, c: float, x_grid: np.ndarray,
+                 support: Optional[float] = None):
+        x = np.asarray(x_grid, dtype=float)
+        if not np.all(np.isfinite(x) & (x > 0.0)):
+            raise MellinError("x_grid must hold finite positive points only")
+        self.grid = grid
+        j = self.j = grid.half_size if support is None else grid.window_index(support)
+        self.size, tau, weights = _gaussian_gridding(np.arange(-j, j + 1))
+        self._weights = weights[j:] * grid.t_step  # modes m = 0..j
+        del weights  # before the buffers, to keep it out of the memory peak
+        self._weights[-1] *= 0.5  # the trapezoid end weights
+        if j == 0:
+            self._weights[0] *= 0.5  # both ends fall on t = 0
+        phases = _reduced_phases(np.log(x), grid.t_step)
+        self._nodes, self._kernel = _gaussian_kernel(phases, self.size, tau)
+        self._x_c = x ** (-c)
+        self._half = np.zeros(self.size // 2 + 1, dtype=np.complex128)
+        self._real = np.empty(self.size)
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        values = np.asarray(values)
+        n = len(self.grid)
+        if values.ndim == 0 or values.shape[-1] != n:
+            got = values.shape[-1] if values.ndim else "no"
+            raise MellinError(f"product has {got} values per row; the grid has {n} nodes")
+        rows = values.reshape(-1, n)
+        out = np.empty((rows.shape[0], self._x_c.size), dtype=np.complex128)
+        j, mid = self.j, self.grid.center
+        half = self._half[: j + 1]
+        for i, row in enumerate(rows):
+            np.conjugate(row[mid : mid + j + 1], out=half)  # conj H(t_m), m = 0..j
+            mirrored = row[mid - j : mid + 1][::-1]  # H(-t_m)
+            if np.array_equal(half, mirrored):
+                half *= self._weights
+                out.real[i] = self._interpolate()
+                out.imag[i] = 0.0
+                continue
+            # H = P + iQ with P and Q conjugate-symmetric: conj Q, then conj P
+            odd = (half - mirrored) * 0.5j
+            half += mirrored
+            half *= 0.5
+            half *= self._weights
+            out.real[i] = self._interpolate()
+            np.multiply(odd, self._weights, out=half)
+            out.imag[i] = self._interpolate()
+        out *= self._x_c
+        out /= 2.0 * np.pi
+        return out.reshape(values.shape[:-1] + self._x_c.shape)
+
+    def _interpolate(self) -> np.ndarray:
+        """The real FFT of the half-spectrum buffer, interpolated at each x."""
+        np.fft.irfft(self._half, n=self.size, out=self._real)
+        near = self._real[self._nodes]
+        near *= self._kernel
+        return near.sum(axis=-1)
+
+
 def invert_grid_values(
     grid: QuadratureConfig,
     values: np.ndarray,
@@ -328,46 +416,10 @@ def invert_grid_values(
     x_grid: np.ndarray,
     support: Optional[float] = None,
 ) -> np.ndarray:
-    """Complex quadrature sum (2pi)^-1 sum_m w_m x^(-c-i t_m) H(t_m).
-
-    ``values`` is one product on the grid, or a (K, len(grid)) stack of
-    them; the result has shape (len(x),) or (K, len(x)).  With ``support``
-    = k the sum runs over the sub-window [-k, k] with proper trapezoid end
-    weights there (exact handling of window-truncated integrands).
-
-    The sum over m = -j..j is a Fourier series in the phase t_step*log x,
-    evaluated as a type-2 non-uniform FFT (Dutt & Rokhlin 1993, SIAM J. Sci.
-    Comput. 14:1368), the adjoint of `empirical_mellin_on_grid`: deconvolved
-    modes on a grid of >= 2*(2j+1) nodes (65 536 for the default grid), one
-    FFT per row, then Gaussian interpolation at each x (`_gaussian_kernel`).
-    Any positive x-grid works; the result stays within
-    1e-12 * (t_step/2pi) * sum_m |H(t_m)| * x^-c of the direct sum (tested).
-    A zero, negative or non-finite x raises `MellinError` before any work.
-    The only inversion routine of the package; it performs no symmetry
-    checks (see `checked_real_part`).
-    """
-    x = np.asarray(x_grid, dtype=float)
-    if not np.all(np.isfinite(x) & (x > 0.0)):
-        raise MellinError("x_grid must hold finite positive points only")
-    j = grid.half_size if support is None else grid.window_index(support)
-    size, tau, weights = _gaussian_gridding(np.arange(-j, j + 1))
-    weights *= grid.t_step
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    # weighted mode m sits at node m mod size; the FFT runs in place
-    values = np.asarray(values)
-    spectrum = np.zeros(values.shape[:-1] + (size,), dtype=np.complex128)
-    mid = grid.center
-    np.multiply(values[..., mid : mid + j + 1], weights[j:], out=spectrum[..., : j + 1])
-    np.multiply(values[..., mid - j : mid], weights[:j], out=spectrum[..., size - j :])
-    del weights
-    np.fft.fft(spectrum, out=spectrum)
-    nodes, kernel = _gaussian_kernel(_reduced_phases(np.log(x), grid.t_step), size, tau)
-    near = spectrum[..., nodes]
-    del spectrum
-    near *= kernel
-    out = near.sum(axis=-1) / size
-    return out * x ** (-c) / (2.0 * np.pi)
+    """``InversionPlan(grid, c, x_grid, support)(values)``: the package's
+    one inversion, for a single use.  It performs no symmetry checks (see
+    `checked_real_part`)."""
+    return InversionPlan(grid, c, x_grid, support)(values)
 
 
 def checked_real_part(values: np.ndarray) -> np.ndarray:

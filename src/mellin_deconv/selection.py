@@ -22,7 +22,9 @@ per-bucket moments, in O(N + m^2) for N nodes and m levels.
 
 `Pipeline` is the package's one chain of grid, noise-transform table,
 banks, empirical transform, selection and inversion for a configuration;
-every data-driven estimate runs through it, whatever the sample size.
+every data-driven estimate runs through it, whatever the sample size.  Its
+inversion plans own reused buffers, so a pipeline is not for concurrent
+calls.
 """
 
 from __future__ import annotations
@@ -44,15 +46,18 @@ from .estimators import (
 from .grids import QuadratureConfig, default_x_grid
 from .mellin import (
     EmpiricalMellin,
+    InversionPlan,
     MellinError,
     MellinFunction,
     check_same_c,
     checked_real_part,
     eval_on_grid,
-    invert_grid_values,
 )
 
 TWO_PI = 2.0 * np.pi
+#: inversion plans one `Pipeline` keeps, one per window: the full grid and
+#: the latest cut-off windows, each at most about 1.4 MB on the default grids
+_INVERSION_PLANS = 8
 
 
 class EmptyAdmissibleSetError(ValueError):
@@ -355,6 +360,11 @@ class Pipeline:
     development points of ``g_mellin``, ``cfg`` and every sample must agree,
     and a given `SampleTransform` must be on this grid; a mismatch raises
     `MellinError`.
+
+    `invert` keeps one `InversionPlan` per window, built on first use: the
+    full grid for the ridge rule and the latest cut-off windows, at most
+    `_INVERSION_PLANS` in all.  The plans own reused buffers, so a pipeline
+    is not for concurrent calls.
     """
 
     def __init__(
@@ -368,6 +378,7 @@ class Pipeline:
         self.g_mellin, self.cfg, self.q, self.c = g_mellin, cfg, q, cfg.c
         self.x_grid = np.asarray(x_grid, dtype=float)
         self._banks_n, self._banks = None, {}
+        self._plans = {}  # window index -> InversionPlan, least recently used first
 
     @cached_property
     def _noise_table(self) -> tuple:
@@ -425,10 +436,14 @@ class Pipeline:
         return self.bank(method, tf.n).select(tf.abs_sq, tf.sigma_hat, tf.n)
 
     def invert(self, product: np.ndarray, support: Optional[float] = None) -> np.ndarray:
-        """Real x-grid values of a product, or of a stack of products."""
-        return checked_real_part(
-            invert_grid_values(self.q, product, self.c, self.x_grid, support=support)
-        )
+        """Real x-grid values of a product, or of a stack of products, over
+        the whole grid or the cut-off window [-support, support]."""
+        j = self.q.half_size if support is None else self.q.window_index(support)
+        plan = self._plans.pop(j, None) or InversionPlan(self.q, self.c, self.x_grid, support)
+        self._plans[j] = plan
+        if len(self._plans) > _INVERSION_PLANS:
+            del self._plans[next(iter(self._plans))]
+        return checked_real_part(plan(product))
 
     def fit(self, method: str, em) -> tuple:
         """(SelectionResult, DensityEstimate) for a sample or its `transform`;

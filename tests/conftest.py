@@ -201,6 +201,44 @@ def rotator_invert_grid_values(grid, values, c, x_grid, support=None) -> np.ndar
     return out * x ** (-c) / (2.0 * np.pi)
 
 
+def complex_fft_invert_grid_values(grid, values, c, x_grid, support=None) -> np.ndarray:
+    """Complex quadrature sum (2pi)^-1 sum_m w_m x^(-c-i t_m) H(t_m) by one
+    complex FFT of the whole two-sided spectrum.
+
+    The package's former type-2 NUFFT: the trapezoid-weighted modes
+    m = -j..j, divided by the Gaussian's Fourier coefficients, sit at node
+    m mod size of a power-of-two grid of at least 2*(2j+1) nodes; one
+    complex FFT per row, then each x interpolates the result over its 32
+    nearest nodes with the Gaussian exp(-d^2/(4 tau)).  No symmetry of the
+    product is assumed.
+    """
+    from mellin_deconv.mellin import _NUFFT_OVERSAMPLING, _NUFFT_SPREAD
+
+    x = np.asarray(x_grid, dtype=float)
+    j = grid.half_size if support is None else grid.window_index(support)
+    k = np.arange(-j, j + 1)
+    size = 1 << (_NUFFT_OVERSAMPLING * k.size - 1).bit_length()
+    ratio = size / k.size
+    tau = np.pi * _NUFFT_SPREAD / (k.size**2 * ratio * (ratio - 0.5))
+    weights = grid.t_step * np.sqrt(np.pi / tau) * np.exp(k * k * tau)
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
+    values = np.asarray(values)
+    spectrum = np.zeros(values.shape[:-1] + (size,), dtype=np.complex128)
+    spectrum[..., k % size] = values[..., grid.center - j : grid.center + j + 1] * weights
+    spectrum = np.fft.fft(spectrum)
+    spacing = 2.0 * np.pi / size
+    phases = grid.t_step * np.log(x)
+    u = (phases - 2.0 * np.pi * np.round(phases / (2.0 * np.pi))) / spacing
+    base = np.floor(u)
+    offsets = np.arange(1 - _NUFFT_SPREAD, _NUFFT_SPREAD + 1)
+    dist = ((u - base)[:, None] - offsets) * spacing
+    kernel = np.exp(-(dist * dist) / (4.0 * tau))
+    nodes = (base.astype(np.int64)[:, None] + offsets) % size
+    out = (spectrum[..., nodes] * kernel).sum(axis=-1) / size
+    return out * x ** (-c) / (2.0 * np.pi)
+
+
 def ridge_threshold(t: np.ndarray, k: float, xi: float) -> np.ndarray:
     """Ridge threshold (1+|t|)^xi / k; G_k is where |M_g| falls below it."""
     return (1.0 + np.abs(t)) ** xi / k

@@ -33,7 +33,9 @@ def test_no_module_imports_private_names_of_another():
 
 #: building blocks of the estimation chain that only `selection.Pipeline`
 #: (and the functions it replaces) may assemble
-PIPELINE_PARTS = {"empirical_mellin_on_grid", "_on_grid", "RidgeBank", "CutoffBank"}
+PIPELINE_PARTS = {
+    "empirical_mellin_on_grid", "_on_grid", "RidgeBank", "CutoffBank", "InversionPlan",
+}
 
 
 def _pipeline_part_calls(path: Path) -> list:
@@ -78,6 +80,25 @@ def _functions_calling(name: str) -> list:
 def test_one_zero_probe_polishes_grid_minima():
     # the probe-and-polish search is written once, in `mellin.probe_minimum`
     assert _functions_calling("golden_section_min") == ["mellin.py:probe_minimum"]
+
+
+def _fft_uses(path: Path) -> list:
+    """Calls through numpy's fft module, and imports from it."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call) and "fft" in ast.unparse(node.func).split("."):
+            found.append(f"{path.name}:{node.lineno} calls {ast.unparse(node.func)}")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+            if any("fft" in name.split(".") for name in names):
+                found.append(f"{path.name}:{node.lineno} imports fft")
+    return found
+
+
+def test_only_mellin_runs_ffts():
+    # both non-uniform FFTs, and with them every FFT of the package, live in `mellin`
+    found = {path.name for path in sorted(PACKAGE_DIR.glob("*.py")) if _fft_uses(path)}
+    assert found == {"mellin.py"}
 
 
 def _catalog_id_comparisons(path: Path) -> list:

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, target
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -22,11 +22,17 @@ from mellin_deconv import (
     weighted_l2_dist_sq,
 )
 from mellin_deconv import mellin
-from mellin_deconv.mellin import checked_real_part, invert_grid_values, probe_minimum
+from mellin_deconv.mellin import (
+    InversionPlan,
+    checked_real_part,
+    invert_grid_values,
+    probe_minimum,
+)
 from mellin_deconv.model import CATALOG, density_eval, density_spec
 
 from conftest import (
     bincount_mellin_on_grid,
+    complex_fft_invert_grid_values,
     mellin_quad_oracle,
     norm_sq_quad_oracle,
     rotator_invert_grid_values,
@@ -345,6 +351,15 @@ def test_inversion_refuses_a_bad_x_grid_up_front(bad):
         invert_grid_values(q, catalog_mellin("gamma5", 1.0)(q.t), 1.0, x)
 
 
+def _random_products(rng, grid, rows, hermitian):
+    shape = (rows, grid.half_size + 1 if hermitian else len(grid))
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if not hermitian:
+        return values
+    values[:, 0] = values[:, 0].real
+    return np.stack([grid.mirror(half) for half in values])
+
+
 def _x_grid(kind: str, points: int, rng) -> np.ndarray:
     if kind == "geomspace":
         return np.geomspace(0.01, 30.0, points)
@@ -373,11 +388,7 @@ def test_inversion_matches_rotator_oracle(
     # whole grid or a cut-off window; error measured against the l1 bound
     rng = np.random.default_rng(seed)
     grid = QuadratureConfig(*grid_pair)
-    shape = (rows, grid.half_size + 1 if hermitian else len(grid))
-    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    if hermitian:
-        values[:, 0] = values[:, 0].real
-        values = np.stack([grid.mirror(half) for half in values])
+    values = _random_products(rng, grid, rows, hermitian)
     support = None if support_share is None else support_share * grid.half_size * grid.t_step
     j = grid.half_size if support is None else grid.window_index(support)
     window = np.abs(values[:, grid.center - j : grid.center + j + 1]).sum(axis=-1)
@@ -392,6 +403,58 @@ def test_inversion_matches_rotator_oracle(
         single = invert_grid_values(grid, values[row], c, x, support)
         assert single.shape == x.shape
         assert np.all(np.abs(fast[row] - single) <= bound[row])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hermitian=st.booleans(),
+    rows=st.integers(min_value=1, max_value=4),
+    # share 0 is the one-node window j = 0, whose two end weights both fall on t = 0
+    support_share=st.one_of(st.none(), st.just(0.0), st.floats(min_value=0.0, max_value=1.0)),
+    grid_pair=st.sampled_from(_NUFFT_GRIDS),
+    c=st.sampled_from([0.0, 0.5, 1.0, 1.5]),
+    kind=st.sampled_from(["geomspace", "linspace", "random", "wide"]),
+    points=st.integers(min_value=1, max_value=300),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_half_spectrum_plan_matches_complex_fft_oracle(
+    hermitian, rows, support_share, grid_pair, c, kind, points, seed
+):
+    # the plan's real FFTs of the t >= 0 half against one complex FFT of the
+    # whole spectrum, on conjugate-symmetric and lopsided products
+    rng = np.random.default_rng(seed)
+    grid = QuadratureConfig(*grid_pair)
+    values = _random_products(rng, grid, rows, hermitian)
+    support = None if support_share is None else support_share * grid.half_size * grid.t_step
+    j = grid.half_size if support is None else grid.window_index(support)
+    window = np.abs(values[:, grid.center - j : grid.center + j + 1]).sum(axis=-1)
+    x = _x_grid(kind, points, rng)
+    bound = 1e-12 * grid.t_step / (2.0 * np.pi) * window[:, None] * x ** (-c)
+
+    plan = InversionPlan(grid, c, x, support)
+    out = plan(values)
+    ref = complex_fft_invert_grid_values(grid, values, c, x, support)
+    assert out.shape == ref.shape == (rows, x.size)
+    deviation = np.abs(out - ref)
+    target(float((deviation / bound).max()), label="deviation / bound")
+    assert np.all(deviation <= bound)
+    if hermitian:
+        assert np.all(out.imag == 0.0)
+    # the reused buffers carry nothing from one call to the next
+    assert plan(values[-1]).tobytes() == out[-1].tobytes()
+
+
+@pytest.mark.parametrize("length", [30_008, 30_011, 29_999])
+@pytest.mark.parametrize("rows", [None, 1, 3])
+def test_inversion_refuses_a_product_off_the_grid(length, rows):
+    # longer (30 011: a product from t_max = 150.05), shorter, single or stacked
+    q = QuadratureConfig()
+    plan = InversionPlan(q, 1.0, default_x_grid(points=16))
+    shape = (length,) if rows is None else (rows, length)
+    with pytest.raises(MellinError, match=f"{length} values.*{len(q)} nodes"):
+        plan(np.ones(shape, dtype=complex))
+    with pytest.raises(MellinError, match="30001 nodes"):
+        invert_grid_values(q, np.ones(shape, dtype=complex), 1.0, default_x_grid(points=16))
 
 
 def test_zero_probe_finds_a_zero_between_nodes():

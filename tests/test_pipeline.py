@@ -134,6 +134,29 @@ def test_three_step_ridge_request_peak_memory(n):
     assert peak <= 3_500_000
 
 
+@pytest.mark.parametrize("method", ["ridge", "cutoff"])
+def test_second_inversion_reuses_the_pipeline_plan(method):
+    # a plan per window holds the FFT buffers: inverting again in the same
+    # pipeline allocates none of FFT size, and gives a fresh pipeline's bytes
+    em = EmpiricalMellin(1.0, _draw("gamma5", "noise_beta", 2000))
+    g, cfg, x = _noise("noise_beta", 1.0), table1_selection_config("noise_beta"), default_x_grid()
+    pipeline = Pipeline(g, cfg, Q, x)
+    result, est = pipeline.fit(method, em)
+    tf = pipeline.transform(em)
+    product = tf.mhat * pipeline.bank(method, tf.n).row(result.k_hat)
+    support = float(result.k_hat) if method == "cutoff" else None
+    tracemalloc.start()
+    try:
+        again = pipeline.invert(product, support)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if method == "ridge":  # 65 536 FFT nodes; a cut-off window's grid is smaller than the gather
+        assert peak < 8 * 65_536
+    assert again.tobytes() == est.values.tobytes()
+    assert again.tobytes() == Pipeline(g, cfg, Q, x).invert(product, support).tobytes()
+
+
 def test_caller_array_changes_do_not_reach_the_estimate():
     y = _draw("gamma5", "noise_beta", 500)
     em = EmpiricalMellin(1.0, y)
