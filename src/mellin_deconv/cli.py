@@ -12,6 +12,7 @@ import argparse
 import configparser
 import sys
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 from .estimators import write_estimate_csv
@@ -98,7 +99,7 @@ _MISE_KEYS = {
         "targets": ("targets", _names),
         "errors": ("errors", _names),
         "methods": ("methods", _names),
-        "sample_sizes": ("sizes", lambda text: tuple(int(v) for v in text.split(","))),
+        "sample_sizes": ("sizes", lambda text: tuple(int(v) for v in _names(text))),
         "replications": ("reps", int),
         "seed": ("seed", int),
         "c": ("c", float),
@@ -112,7 +113,8 @@ _MISE_KEYS = {
 
 def _read_mise_config(path) -> dict:
     """`run_table_grid` arguments for the keys an INI file sets; a section or
-    key outside `_MISE_KEYS` raises `ValueError` naming it."""
+    key outside `_MISE_KEYS`, or a value its parser refuses, raises
+    `ValueError` naming it."""
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)
@@ -131,7 +133,10 @@ def _read_mise_config(path) -> dict:
             if key not in _MISE_KEYS[section]:
                 raise ValueError(f"unknown config key {key!r} in [{section}]")
             name, conv = _MISE_KEYS[section][key]
-            sections[section][name] = conv(text)
+            try:
+                sections[section][name] = conv(text)
+            except ValueError as exc:
+                raise ValueError(f"config key {key!r} in [{section}]: {exc}") from None
     out = sections.pop("experiment", {})
     if "quadrature" in sections:
         out["quadrature"] = QuadratureConfig(**sections.pop("quadrature"))
@@ -219,9 +224,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use; `parse_args` returns a
+    fresh namespace per call, so nothing carries over between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

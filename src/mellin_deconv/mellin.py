@@ -8,7 +8,7 @@ of real densities satisfy H(-t) = conj(H(t)), which inversion exploits and
 verifies.  On the uniform frequency grid both directions are non-uniform
 FFTs sharing one Gaussian-gridding kernel.  An `InversionPlan` holds the
 product-free part of an inversion and reuses its FFT buffers from call to
-call, so neither a plan nor a `selection.Pipeline`, which keeps plans, is
+call, so neither a plan nor a `selection.Pipeline`, which keeps one, is
 for concurrent calls.
 """
 
@@ -347,9 +347,10 @@ class InversionPlan:
     imaginary part is exactly 0.  Where H(-t) differs from conj H(t) on the
     window, the product's Hermitian and anti-Hermitian parts take one real
     FFT each, the latter giving the imaginary part that `checked_real_part`
-    judges.  Every call reuses both buffers, so a plan is not for
-    concurrent calls.  The result stays within
-    1e-12 * (t_step/2pi) * sum_m |H(t_m)| * x^-c of the direct sum (tested).
+    judges.  Every call reuses both buffers, which the first call allocates
+    and `release` drops, so a plan is not for concurrent calls.  The result
+    stays within 1e-12 * (t_step/2pi) * sum_m |H(t_m)| * x^-c of the direct
+    sum (tested).
     """
 
     def __init__(self, grid: QuadratureConfig, c: float, x_grid: np.ndarray,
@@ -368,8 +369,11 @@ class InversionPlan:
         phases = _reduced_phases(np.log(x), grid.t_step)
         self._nodes, self._kernel = _gaussian_kernel(phases, self.size, tau)
         self._x_c = x ** (-c)
-        self._half = np.zeros(self.size // 2 + 1, dtype=np.complex128)
-        self._real = np.empty(self.size)
+        self._half = self._real = None  # the FFT buffers, allocated by the first call
+
+    def release(self) -> None:
+        """Drop the FFT buffers; the next call allocates them again."""
+        self._half = self._real = None
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values)
@@ -377,6 +381,9 @@ class InversionPlan:
         if values.ndim == 0 or values.shape[-1] != n:
             got = values.shape[-1] if values.ndim else "no"
             raise MellinError(f"product has {got} values per row; the grid has {n} nodes")
+        if self._half is None:
+            self._half = np.zeros(self.size // 2 + 1, dtype=np.complex128)
+            self._real = np.empty(self.size)
         rows = values.reshape(-1, n)
         out = np.empty((rows.shape[0], self._x_c.size), dtype=np.complex128)
         j, mid = self.j, self.grid.center

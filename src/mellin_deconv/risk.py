@@ -9,11 +9,28 @@ estimate is inverted by the pipeline, which checks the Hermitian residue of
 each product.  This module adds only the truth tabulation and the error
 integrals, taken in the weighted space L^2(R_+, x^(2c-1)) on a log-spaced
 x-window covering the catalog targets' effective support.
+
+A scenario's pipeline depends only on the noise configuration: the error
+id, c, the `SelectionConfig`, the `QuadratureConfig` and the `XGridSpec`.
+So the experiments share one pipeline per configuration across targets,
+sample sizes and calls, through a cache of at most `_SCENARIO_PIPELINES`
+(one per paper noise), least recently returned dropped first.  A scenario
+checks its pipeline out of the cache, so two concurrent scenarios with one
+configuration never share one (the second builds its own); on completion
+it returns the pipeline trimmed by `Pipeline.release` to its tables (about
+1.1 MB on the default grids), and after an exception it drops it.  Results
+are bitwise those of a fresh pipeline.  The one-shot functions of
+`selection` (`select_ridge`, `select_cutoff`, `admissible_ridge`) and
+`cli estimate` build their own pipeline and never touch the cache: a single
+estimate has no later scenario to share with, so it leaves nothing behind
+and does the same work as before.
 """
 
 from __future__ import annotations
 
 import csv
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -135,9 +152,29 @@ def _replication_sample(cfg: ExperimentConfig, rep: int) -> EmpiricalMellin:
     return EmpiricalMellin(cfg.c, contaminate(x, density_spec(cfg.error), u_rng))
 
 
-def _scenario_pipeline(cfg: ExperimentConfig) -> Pipeline:
-    g_mellin = catalog_mellin(cfg.error, cfg.c)
-    return Pipeline(g_mellin, cfg.selection, cfg.quadrature, cfg.x_grid.build())
+#: pipelines kept between scenarios, one per paper noise
+_SCENARIO_PIPELINES = 2
+_pipelines = {}  # configuration key -> released Pipeline, least recently returned first
+_pipelines_lock = threading.Lock()
+
+
+@contextmanager
+def _scenario_pipeline(cfg: ExperimentConfig):
+    """Check out the pipeline of ``cfg``'s noise configuration, or build
+    one; it goes back to the cache, released, only if the block completes."""
+    key = (cfg.error, cfg.c, cfg.selection, cfg.quadrature, cfg.x_grid)
+    with _pipelines_lock:
+        pipeline = _pipelines.pop(key, None)
+    if pipeline is None:
+        g_mellin = catalog_mellin(cfg.error, cfg.c)
+        pipeline = Pipeline(g_mellin, cfg.selection, cfg.quadrature, cfg.x_grid.build())
+    yield pipeline
+    pipeline.release()
+    with _pipelines_lock:
+        _pipelines.pop(key, None)  # a concurrent scenario's copy, if it returned first
+        _pipelines[key] = pipeline
+        while len(_pipelines) > _SCENARIO_PIPELINES:
+            del _pipelines[next(iter(_pipelines))]
 
 
 def _mise_reports(cfg: ExperimentConfig, methods: Sequence[str]) -> dict:
@@ -145,21 +182,21 @@ def _mise_reports(cfg: ExperimentConfig, methods: Sequence[str]) -> dict:
     the ridge method estimates at that level, uncapped, in every replication."""
     if cfg.fixed_k is not None and "cutoff" in methods:
         raise ValueError("fixed_k applies to the ridge method only, not to cutoff")
-    pipeline = _scenario_pipeline(cfg)
-    error = _error_integral(cfg.target, cfg.c, pipeline.x_grid)
-    fixed_row = None
-    if cfg.fixed_k is not None:
-        k = int(cfg.fixed_k)
-        fixed_row = pipeline.fixed_ridge_bank((k,)).row(k)
     errors = {m: np.empty(cfg.replications) for m in methods}
-    for rep in range(cfg.replications):
-        tf = pipeline.transform(_replication_sample(cfg, rep))
-        for m in methods:
-            if m == "ridge" and fixed_row is not None:
-                values = pipeline.invert(tf.mhat * fixed_row)
-            else:
-                values = pipeline.fit(m, tf)[1].values
-            errors[m][rep] = error(values)
+    with _scenario_pipeline(cfg) as pipeline:
+        error = _error_integral(cfg.target, cfg.c, pipeline.x_grid)
+        fixed_row = None
+        if cfg.fixed_k is not None:
+            k = int(cfg.fixed_k)
+            fixed_row = pipeline.fixed_ridge_bank((k,)).row(k)
+        for rep in range(cfg.replications):
+            tf = pipeline.transform(_replication_sample(cfg, rep))
+            for m in methods:
+                if m == "ridge" and fixed_row is not None:
+                    values = pipeline.invert(tf.mhat * fixed_row)
+                else:
+                    values = pipeline.fit(m, tf)[1].values
+                errors[m][rep] = error(values)
     return {m: MiseReport.from_errors(errors[m]) for m in methods}
 
 
@@ -264,16 +301,15 @@ def bias_variance_profile(
         seed=seed,
         quadrature=quadrature,
     )
-    pipeline = _scenario_pipeline(cfg)
-    bank = pipeline.fixed_ridge_bank(k_grid)
-    mf = np.asarray(catalog_mellin(target, c)(quadrature.t), dtype=np.complex128)
-
     sum_mhat = np.zeros(len(quadrature), dtype=np.complex128)
     sum_sq = np.zeros(len(quadrature))
-    for rep in range(reps):
-        tf = pipeline.transform(_replication_sample(cfg, rep))
-        sum_mhat += tf.mhat
-        sum_sq += tf.abs_sq
+    with _scenario_pipeline(cfg) as pipeline:
+        bank = pipeline.fixed_ridge_bank(k_grid)
+        for rep in range(reps):
+            tf = pipeline.transform(_replication_sample(cfg, rep))
+            sum_mhat += tf.mhat
+            sum_sq += tf.abs_sq
+    mf = np.asarray(catalog_mellin(target, c)(quadrature.t), dtype=np.complex128)
     mean_mhat = sum_mhat / reps
     var_mhat = np.maximum(sum_sq / reps - np.abs(mean_mhat) ** 2, 0.0)
 
@@ -308,18 +344,18 @@ def run_selection_oracle_comparison(cfg: ExperimentConfig) -> dict:
     """
     if cfg.method != "ridge" or cfg.fixed_k is not None:
         raise ValueError("the oracle comparison runs the data-driven ridge rule only")
-    pipeline = _scenario_pipeline(cfg)
-    error = _error_integral(cfg.target, cfg.c, pipeline.x_grid)
-    bank = pipeline.bank("ridge", cfg.n)
-    rows = bank.rows
     selected = np.empty(cfg.replications)
     oracle = np.empty(cfg.replications)
-    for rep in range(cfg.replications):
-        tf = pipeline.transform(_replication_sample(cfg, rep))
-        k_hat = pipeline.select("ridge", tf).k_hat
-        errs = error(pipeline.invert(tf.mhat[None, :] * rows))
-        selected[rep] = errs[list(bank.k_values).index(k_hat)]
-        oracle[rep] = errs.min()
+    with _scenario_pipeline(cfg) as pipeline:
+        error = _error_integral(cfg.target, cfg.c, pipeline.x_grid)
+        bank = pipeline.bank("ridge", cfg.n)
+        rows = bank.rows
+        for rep in range(cfg.replications):
+            tf = pipeline.transform(_replication_sample(cfg, rep))
+            k_hat = pipeline.select("ridge", tf).k_hat
+            errs = error(pipeline.invert(tf.mhat[None, :] * rows))
+            selected[rep] = errs[list(bank.k_values).index(k_hat)]
+            oracle[rep] = errs.min()
     return {
         "selected": selected,
         "oracle": oracle,

@@ -22,9 +22,16 @@ per-bucket moments, in O(N + m^2) for N nodes and m levels.
 
 `Pipeline` is the package's one chain of grid, noise-transform table,
 banks, empirical transform, selection and inversion for a configuration;
-every data-driven estimate runs through it, whatever the sample size.  Its
-inversion plans own reused buffers, so a pipeline is not for concurrent
-calls.
+every data-driven estimate runs through it, whatever the sample size.  It
+keeps the level data (levels, norms, cut-off windows) of its last
+`_BANK_SIZES` sample sizes, but the banks' node-sized arrays for the
+current size only, and its full-grid inversion plan owns reused buffers, so
+a pipeline is not for concurrent calls.  `Pipeline.release` trims a
+pipeline that is kept between uses to its tables: 1/M_g, kappa, the level
+data and the full-grid plan's constants.  The Monte-Carlo experiments keep
+released pipelines in a small cache in `risk`; `select_ridge`,
+`select_cutoff` and `admissible_ridge` answer one sample or size, so they
+build a pipeline per call and leave nothing behind.
 """
 
 from __future__ import annotations
@@ -55,9 +62,8 @@ from .mellin import (
 )
 
 TWO_PI = 2.0 * np.pi
-#: inversion plans one `Pipeline` keeps, one per window: the full grid and
-#: the latest cut-off windows, each at most about 1.4 MB on the default grids
-_INVERSION_PLANS = 8
+#: sample sizes whose level data one `Pipeline` keeps: the paper's two
+_BANK_SIZES = 2
 
 
 class EmptyAdmissibleSetError(ValueError):
@@ -138,7 +144,29 @@ def sigma_hat(em: EmpiricalMellin) -> float:
     return float(np.mean(em.sample ** (2.0 * (em.c - 1.0))))
 
 
-class RidgeBank:
+def _trapezoid_weights(q: QuadratureConfig) -> np.ndarray:
+    w = np.full(len(q), q.t_step)
+    w[[0, -1]] *= 0.5
+    return w
+
+
+class _LevelBank:
+    """What both banks share: a prefix of levels, and node-sized arrays
+    (cached properties named in ``_NODE_ARRAYS``) built on first use."""
+
+    _NODE_ARRAYS = ()
+
+    def __len__(self) -> int:
+        return self.k_values.size
+
+    def release(self) -> None:
+        """Drop the node-sized arrays; the next use builds them again,
+        bitwise the same."""
+        for name in self._NODE_ARRAYS:
+            self.__dict__.pop(name, None)
+
+
+class RidgeBank(_LevelBank):
     """Ridge multipliers of a prefix of levels, held as k-free factors.
 
     Levels are taken from ``cfg.k_grid`` (or 1, 2, ... when absent) as long
@@ -158,14 +186,17 @@ class RidgeBank:
     last of the m levels), is fixed per bank, so `contrasts` reduces a
     sample to per-bucket moments in O(N) and combines them in O(m^2).  No
     (levels x nodes) table is kept: `row` and `rows` evaluate on demand.
+    The node-sized scales, buckets and excesses are built on first use and
+    dropped by `release`.
     """
+
+    _NODE_ARRAYS = ("_scale_sq", "_bucket", "_excess")
 
     def __init__(self, inv, kappa, cfg: SelectionConfig, q: QuadratureConfig, n_cap: float):
         self.q, self.cfg, self._inv, self.kappa = q, cfg, inv, kappa
         p = self._p = cfg.r + 2.0
-        exact_sq = np.full(len(q), q.t_step)  # trapezoid weights w
-        exact_sq[[0, -1]] *= 0.5
-        self._scale_sq = exact_sq * (np.abs(self._inv) * self.kappa**-p) ** 2  # w |a|^2
+        scale_sq = self._scale_sq  # w |a|^2, before the scan's buffers
+        exact_sq = _trapezoid_weights(q)
         with np.errstate(over="ignore"):  # |M_g| < 1e-154: kappa is past every level
             exact_sq *= np.abs(self._inv) ** 2  # w |R_k|^2 where kappa <= k
 
@@ -175,7 +206,7 @@ class RidgeBank:
         below = np.zeros(len(q) + 1)
         np.cumsum(np.take(exact_sq, order, out=below[1:], mode="clip"), out=below[1:])
         above = np.zeros(len(q) + 1)
-        np.take(self._scale_sq, order, out=above[:-1], mode="clip")
+        np.take(scale_sq, order, out=above[:-1], mode="clip")
         np.cumsum(above[-2::-1], out=above[-2::-1])
         kappa_sorted = np.take(self.kappa, order, out=exact_sq, mode="clip")
         saturation = np.max(self.kappa, where=np.isfinite(self.kappa), initial=0.0)
@@ -193,20 +224,24 @@ class RidgeBank:
                 break
         self.k_values = np.array(levels, dtype=int)
         self.norms_sq = np.array(norms, dtype=float)
-        # free the scan's four N-sized buffers before the bucket tables: this
-        # keeps them out of a request's memory peak
-        del order, below, above, exact_sq, kappa_sorted
-
-        m = len(levels)
         self._powers = self.k_values ** p
-        self._bucket = np.searchsorted(self.k_values, self.kappa)
-        # kappa^p above the bucket's lower level, where a later level holds kappa
-        inner = (self._bucket > 0) & (self._bucket < m)
-        self._excess = np.zeros(len(q))
-        self._excess[inner] = self.kappa[inner] ** p - self._powers[self._bucket[inner] - 1]
 
-    def __len__(self) -> int:
-        return self.k_values.size
+    @cached_property
+    def _scale_sq(self) -> np.ndarray:
+        """w |a|^2 per node, w the trapezoid weight."""
+        return _trapezoid_weights(self.q) * (np.abs(self._inv) * self.kappa**-self._p) ** 2
+
+    @cached_property
+    def _bucket(self) -> np.ndarray:
+        return np.searchsorted(self.k_values, self.kappa)
+
+    @cached_property
+    def _excess(self) -> np.ndarray:
+        """kappa^p above the bucket's lower level, where a later level holds kappa."""
+        inner = (self._bucket > 0) & (self._bucket < len(self))
+        excess = np.zeros(len(self.q))
+        excess[inner] = self.kappa[inner] ** self._p - self._powers[self._bucket[inner] - 1]
+        return excess
 
     def _multipliers(self, k) -> np.ndarray:
         return self._inv * np.minimum(1.0, k / self.kappa) ** self._p
@@ -256,18 +291,20 @@ class RidgeBank:
         return _selection_result("ridge", self.k_values, a_hat, v_hat, objective, sig_hat)
 
 
-class CutoffBank:
+class CutoffBank(_LevelBank):
     """Cut-off window norms tabulated for a prefix of admissible levels.
 
     Each level's window, `QuadratureConfig.window_index` (nearest node), is
     worked out once as ``windows`` and serves the norms, the selection
     contrasts, `row` and the zero check of the largest window; ``inv_mg``
     is the pipeline's 1/M_g table and ``g_mellin`` serves only that check.
+    The node-sized |1/M_g|^2 is built on first use and dropped by `release`.
     """
+
+    _NODE_ARRAYS = ("_inv_sq",)
 
     def __init__(self, g_mellin, inv_mg, cfg: SelectionConfig, q: QuadratureConfig, n_cap: float):
         self.q, self.cfg, self.inv_mg = q, cfg, inv_mg
-        self._inv_sq = np.abs(inv_mg) ** 2
         cum = q.centered_cumulative(self._inv_sq)
 
         levels = []
@@ -288,8 +325,9 @@ class CutoffBank:
             edge = float(q.t[q.center + windows[-1]])
             check_nonvanishing(g_mellin, edge, q.t_step)
 
-    def __len__(self) -> int:
-        return self.k_values.size
+    @cached_property
+    def _inv_sq(self) -> np.ndarray:
+        return np.abs(self.inv_mg) ** 2
 
     def row(self, k: int) -> np.ndarray:
         """Cut-off multiplier of the bank level ``k``: 1/M_g on its window,
@@ -356,15 +394,17 @@ class Pipeline:
     sample size comes from each sample.  M_g is tabulated on the grid once,
     on first bank use, and both banks are built from that table per sample
     size on first use, so the ridge rule works where the cut-off bank raises
-    `NoiseTransformZeroError`; only the last size's banks are kept.  The
-    development points of ``g_mellin``, ``cfg`` and every sample must agree,
-    and a given `SampleTransform` must be on this grid; a mismatch raises
-    `MellinError`.
+    `NoiseTransformZeroError`.  The banks of the last `_BANK_SIZES` sizes
+    are kept, and only the current size's banks hold node-sized arrays.
+    The development points of ``g_mellin``, ``cfg`` and every sample must
+    agree, and a given `SampleTransform` must be on this grid; a mismatch
+    raises `MellinError`.
 
-    `invert` keeps one `InversionPlan` per window, built on first use: the
-    full grid for the ridge rule and the latest cut-off windows, at most
-    `_INVERSION_PLANS` in all.  The plans own reused buffers, so a pipeline
-    is not for concurrent calls.
+    `invert` keeps the full grid's `InversionPlan`, built on first use, for
+    the ridge rule; a cut-off window gets a new plan per call.  The plan
+    owns reused buffers, so a pipeline is not for concurrent calls.
+    `release` drops every node-sized bank array and the plan's buffers, all
+    rebuilt bitwise the same on next use.
     """
 
     def __init__(
@@ -377,8 +417,7 @@ class Pipeline:
         check_same_c("selection", cfg.c, "noise", g_mellin.c)
         self.g_mellin, self.cfg, self.q, self.c = g_mellin, cfg, q, cfg.c
         self.x_grid = np.asarray(x_grid, dtype=float)
-        self._banks_n, self._banks = None, {}
-        self._plans = {}  # window index -> InversionPlan, least recently used first
+        self._banks = {}  # n -> {method: bank}, least recently used size first
 
     @cached_property
     def _noise_table(self) -> tuple:
@@ -394,16 +433,23 @@ class Pipeline:
         if method not in ("ridge", "cutoff"):
             raise ValueError(f"method must be 'ridge' or 'cutoff', got {method!r}")
         n = int(n)
-        if n != self._banks_n:
-            self._banks_n, self._banks = n, {}
-        if method not in self._banks:
+        banks = self._banks.pop(n, None)
+        if banks is None:
+            banks = {}
+            if len(self._banks) == _BANK_SIZES:
+                del self._banks[next(iter(self._banks))]
+        for other in self._banks.values():  # node arrays for one size at a time
+            for b in other.values():
+                b.release()
+        self._banks[n] = banks
+        if method not in banks:
             inv, kappa = self._noise_table
-            self._banks[method] = (
+            banks[method] = (
                 RidgeBank(inv, kappa, self.cfg, self.q, n_cap=float(n))
                 if method == "ridge"
                 else CutoffBank(self.g_mellin, inv, self.cfg, self.q, n_cap=float(n))
             )
-        return self._banks[method]
+        return banks[method]
 
     def fixed_ridge_bank(self, levels: Sequence[int]) -> RidgeBank:
         """Ridge bank of fixed increasing levels, without the admissibility cap."""
@@ -438,12 +484,24 @@ class Pipeline:
     def invert(self, product: np.ndarray, support: Optional[float] = None) -> np.ndarray:
         """Real x-grid values of a product, or of a stack of products, over
         the whole grid or the cut-off window [-support, support]."""
-        j = self.q.half_size if support is None else self.q.window_index(support)
-        plan = self._plans.pop(j, None) or InversionPlan(self.q, self.c, self.x_grid, support)
-        self._plans[j] = plan
-        if len(self._plans) > _INVERSION_PLANS:
-            del self._plans[next(iter(self._plans))]
+        if support is None:
+            plan = self._full_plan
+        else:
+            plan = InversionPlan(self.q, self.c, self.x_grid, support)
         return checked_real_part(plan(product))
+
+    @cached_property
+    def _full_plan(self) -> InversionPlan:
+        return InversionPlan(self.q, self.c, self.x_grid)
+
+    def release(self) -> None:
+        """Trim the pipeline to its tables between uses: 1/M_g, kappa, the
+        level data of each kept size and the full-grid plan's constants."""
+        for banks in self._banks.values():
+            for b in banks.values():
+                b.release()
+        if "_full_plan" in self.__dict__:
+            self._full_plan.release()
 
     def fit(self, method: str, em) -> tuple:
         """(SelectionResult, DensityEstimate) for a sample or its `transform`;

@@ -21,6 +21,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from mellin_deconv import risk
+
 # log-coordinate density values: id -> (u_lo, u_hi, w) with w(u) = h(e^u),
 # so that M_c[h](t) = int w(u) e^(c u) (cos(t u) + i sin(t u)) du
 _LOG_DENSITIES = {
@@ -324,3 +326,13 @@ class RowRidgeBank:
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(autouse=True)
+def empty_scenario_cache():
+    """Every test starts and ends with no cached scenario pipeline, so none
+    sees a pipeline another test built (under a patched `catalog_mellin`,
+    say)."""
+    risk._pipelines.clear()
+    yield
+    risk._pipelines.clear()

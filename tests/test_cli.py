@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from mellin_deconv import MellinFunction, QuadratureConfig, cli, mellin, risk
 from mellin_deconv.cli import main
 from mellin_deconv.model import read_sample_csv
 
@@ -139,6 +140,95 @@ def test_mise_refuses_unknown_config_keys(tmp_path, capsys, body, named):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "body, named",
+    [
+        ("[experiment]\nreplications = 2.0\n", "config key 'replications' in [experiment]: "),
+        ("[experiment]\nsample_sizes = 500, x\n", "config key 'sample_sizes' in [experiment]: "),
+        ("[quadrature]\nt_step = fine\n", "config key 't_step' in [quadrature]: "),
+        ("[grid]\nx_points = 1e3\n", "config key 'x_points' in [grid]: "),
+    ],
+)
+def test_mise_config_value_errors_name_the_key(tmp_path, capsys, body, named):
+    cfgfile = tmp_path / "cfg.ini"
+    cfgfile.write_text(body)
+    assert _run("mise", "--config", str(cfgfile), "--out", str(tmp_path / "o.csv")) == 1
+    assert capsys.readouterr().err.startswith("error: " + named)
+
+
+#: one small scenario per noise on a coarse grid
+_SMALL_MISE = (
+    "[experiment]\nreplications = 1\nseed = 5\ntargets = gamma5,\n"
+    "sample_sizes = {sizes}\n[quadrature]\nt_step = 0.02\nt_max = 60\n"
+)
+
+
+def test_mise_sample_sizes_take_a_trailing_comma_like_the_names(tmp_path):
+    outputs = []
+    for i, sizes in enumerate(("300, 600,", "300, 600")):
+        cfgfile, out = tmp_path / f"cfg{i}.ini", tmp_path / f"mise{i}.csv"
+        cfgfile.write_text(_SMALL_MISE.format(sizes=sizes))
+        assert _run("mise", "--config", str(cfgfile), "--out", str(out)) == 0
+        outputs.append(out.read_text())
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].strip().splitlines()) == 1 + 8  # 2 errors x 2 sizes x 2 methods
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    cfgfile, out = tmp_path / "cfg.ini", tmp_path / "mise.csv"
+    cfgfile.write_text(_SMALL_MISE.format(sizes="300"))
+    calls = (
+        ["mise", "--config", str(cfgfile), "--out", str(out)],
+        ["estimate", "--sample", str(tmp_path / "none.csv"), "--error", "noise_beta",
+         "--out", str(tmp_path / "e.csv")],
+    )
+
+    def outcome(argv):
+        code = main(list(argv))
+        printed = capsys.readouterr()
+        return code, printed.out, printed.err, out.read_bytes()
+
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        shared = [outcome(argv) for argv in calls]
+        assert built == [1]
+        fresh = []
+        for argv in calls:
+            cli._parser.cache_clear()  # a parser per call, as before
+            fresh.append(outcome(argv))
+    finally:
+        cli._parser.cache_clear()
+    assert [got[0] for got in shared] == [0, 1]
+    assert shared == fresh
+
+
+def test_mise_calls_tabulate_each_noise_once(tmp_path, monkeypatch):
+    # repeated `mise` calls share one pipeline per noise configuration, so
+    # M_g is evaluated on the frequency grid once per configuration
+    grid = QuadratureConfig(t_step=0.02, t_max=60.0).t
+    tabulated = []
+
+    def counting(name, c):
+        g = mellin.catalog_mellin(name, c)
+
+        def eval_fn(t):
+            if np.array_equal(t, grid):
+                tabulated.append(name)
+            return g.eval_fn(t)
+
+        return MellinFunction(g.c, eval_fn, g.decay_exponent, g.decay_upper)
+
+    monkeypatch.setattr(risk, "catalog_mellin", counting)
+    cfgfile = tmp_path / "cfg.ini"
+    cfgfile.write_text(_SMALL_MISE.format(sizes="300, 600").replace("gamma5,", "gamma5, beta25"))
+    for _ in range(3):
+        assert _run("mise", "--config", str(cfgfile), "--out", str(tmp_path / "o.csv")) == 0
+    assert sorted(tabulated) == ["noise_beta", "noise_uniform"]
 
 
 def test_mise_chi_override_section(tmp_path):

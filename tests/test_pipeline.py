@@ -136,8 +136,9 @@ def test_three_step_ridge_request_peak_memory(n):
 
 @pytest.mark.parametrize("method", ["ridge", "cutoff"])
 def test_second_inversion_reuses_the_pipeline_plan(method):
-    # a plan per window holds the FFT buffers: inverting again in the same
-    # pipeline allocates none of FFT size, and gives a fresh pipeline's bytes
+    # the full-grid plan holds the FFT buffers: inverting again in the same
+    # pipeline allocates none of FFT size; each inversion, a cut-off one on
+    # its own plan included, gives a fresh pipeline's bytes
     em = EmpiricalMellin(1.0, _draw("gamma5", "noise_beta", 2000))
     g, cfg, x = _noise("noise_beta", 1.0), table1_selection_config("noise_beta"), default_x_grid()
     pipeline = Pipeline(g, cfg, Q, x)
@@ -212,6 +213,55 @@ def test_noise_transform_is_tabulated_once_per_pipeline():
             result, est = pipeline.fit(method, em)
             assert result == Pipeline(g, pipeline.cfg, Q, pipeline.x_grid).fit(method, em)[0]
     assert on_grid.count(True) == 1
+
+
+def _node_array_sizes(pipeline) -> set:
+    """Sample sizes whose banks hold node-sized arrays."""
+    return {
+        n
+        for n, banks in pipeline._banks.items()
+        for bank in banks.values()
+        if any(name in vars(bank) for name in bank._NODE_ARRAYS)
+    }
+
+
+def test_node_arrays_are_held_for_one_sample_size_at_a_time():
+    # level data stays for the last two sizes; node-sized arrays for the
+    # current one only, and `release` drops those too
+    cfg = table1_selection_config("noise_uniform")
+    pipeline = Pipeline(_noise("noise_uniform", 1.0), cfg, Q, default_x_grid())
+    seen = {}
+    for n in (500, 2000, 500, 10_000):
+        em = EmpiricalMellin(1.0, _draw("gamma5", "noise_uniform", n))
+        for method in ("ridge", "cutoff"):
+            pipeline.fit(method, em)
+        ridge = pipeline._banks[n]["ridge"]
+        assert seen.setdefault(n, ridge) is ridge  # 500's levels outlive the 2000 fits
+        assert _node_array_sizes(pipeline) == {n}
+        assert len(pipeline._banks) <= selection._BANK_SIZES
+    assert list(pipeline._banks) == [500, 10_000]
+    pipeline.release()
+    assert _node_array_sizes(pipeline) == set()
+
+
+def test_release_trims_a_pipeline_to_its_tables():
+    # kept between scenarios, a released pipeline holds 1/M_g, kappa, the
+    # level data and the full-grid plan's constants, and fits as before
+    g, cfg, x = _noise("noise_beta", 1.0), table1_selection_config("noise_beta"), default_x_grid()
+    ems = [EmpiricalMellin(1.0, _draw("gamma5", "noise_beta", n)) for n in (500, 2000)]
+    fresh = [_fit_outcome(Pipeline(g, cfg, Q, x), m, em) for em in ems for m in ("ridge", "cutoff")]
+    tracemalloc.start()
+    try:
+        pipeline = Pipeline(g, cfg, Q, x)
+        for em in ems:
+            for method in ("ridge", "cutoff"):
+                pipeline.fit(method, em)
+        pipeline.release()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 1_600_000
+    assert [_fit_outcome(pipeline, m, em) for em in ems for m in ("ridge", "cutoff")] == fresh
 
 
 def _fit_outcome(pipeline, method, em):

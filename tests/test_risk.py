@@ -1,3 +1,8 @@
+import sys
+import threading
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -8,6 +13,7 @@ from mellin_deconv import (
     MellinError,
     QuadratureConfig,
     WeightedFunction,
+    admissible_ridge,
     bias_variance_profile,
     default_x_grid,
     density_eval,
@@ -17,10 +23,15 @@ from mellin_deconv import (
     run_mise_pair,
     run_oracle_rate,
     run_selection_oracle_comparison,
+    run_table_grid,
+    risk,
+    select_cutoff,
+    select_ridge,
     sigma_c_true,
     table1_selection_config,
     weighted_moment,
 )
+from mellin_deconv.cli import main
 
 SEL_U = table1_selection_config("noise_uniform")
 SEL_B = table1_selection_config("noise_beta")
@@ -123,8 +134,6 @@ def test_pair_run_equals_individual_runs():
     cfg = _cfg(replications=3)
     both = run_mise_pair(cfg)
     ridge = run_mise(cfg)
-    from dataclasses import replace
-
     cut = run_mise(replace(cfg, method="cutoff"))
     assert np.array_equal(both["ridge"].errors, ridge.errors)
     assert np.array_equal(both["cutoff"].errors, cut.errors)
@@ -167,6 +176,98 @@ def test_config_validation():
     assert (whole.n, whole.replications) == (400, 2)
     assert type(whole.n) is int and type(whole.replications) is int
     assert run_mise(whole).mise == run_mise(_cfg()).mise
+
+
+# ---------------------------------------------------------------------- #
+# scenario pipeline cache
+# ---------------------------------------------------------------------- #
+
+
+def test_scenario_cache_keeps_the_latest_configurations():
+    # one pipeline per noise configuration, at most _SCENARIO_PIPELINES
+    configs = [_cfg(), _cfg(error="noise_beta", selection=SEL_B),
+               _cfg(selection=replace(SEL_U, chi=4.0)), _cfg()]
+    for cfg in configs:
+        run_mise(cfg)
+        assert 1 <= len(risk._pipelines) <= risk._SCENARIO_PIPELINES
+    kept = [(key[0], key[2]) for key in risk._pipelines]
+    assert kept == [("noise_uniform", replace(SEL_U, chi=4.0)), ("noise_uniform", SEL_U)]
+
+
+def test_scenario_checkout_is_exclusive():
+    # a nested checkout of one configuration builds its own pipeline, and
+    # a scenario that raises returns nothing
+    cfg = _cfg()
+    with risk._scenario_pipeline(cfg) as outer:
+        with risk._scenario_pipeline(cfg) as inner:
+            assert inner is not outer
+        assert list(risk._pipelines.values()) == [inner]
+        with risk._scenario_pipeline(cfg) as again:
+            assert again is inner and risk._pipelines == {}
+    assert list(risk._pipelines.values()) == [outer]
+    with pytest.raises(RuntimeError):
+        with risk._scenario_pipeline(cfg) as failed:
+            raise RuntimeError
+    assert failed is outer and risk._pipelines == {}
+
+
+def test_concurrent_scenarios_never_share_a_pipeline():
+    cfgs = [_cfg(), _cfg(error="noise_beta", selection=SEL_B)]
+    held, clashes, lock = set(), [], threading.Lock()
+
+    def worker(i):
+        for _ in range(40):
+            with risk._scenario_pipeline(cfgs[i % 2]) as pipeline:
+                with lock:
+                    if id(pipeline) in held:
+                        clashes.append(i)
+                    held.add(id(pipeline))
+                time.sleep(1e-4)  # let the other threads check out meanwhile
+                with lock:
+                    held.discard(id(pipeline))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert clashes == []
+    assert len(risk._pipelines) <= risk._SCENARIO_PIPELINES
+
+
+def test_table_grid_is_the_same_from_a_cold_or_a_warm_cache():
+    grid = dict(reps=2, seed=3, targets=("gamma5", "beta25"), sizes=(300, 600), quadrature=FAST_Q)
+    warm = run_table_grid(**grid)
+    assert run_table_grid(**grid) == warm
+    cold = []
+    for error in ("noise_uniform", "noise_beta"):
+        for target in grid["targets"]:
+            for n in grid["sizes"]:
+                risk._pipelines.clear()
+                cold += run_table_grid(**{**grid, "targets": (target,), "sizes": (n,)},
+                                       errors=(error,))
+    assert cold == warm
+
+
+def test_one_shot_paths_leave_the_scenario_cache_empty(tmp_path):
+    # a single estimate never checks out or keeps a scenario pipeline
+    em = risk._replication_sample(_cfg(n=500), 0)
+    g = risk.catalog_mellin("noise_uniform", 1.0)
+    select_ridge(em, g, SEL_U, FAST_Q)
+    select_cutoff(em, g, SEL_U, FAST_Q)
+    admissible_ridge(g, SEL_U, 500, FAST_Q)
+    sample = tmp_path / "s.csv"
+    assert main(["simulate", "--target", "gamma5", "--error", "noise_uniform", "--n", "500",
+                 "--out", str(sample)]) == 0
+    assert main(["estimate", "--sample", str(sample), "--error", "noise_uniform",
+                 "--t-max", "120", "--out", str(tmp_path / "e.csv")]) == 0
+    assert risk._pipelines == {}
 
 
 # ---------------------------------------------------------------------- #
