@@ -239,7 +239,7 @@ def estimate_density(
     is checked as in `inverse_mellin`.
     """
     check_same_c("sample", em.c, "multiplier", mult.spec.c)
-    product = em._on_grid(q).copy()
+    product = em.on_grid(q).copy()
     product *= mult(q.t)  # in place: numpy rounds this a bit apart from a * b
     values = checked_real_part(invert_grid_values(q, product, em.c, x_grid, support=mult.support))
     return DensityEstimate(np.asarray(x_grid, dtype=float), values, em.c)

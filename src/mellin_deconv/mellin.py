@@ -94,9 +94,10 @@ class EmpiricalMellin:
     def n(self) -> int:
         return self.sample.size
 
-    def _on_grid(self, grid: QuadratureConfig) -> np.ndarray:
+    def on_grid(self, grid: QuadratureConfig) -> np.ndarray:
         """`empirical_mellin_on_grid`, computed once per grid (t_step,
-        half_size) and kept read-only; for the pipeline and
+        half_size) and kept read-only: the one place a sample's transform
+        is shared, by both methods of a `selection.Pipeline` and by
         `estimate_density`."""
         key = (grid.t_step, grid.half_size)
         if key not in self._transforms:

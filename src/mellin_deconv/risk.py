@@ -3,8 +3,9 @@
 Per-replication work is keyed by content-hashed RNG streams, so results do
 not depend on execution order, and the same draws feed both estimation
 methods within a scenario (paired comparison).  Every experiment runs
-through one `selection.Pipeline` per scenario: each replication's
-empirical transform is computed once and shared by both methods, and every
+through one `selection.Pipeline` per scenario: both methods are fitted to
+each replication's sample, whose empirical transform is computed once, by
+its own memo (`EmpiricalMellin.on_grid`), and shared by them; every
 estimate is inverted by the pipeline, which checks the Hermitian residue of
 each product.  This module adds only the truth tabulation and the error
 integrals, taken in the weighted space L^2(R_+, x^(2c-1)) on a log-spaced
@@ -190,12 +191,12 @@ def _mise_reports(cfg: ExperimentConfig, methods: Sequence[str]) -> dict:
             k = int(cfg.fixed_k)
             fixed_row = pipeline.fixed_ridge_bank((k,)).row(k)
         for rep in range(cfg.replications):
-            tf = pipeline.transform(_replication_sample(cfg, rep))
+            em = _replication_sample(cfg, rep)
             for m in methods:
                 if m == "ridge" and fixed_row is not None:
-                    values = pipeline.invert(tf.mhat * fixed_row)
+                    values = pipeline.invert(pipeline.transform(em) * fixed_row)
                 else:
-                    values = pipeline.fit(m, tf)[1].values
+                    values = pipeline.fit(m, em)[1].values
                 errors[m][rep] = error(values)
     return {m: MiseReport.from_errors(errors[m]) for m in methods}
 
@@ -240,11 +241,12 @@ def run_oracle_rate(
         selection = table1_selection_config(error, c)
     out = []
     for n in n_list:
+        n = whole_count(n, "n")
         k_o = max(1, int(round(n ** (gamma / (2.0 * s + 2.0 * gamma + 1.0)))))
         cfg = ExperimentConfig(
             target=target,
             error=error,
-            n=int(n),
+            n=n,
             c=c,
             method="ridge",
             selection=selection,
@@ -254,7 +256,7 @@ def run_oracle_rate(
             quadrature=quadrature,
             fixed_k=float(k_o),
         )
-        out.append((int(n), run_mise(cfg).mise))
+        out.append((n, run_mise(cfg).mise))
     return out
 
 
@@ -293,7 +295,7 @@ def bias_variance_profile(
     cfg = ExperimentConfig(
         target=target,
         error=error,
-        n=int(n),
+        n=n,
         c=c,
         method="ridge",
         selection=selection,
@@ -306,9 +308,9 @@ def bias_variance_profile(
     with _scenario_pipeline(cfg) as pipeline:
         bank = pipeline.fixed_ridge_bank(k_grid)
         for rep in range(reps):
-            tf = pipeline.transform(_replication_sample(cfg, rep))
-            sum_mhat += tf.mhat
-            sum_sq += tf.abs_sq
+            mhat = pipeline.transform(_replication_sample(cfg, rep))
+            sum_mhat += mhat
+            sum_sq += np.abs(mhat) ** 2
     mf = np.asarray(catalog_mellin(target, c)(quadrature.t), dtype=np.complex128)
     mean_mhat = sum_mhat / reps
     var_mhat = np.maximum(sum_sq / reps - np.abs(mean_mhat) ** 2, 0.0)
@@ -321,7 +323,7 @@ def bias_variance_profile(
         variance = float(quadrature.integrate(var_mhat * np.abs(row) ** 2)) / TWO_PI
         in_gk = bank.kappa > k
         bound_bias = float(quadrature.integrate(np.abs(mf) ** 2 * in_gk)) / TWO_PI
-        bound_var = float(sig_c * norm / (TWO_PI * n))
+        bound_var = float(sig_c * norm / (TWO_PI * cfg.n))
         out.append(
             ProfileRow(
                 k=int(k),
@@ -351,9 +353,9 @@ def run_selection_oracle_comparison(cfg: ExperimentConfig) -> dict:
         bank = pipeline.bank("ridge", cfg.n)
         rows = bank.rows
         for rep in range(cfg.replications):
-            tf = pipeline.transform(_replication_sample(cfg, rep))
-            k_hat = pipeline.select("ridge", tf).k_hat
-            errs = error(pipeline.invert(tf.mhat[None, :] * rows))
+            em = _replication_sample(cfg, rep)
+            k_hat = pipeline.select("ridge", em).k_hat
+            errs = error(pipeline.invert(pipeline.transform(em)[None, :] * rows))
             selected[rep] = errs[list(bank.k_values).index(k_hat)]
             oracle[rep] = errs.min()
     return {
@@ -471,7 +473,7 @@ def run_table_grid(
                 cfg = ExperimentConfig(
                     target=target,
                     error=error,
-                    n=int(n),
+                    n=n,
                     c=c,
                     method="ridge",
                     selection=sel,
@@ -488,7 +490,7 @@ def run_table_grid(
                             target=target,
                             error=error,
                             method=m,
-                            n=int(n),
+                            n=cfg.n,
                             c=c,
                             reps=reps,
                             mise_x100=rep.scaled_mise,

@@ -22,7 +22,10 @@ per-bucket moments, in O(N + m^2) for N nodes and m levels.
 
 `Pipeline` is the package's one chain of grid, noise-transform table,
 banks, empirical transform, selection and inversion for a configuration;
-every data-driven estimate runs through it, whatever the sample size.  It
+every data-driven estimate runs through it, whatever the sample size.
+`Pipeline.select` and `Pipeline.fit` take the sample itself: its transform
+on the grid is computed once, by the sample's own memo
+(`EmpiricalMellin.on_grid`), and shared by every later call.  A pipeline
 keeps the level data (levels, norms, cut-off windows) of its last
 `_BANK_SIZES` sample sizes, but the banks' node-sized arrays for the
 current size only, and its full-grid inversion plan owns reused buffers, so
@@ -60,6 +63,7 @@ from .mellin import (
     checked_real_part,
     eval_on_grid,
 )
+from .model import whole_count
 
 TWO_PI = 2.0 * np.pi
 #: sample sizes whose level data one `Pipeline` keeps: the paper's two
@@ -374,19 +378,6 @@ def _selection_result(method, k_values, a_hat, v_hat, objective, sig_hat):
     return SelectionResult(method, int(k_values[best]), float(sig_hat), diags)
 
 
-@dataclass(frozen=True)
-class SampleTransform:
-    """A sample's empirical transform M_hat on the grid ``q`` at development
-    point ``c``, with |M_hat|^2, sigma_hat and the sample size n."""
-
-    mhat: np.ndarray
-    abs_sq: np.ndarray
-    sigma_hat: float
-    n: int
-    c: float
-    q: QuadratureConfig
-
-
 class Pipeline:
     """The estimation chain for one configuration.
 
@@ -397,8 +388,9 @@ class Pipeline:
     `NoiseTransformZeroError`.  The banks of the last `_BANK_SIZES` sizes
     are kept, and only the current size's banks hold node-sized arrays.
     The development points of ``g_mellin``, ``cfg`` and every sample must
-    agree, and a given `SampleTransform` must be on this grid; a mismatch
-    raises `MellinError`.
+    agree; a mismatch raises `MellinError`.  A sample's transform on the
+    grid is its own memo, `EmpiricalMellin.on_grid`, so both methods fitted
+    to one sample share one transform.
 
     `invert` keeps the full grid's `InversionPlan`, built on first use, for
     the ridge rule; a cut-off window gets a new plan per call.  The plan
@@ -432,7 +424,7 @@ class Pipeline:
         """The ``method`` bank of the levels admissible at sample size ``n``."""
         if method not in ("ridge", "cutoff"):
             raise ValueError(f"method must be 'ridge' or 'cutoff', got {method!r}")
-        n = int(n)
+        n = whole_count(n, "sample size")
         banks = self._banks.pop(n, None)
         if banks is None:
             banks = {}
@@ -456,30 +448,22 @@ class Pipeline:
         cfg = replace(self.cfg, k_grid=tuple(levels))
         return RidgeBank(*self._noise_table, cfg, self.q, n_cap=np.inf)
 
-    def transform(self, em: EmpiricalMellin) -> SampleTransform:
-        """Empirical transform of a sample; `MellinError` when c differs or
+    def transform(self, em: EmpiricalMellin) -> np.ndarray:
+        """The sample's read-only M_hat on the grid (`EmpiricalMellin.on_grid`);
+        `MellinError` when c differs or the moment weights Y^(c-1) overflow."""
+        check_same_c("sample", em.c, "pipeline", self.c)
+        return em.on_grid(self.q)
+
+    def select(self, method: str, em: EmpiricalMellin) -> SelectionResult:
+        """Data-driven level for a sample; `MellinError` when c differs or
         sigma_hat or the moment weights Y^(c-1) overflow."""
         check_same_c("sample", em.c, "pipeline", self.c)
         with np.errstate(over="ignore"):
             sig = sigma_hat(em)
         if not np.isfinite(sig):
             raise MellinError(f"sigma_hat overflows at c={em.c}; rescale the sample")
-        mhat = em._on_grid(self.q)
-        return SampleTransform(mhat, np.abs(mhat) ** 2, sig, em.n, em.c, self.q)
-
-    def _sample_transform(self, em) -> SampleTransform:
-        """``em``'s `transform`, or ``em`` itself if made at this c and on these nodes."""
-        if not isinstance(em, SampleTransform):
-            return self.transform(em)
-        check_same_c("transform", em.c, "pipeline", self.c)
-        if (em.q.t_step, em.q.half_size) != (self.q.t_step, self.q.half_size):
-            raise MellinError(f"transform grid {em.q} is not the pipeline grid {self.q}")
-        return em
-
-    def select(self, method: str, em) -> SelectionResult:
-        """Data-driven level; ``em`` is an `EmpiricalMellin` or its `transform`."""
-        tf = self._sample_transform(em)
-        return self.bank(method, tf.n).select(tf.abs_sq, tf.sigma_hat, tf.n)
+        mhat_abs_sq = np.abs(em.on_grid(self.q)) ** 2
+        return self.bank(method, em.n).select(mhat_abs_sq, sig, em.n)
 
     def invert(self, product: np.ndarray, support: Optional[float] = None) -> np.ndarray:
         """Real x-grid values of a product, or of a stack of products, over
@@ -503,12 +487,10 @@ class Pipeline:
         if "_full_plan" in self.__dict__:
             self._full_plan.release()
 
-    def fit(self, method: str, em) -> tuple:
-        """(SelectionResult, DensityEstimate) for a sample or its `transform`;
-        passing the transform lets both methods share it."""
-        tf = self._sample_transform(em)
-        result = self.select(method, tf)
-        product = tf.mhat * self.bank(method, tf.n).row(result.k_hat)
+    def fit(self, method: str, em: EmpiricalMellin) -> tuple:
+        """(SelectionResult, DensityEstimate) for a sample."""
+        result = self.select(method, em)
+        product = em.on_grid(self.q) * self.bank(method, em.n).row(result.k_hat)
         support = float(result.k_hat) if method == "cutoff" else None
         return result, DensityEstimate(self.x_grid, self.invert(product, support), self.c)
 

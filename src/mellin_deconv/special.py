@@ -1,4 +1,4 @@
-"""Complex gamma, log-gamma and beta functions via the Lanczos approximation.
+"""Complex log-gamma and log-beta functions via the Lanczos approximation.
 
 Self-contained so that the closed-form Mellin transforms of the density
 catalog do not pull in a heavy dependency.  Accuracy is better than 1e-12
@@ -74,20 +74,8 @@ def log_gamma(z) -> np.ndarray:
     return out[0] if scalar else out
 
 
-def gamma(z) -> np.ndarray:
-    """Gamma function for complex arguments."""
-    return np.exp(log_gamma(z))
-
-
 def log_beta(a, b) -> np.ndarray:
-    """log of the beta function B(a, b) for complex arguments."""
+    """log of the beta function B(a, b) for complex arguments, a log-gamma
+    difference, so that exp of it stays finite even where the individual
+    gamma values underflow."""
     return log_gamma(a) + log_gamma(b) - log_gamma(np.asarray(a) + np.asarray(b))
-
-
-def beta(a, b) -> np.ndarray:
-    """Beta function B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b).
-
-    Evaluated through log-gamma differences so that ratios stay finite even
-    where the individual gamma values underflow.
-    """
-    return np.exp(log_beta(a, b))

@@ -151,13 +151,13 @@ def test_sample_is_a_read_only_copy_and_the_grid_transform_is_kept():
     y = np.array([0.5, 1.0, 2.0, 4.0])
     em = EmpiricalMellin(1.0, y)
     grid = QuadratureConfig(0.05, 20.0)
-    first = em._on_grid(grid)
+    first = em.on_grid(grid)
     y[0] = 100.0  # the caller's array is not the sample
     assert em.sample[0] == 0.5
-    assert em._on_grid(grid) is first
+    assert em.on_grid(grid) is first
     assert np.array_equal(first, empirical_mellin_on_grid(EmpiricalMellin(1.0, [0.5, 1.0, 2.0, 4.0]), grid))
     # a grid of another step or size gets its own transform
-    assert em._on_grid(QuadratureConfig(0.05, 10.0)).shape == (401,)
+    assert em.on_grid(QuadratureConfig(0.05, 10.0)).shape == (401,)
     with pytest.raises(ValueError):
         em.sample[1] = 3.0
     with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from mellin_deconv import (
     CutoffSpec,
     EmpiricalMellin,
     EmptyAdmissibleSetError,
+    ExperimentConfig,
     MellinError,
     MellinFunction,
     NoiseTransformZeroError,
@@ -29,6 +30,7 @@ from mellin_deconv import (
     estimate_density,
     mellin,
     ridge_multiplier,
+    run_mise_pair,
     sample,
     select_cutoff,
     select_ridge,
@@ -102,8 +104,8 @@ def _three_step(method, em, noise, q=Q):
     return result, estimate_density(mult, em, default_x_grid(), q)
 
 
-@pytest.mark.parametrize("method", ["ridge", "cutoff"])
-def test_three_step_spreads_the_sample_once(method, monkeypatch):
+def _count_spreads(monkeypatch) -> list:
+    """The grids of every empirical transform computed from now on."""
     spreads = []
     spread = mellin.empirical_mellin_on_grid
 
@@ -112,10 +114,31 @@ def test_three_step_spreads_the_sample_once(method, monkeypatch):
         return spread(em, grid)
 
     monkeypatch.setattr(mellin, "empirical_mellin_on_grid", counted)
+    return spreads
+
+
+@pytest.mark.parametrize("form", ["ridge", "cutoff", "fit both", "mise pair"])
+def test_three_step_spreads_the_sample_once(form, monkeypatch):
+    # the three-step form, a pipeline fitting both methods to one sample and
+    # each replication of a paired Monte-Carlo run all read the sample's memo
+    spreads = _count_spreads(monkeypatch)
+    if form == "mise pair":
+        cfg = ExperimentConfig(target="gamma5", error="noise_uniform", n=500, c=1.0,
+                               method="ridge", selection=table1_selection_config("noise_uniform"),
+                               replications=3, seed=5, quadrature=Q)
+        reports = run_mise_pair(cfg)
+        assert spreads == [Q] * cfg.replications
+        assert all(np.isfinite(r.mise) for r in reports.values())
+        return
     em = EmpiricalMellin(1.0, _draw("gamma5", "noise_uniform", 2000))
-    result, est = _three_step(method, em, "noise_uniform")
+    if form == "fit both":
+        pipeline = Pipeline(_noise("noise_uniform", 1.0), table1_selection_config("noise_uniform"),
+                            Q, default_x_grid())
+        estimates = [pipeline.fit(method, em)[1] for method in ("ridge", "cutoff")]
+    else:
+        estimates = [_three_step(form, em, "noise_uniform")[1]]
     assert spreads == [Q]
-    assert np.all(np.isfinite(est.values))
+    assert all(np.all(np.isfinite(est.values)) for est in estimates)
 
 
 @pytest.mark.parametrize("n", [500, 2000, 10_000])
@@ -143,8 +166,7 @@ def test_second_inversion_reuses_the_pipeline_plan(method):
     g, cfg, x = _noise("noise_beta", 1.0), table1_selection_config("noise_beta"), default_x_grid()
     pipeline = Pipeline(g, cfg, Q, x)
     result, est = pipeline.fit(method, em)
-    tf = pipeline.transform(em)
-    product = tf.mhat * pipeline.bank(method, tf.n).row(result.k_hat)
+    product = pipeline.transform(em) * pipeline.bank(method, em.n).row(result.k_hat)
     support = float(result.k_hat) if method == "cutoff" else None
     tracemalloc.start()
     try:
@@ -364,31 +386,43 @@ def test_unknown_method_is_refused():
             call("magic", arg)
 
 
-def test_sample_transform_from_another_pipeline_is_refused():
-    # a transform carries its c and grid; a pipeline at another c or on
-    # another grid refuses it instead of selecting from foreign values
-    y = _draw("gamma5", "noise_uniform", 500)
+def test_pipelines_share_the_sample_transform_of_their_nodes(monkeypatch):
+    # the memo is keyed by the grid's nodes: another tail tolerance or a
+    # t_max rounding to the same outermost node reuses the sample's
+    # transform, one node more computes its own, and a pipeline at another
+    # c refuses the sample instead of selecting from its transform
+    spreads = _count_spreads(monkeypatch)
+    em = EmpiricalMellin(1.0, _draw("gamma5", "noise_uniform", 500))
     cfg = table1_selection_config("noise_uniform")
     x = default_x_grid()
-    tf = Pipeline(_noise("noise_uniform", 1.0), cfg, Q, x).transform(EmpiricalMellin(1.0, y))
-    at_half = Pipeline(_noise("noise_uniform", 0.5), replace(cfg, c=0.5), Q, x)
-    on_short = Pipeline(_noise("noise_uniform", 1.0), cfg, Q_SHORT, x)
-    for pipeline in (at_half, on_short):
-        for call in (pipeline.select, pipeline.fit):
-            for method in ("ridge", "cutoff"):
-                with pytest.raises(MellinError, match="transform"):
-                    call(method, tf)
-    same = Pipeline(_noise("noise_uniform", 1.0), cfg, QuadratureConfig(), x)
-    assert same.fit("ridge", tf)[0] == same.fit("ridge", EmpiricalMellin(1.0, y))[0]
-    # the grid is its nodes: another tail tolerance or a t_max rounding to
-    # the same outermost node is the same grid, one node more is not
+    same = Pipeline(_noise("noise_uniform", 1.0), cfg, Q, x)
+    fitted = same.fit("ridge", em)[0]
     for q in (QuadratureConfig(0.01, 150.0, 1e-3), QuadratureConfig(0.01, 150.004)):
-        assert Pipeline(_noise("noise_uniform", 1.0), cfg, q, x).fit("ridge", tf)[0] == (
-            same.fit("ridge", tf)[0]
-        )
-    wider = Pipeline(_noise("noise_uniform", 1.0), cfg, QuadratureConfig(0.01, 150.01), x)
-    with pytest.raises(MellinError, match="transform"):
-        wider.select("ridge", tf)
+        pipeline = Pipeline(_noise("noise_uniform", 1.0), cfg, q, x)
+        assert pipeline.transform(em) is same.transform(em)
+        assert pipeline.fit("ridge", em)[0] == fitted
+    assert spreads == [Q]
+    wider = QuadratureConfig(0.01, 150.01)
+    mhat = Pipeline(_noise("noise_uniform", 1.0), cfg, wider, x).transform(em)
+    assert spreads == [Q, wider] and mhat.shape == (len(Q) + 2,)
+    at_half = Pipeline(_noise("noise_uniform", 0.5), replace(cfg, c=0.5), Q, x)
+    for call in (at_half.select, at_half.fit):
+        for method in ("ridge", "cutoff"):
+            with pytest.raises(MellinError, match="development point mismatch"):
+                call(method, em)
+    with pytest.raises(MellinError, match="development point mismatch"):
+        at_half.transform(em)
+
+
+def test_bank_refuses_a_sample_size_that_is_not_whole():
+    # a bool or a fraction is refused by name, not truncated to a size
+    pipeline = Pipeline(
+        _noise("noise_beta", 1.0), table1_selection_config("noise_beta"), Q, default_x_grid()
+    )
+    for bad in (2000.9, True):
+        with pytest.raises(ValueError, match="sample size must be a whole number"):
+            pipeline.bank("ridge", bad)
+    assert pipeline.bank("ridge", 2000.0) is pipeline.bank("ridge", 2000)
 
 
 # ---------------------------------------------------------------------- #

@@ -176,6 +176,14 @@ def test_config_validation():
     assert (whole.n, whole.replications) == (400, 2)
     assert type(whole.n) is int and type(whole.replications) is int
     assert run_mise(whole).mise == run_mise(_cfg()).mise
+    # the experiment drivers pass the caller's sample size on untruncated
+    for bad in (300.7, True):
+        with pytest.raises(ValueError, match="n must be a whole number"):
+            run_table_grid(1, 1, targets=("gamma5",), errors=("noise_uniform",), sizes=(bad,))
+        with pytest.raises(ValueError, match="n must be a whole number"):
+            run_oracle_rate("gamma5", "noise_uniform", 1.0, [bad], 2.0, 1.0, 1, 1)
+        with pytest.raises(ValueError, match="n must be a whole number"):
+            bias_variance_profile("gamma5", "noise_beta", 1.0, bad, [1], reps=1, seed=1)
 
 
 # ---------------------------------------------------------------------- #

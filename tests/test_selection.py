@@ -189,12 +189,13 @@ def _assert_bank_matches_row_oracle(g, cfg, q, n, y):
     for row, ref in zip(bank.rows, oracle.rows):
         assert np.abs(row - ref).max() <= 1e-13 * np.abs(ref).max()
 
-    tf = pipeline.transform(EmpiricalMellin(cfg.c, y))
-    contrast = bank.contrasts(tf.abs_sq)
-    np.testing.assert_allclose(contrast, oracle.contrasts(tf.abs_sq), rtol=1e-12, atol=0.0)
+    em = EmpiricalMellin(cfg.c, y)
+    abs_sq, sig = np.abs(pipeline.transform(em)) ** 2, sigma_hat(em)
+    contrast = bank.contrasts(abs_sq)
+    np.testing.assert_allclose(contrast, oracle.contrasts(abs_sq), rtol=1e-12, atol=0.0)
     assert np.all(contrast >= 0.0)
-    _, _, objective = oracle.objectives(tf.abs_sq, tf.sigma_hat, n)
-    res = bank.select(tf.abs_sq, tf.sigma_hat, n)
+    _, _, objective = oracle.objectives(abs_sq, sig, n)
+    res = bank.select(abs_sq, sig, n)
     best = np.sort(objective)[:2]
     if best.size < 2 or best[1] - best[0] > 1e-12 * np.abs(best).max():
         assert res.k_hat == oracle.k_values[np.argmin(objective)]
