@@ -14,11 +14,8 @@ from .mellin import (
     MellinFunction,
     WeightedFunction,
     catalog_mellin,
-    empirical_mellin,
     empirical_mellin_on_grid,
     inverse_mellin,
-    plancherel_norm_sq,
-    weighted_l2_dist_sq,
 )
 from .model import (
     CATALOG_IDS,
@@ -52,7 +49,6 @@ from .selection import (
     Pipeline,
     SelectionConfig,
     SelectionResult,
-    admissible_ridge,
     select_cutoff,
     select_ridge,
     sigma_hat,
@@ -65,7 +61,6 @@ from .risk import (
     ProfileRow,
     XGridSpec,
     bias_variance_profile,
-    oracle_error,
     run_mise,
     run_mise_pair,
     run_oracle_rate,

@@ -34,11 +34,11 @@ import numpy as np
 from .grids import QuadratureConfig
 from .mellin import (
     EmpiricalMellin,
+    InversionPlan,
     MellinError,
     MellinFunction,
     check_same_c,
     checked_real_part,
-    invert_grid_values,
     probe_minimum,
 )
 
@@ -241,7 +241,7 @@ def estimate_density(
     check_same_c("sample", em.c, "multiplier", mult.spec.c)
     product = em.on_grid(q).copy()
     product *= mult(q.t)  # in place: numpy rounds this a bit apart from a * b
-    values = checked_real_part(invert_grid_values(q, product, em.c, x_grid, support=mult.support))
+    values = checked_real_part(InversionPlan(q, em.c, x_grid, mult.support)(product))
     return DensityEstimate(np.asarray(x_grid, dtype=float), values, em.c)
 
 

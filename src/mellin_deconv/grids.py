@@ -76,7 +76,10 @@ class QuadratureConfig:
         return 2 * self.half_size + 1
 
     def window_index(self, k: float) -> int:
-        """Grid index offset for the sub-window [-k, k] (nearest node)."""
+        """Grid index offset for the sub-window [-k, k] (nearest node); a
+        negative or non-finite k raises `ValueError`."""
+        if not 0.0 <= float(k) < np.inf:
+            raise ValueError(f"window level k must be finite and nonnegative, got k={k!r}")
         j = int(round(float(k) / self.t_step))
         if j > self.half_size:
             raise ValueError(
@@ -109,10 +112,6 @@ class QuadratureConfig:
         s = self.t_step * (inner - ends)
         s[0] = 0.0
         return s
-
-    def mirror(self, half_values: np.ndarray) -> np.ndarray:
-        """Extend values given on t >= 0 to the full grid by conjugation."""
-        return np.concatenate((np.conj(half_values[:0:-1]), half_values))
 
 
 def default_x_grid(

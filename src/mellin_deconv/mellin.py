@@ -1,11 +1,10 @@
 """Numerical Mellin-transform machinery on the positive half-line.
 
 Provides the empirical transform of a positive sample, closed-form
-transforms for the built-in density catalog, inversion back to x-space by
-quadrature, and Plancherel-based norms in the weighted space
-L^2(R_+, x^(2c-1)).  The development point c selects the weight; transforms
-of real densities satisfy H(-t) = conj(H(t)), which inversion exploits and
-verifies.  On the uniform frequency grid both directions are non-uniform
+transforms for the built-in density catalog, and inversion back to x-space
+by quadrature in the weighted space L^2(R_+, x^(2c-1)).  The development
+point c selects the weight; transforms of real densities satisfy
+H(-t) = conj(H(t)), which inversion exploits and verifies.  On the uniform frequency grid both directions are non-uniform
 FFTs sharing one Gaussian-gridding kernel.  An `InversionPlan` holds the
 product-free part of an inversion and reuses its FFT buffers from call to
 call, so neither a plan nor a `selection.Pipeline`, which keeps one, is
@@ -135,21 +134,6 @@ def _sample_weights(em: EmpiricalMellin) -> np.ndarray:
     return w
 
 
-def empirical_mellin(em: EmpiricalMellin, t) -> np.ndarray:
-    """Empirical Mellin transform n^-1 sum_j Y_j^(c-1+it) of the sample.
-
-    Unbiased for the transform of the sampled density; its modulus is
-    bounded by the value at t = 0.
-    """
-    t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    tt = np.atleast_1d(t)
-    logy = np.log(em.sample)
-    w = _sample_weights(em)
-    vals = (w[:, None] * np.exp(1j * np.outer(logy, tt))).sum(axis=0) / em.n
-    return vals[0] if scalar else vals
-
-
 def _gaussian_gridding(k: np.ndarray) -> tuple:
     """Gaussian gridding of the modes ``k`` (Greengard & Lee 2004, SIAM
     Review 46:443): (size, tau, deconvolution).  The FFT grid has a power of
@@ -186,7 +170,8 @@ def _reduced_phases(log_points: np.ndarray, t_step: float) -> np.ndarray:
 
 
 def empirical_mellin_on_grid(em: EmpiricalMellin, grid: QuadratureConfig) -> np.ndarray:
-    """Empirical Mellin transform on a symmetric uniform grid.
+    """Empirical Mellin transform n^-1 sum_j Y_j^(c-1+it) on a symmetric
+    uniform grid.  It is unbiased for the transform of the sampled density.
 
     On t_m = m * t_step the transform is sum_j w_j exp(i m x_j) with
     w_j = Y_j^(c-1)/n and x_j = t_step*log Y_j: a type-1 non-uniform FFT of
@@ -313,6 +298,18 @@ def catalog_mellin(name: str, c: float) -> MellinFunction:
     return MellinFunction(c, eval_fn, None if upper is None else record.decay, upper)
 
 
+def checked_x_grid(x_grid) -> np.ndarray:
+    """``x_grid`` as a float array of finite positive points; anything but a
+    nonempty 1-D array, or a zero, negative or non-finite point, raises
+    `MellinError`."""
+    x = np.asarray(x_grid, dtype=float)
+    if x.ndim != 1 or x.size == 0:
+        raise MellinError(f"x_grid must be a nonempty 1-D array, got shape {x.shape}")
+    if not np.all(np.isfinite(x) & (x > 0.0)):
+        raise MellinError("x_grid must hold finite positive points only")
+    return x
+
+
 def eval_on_grid(transform, q: QuadratureConfig) -> np.ndarray:
     """Complex values of a transform (callable, or values already on the
     grid) at the nodes of ``q``; a shape mismatch or a non-finite value
@@ -333,8 +330,8 @@ class InversionPlan:
     Called on one product on the grid, or a (K, len(grid)) stack, the plan
     returns the complex quadrature sum (2pi)^-1 sum_m w_m x^(-c-i t_m) H(t_m),
     of shape (len(x),) or (K, len(x)).  With ``support`` = k the sum runs
-    over the sub-window [-k, k] with proper trapezoid end weights there.  A
-    zero, negative or non-finite x raises `MellinError` at construction; a
+    over the sub-window [-k, k] with proper trapezoid end weights there.  An
+    x-grid refused by `checked_x_grid` raises `MellinError` at construction; a
     product whose last axis is not len(grid) long raises it before any work.
 
     The sum over m = -j..j is a Fourier series in the phase t_step*log x,
@@ -356,9 +353,7 @@ class InversionPlan:
 
     def __init__(self, grid: QuadratureConfig, c: float, x_grid: np.ndarray,
                  support: Optional[float] = None):
-        x = np.asarray(x_grid, dtype=float)
-        if not np.all(np.isfinite(x) & (x > 0.0)):
-            raise MellinError("x_grid must hold finite positive points only")
+        x = checked_x_grid(x_grid)
         self.grid = grid
         j = self.j = grid.half_size if support is None else grid.window_index(support)
         self.size, tau, weights = _gaussian_gridding(np.arange(-j, j + 1))
@@ -417,21 +412,8 @@ class InversionPlan:
         return near.sum(axis=-1)
 
 
-def invert_grid_values(
-    grid: QuadratureConfig,
-    values: np.ndarray,
-    c: float,
-    x_grid: np.ndarray,
-    support: Optional[float] = None,
-) -> np.ndarray:
-    """``InversionPlan(grid, c, x_grid, support)(values)``: the package's
-    one inversion, for a single use.  It performs no symmetry checks (see
-    `checked_real_part`)."""
-    return InversionPlan(grid, c, x_grid, support)(values)
-
-
 def checked_real_part(values: np.ndarray) -> np.ndarray:
-    """Real part of `invert_grid_values` output, after the Hermitian check.
+    """Real part of an `InversionPlan` output, after the Hermitian check.
 
     The imaginary residue of the two-sided sum is the inversion of the
     product's anti-Hermitian part.  For each row it must stay within
@@ -460,27 +442,6 @@ def inverse_mellin(
     conjugate-symmetric, H(-t) = conj(H(t)); a violation raises
     `HermitianSymmetryError` (see `checked_real_part`).
     """
-    vals = eval_on_grid(transform, q)
-    re = checked_real_part(invert_grid_values(q, vals, c, x_grid))
+    re = checked_real_part(InversionPlan(q, c, x_grid)(eval_on_grid(transform, q)))
     return WeightedFunction(x_grid=np.asarray(x_grid, float), values=re, c=c)
 
-
-def plancherel_norm_sq(transform, q: QuadratureConfig) -> float:
-    """(2pi)^-1 integral of |H|^2 over the quadrature window.
-
-    Equals the squared weighted L^2 norm of the x-domain function whose
-    transform is H, up to quadrature and truncation error.
-    """
-    vals = eval_on_grid(transform, q)
-    return float(q.integrate(np.abs(vals) ** 2)) / (2.0 * np.pi)
-
-
-def weighted_l2_dist_sq(a: WeightedFunction, b: WeightedFunction) -> float:
-    """Squared distance integral of (a-b)^2 x^(2c-1) over the shared grid."""
-    if a.c != b.c:
-        raise ValueError("weighted functions have different development points")
-    if a.x_grid.shape != b.x_grid.shape or not np.array_equal(a.x_grid, b.x_grid):
-        raise ValueError("weighted functions live on different grids")
-    diff = a.values - b.values
-    weight = a.x_grid ** (2.0 * a.c - 1.0)
-    return float(np.trapezoid(diff * diff * weight, a.x_grid))

@@ -4,10 +4,11 @@ Per-replication work is keyed by content-hashed RNG streams, so results do
 not depend on execution order, and the same draws feed both estimation
 methods within a scenario (paired comparison).  Every experiment runs
 through one `selection.Pipeline` per scenario: both methods are fitted to
-each replication's sample, whose empirical transform is computed once, by
-its own memo (`EmpiricalMellin.on_grid`), and shared by them; every
-estimate is inverted by the pipeline, which checks the Hermitian residue of
-each product.  This module adds only the truth tabulation and the error
+each replication's sample (or, with a fixed level, estimated at it by
+`Pipeline.estimate`), whose empirical transform is computed once, by its
+own memo (`EmpiricalMellin.on_grid`), and shared by them; every estimate is
+inverted by the pipeline, which checks the Hermitian residue of each
+product.  This module adds only the truth tabulation and the error
 integrals, taken in the weighted space L^2(R_+, x^(2c-1)) on a log-spaced
 x-window covering the catalog targets' effective support.
 
@@ -21,8 +22,8 @@ configuration never share one (the second builds its own); on completion
 it returns the pipeline trimmed by `Pipeline.release` to its tables (about
 1.1 MB on the default grids), and after an exception it drops it.  Results
 are bitwise those of a fresh pipeline.  The one-shot functions of
-`selection` (`select_ridge`, `select_cutoff`, `admissible_ridge`) and
-`cli estimate` build their own pipeline and never touch the cache: a single
+`selection` (`select_ridge`, `select_cutoff`) and `cli estimate` build
+their own pipeline and never touch the cache: a single
 estimate has no later scenario to share with, so it leaves nothing behind
 and does the same work as before.
 """
@@ -38,7 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .grids import QuadratureConfig, default_x_grid
-from .mellin import EmpiricalMellin, WeightedFunction, catalog_mellin, check_same_c
+from .mellin import EmpiricalMellin, catalog_mellin
 from .model import (
     RngStream,
     contaminate,
@@ -124,18 +125,6 @@ def sigma_c_true(target: str, error: str, c: float) -> float:
     return weighted_moment(target, p) * weighted_moment(error, p)
 
 
-def oracle_error(estimate, target: str, c: float) -> float:
-    """Squared weighted L^2 distance between an estimate and a catalog truth.
-
-    ``estimate`` provides ``x_grid``/``values``/``c`` (a DensityEstimate or
-    WeightedFunction); the truth is evaluated on the estimate's own grid.
-    An estimate at another development point than ``c`` raises `MellinError`.
-    """
-    check_same_c("estimate", estimate.c, "error metric", c)
-    est = WeightedFunction(estimate.x_grid, estimate.values, c)  # checks the grid
-    return float(_error_integral(target, c, est.x_grid)(est.values))
-
-
 def _error_integral(target: str, c: float, x: np.ndarray):
     """Weighted squared error against the truth on ``x``, of one estimate
     or of each row of a stack."""
@@ -186,18 +175,14 @@ def _mise_reports(cfg: ExperimentConfig, methods: Sequence[str]) -> dict:
     errors = {m: np.empty(cfg.replications) for m in methods}
     with _scenario_pipeline(cfg) as pipeline:
         error = _error_integral(cfg.target, cfg.c, pipeline.x_grid)
-        fixed_row = None
-        if cfg.fixed_k is not None:
-            k = int(cfg.fixed_k)
-            fixed_row = pipeline.fixed_ridge_bank((k,)).row(k)
         for rep in range(cfg.replications):
             em = _replication_sample(cfg, rep)
             for m in methods:
-                if m == "ridge" and fixed_row is not None:
-                    values = pipeline.invert(pipeline.transform(em) * fixed_row)
+                if cfg.fixed_k is None:
+                    estimate = pipeline.fit(m, em)[1]
                 else:
-                    values = pipeline.fit(m, em)[1].values
-                errors[m][rep] = error(values)
+                    estimate = pipeline.estimate(m, em, cfg.fixed_k)
+                errors[m][rep] = error(estimate.values)
     return {m: MiseReport.from_errors(errors[m]) for m in methods}
 
 

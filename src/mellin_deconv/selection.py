@@ -22,19 +22,20 @@ per-bucket moments, in O(N + m^2) for N nodes and m levels.
 
 `Pipeline` is the package's one chain of grid, noise-transform table,
 banks, empirical transform, selection and inversion for a configuration;
-every data-driven estimate runs through it, whatever the sample size.
-`Pipeline.select` and `Pipeline.fit` take the sample itself: its transform
-on the grid is computed once, by the sample's own memo
-(`EmpiricalMellin.on_grid`), and shared by every later call.  A pipeline
+every estimate runs through it, whatever the sample size.
+`Pipeline.estimate` is the one estimate at a given level, and
+`Pipeline.fit` is `Pipeline.select` followed by it.  Each takes the sample
+itself: its transform on the grid is computed once, by the sample's own
+memo (`EmpiricalMellin.on_grid`), and shared by every later call.  A pipeline
 keeps the level data (levels, norms, cut-off windows) of its last
 `_BANK_SIZES` sample sizes, but the banks' node-sized arrays for the
 current size only, and its full-grid inversion plan owns reused buffers, so
 a pipeline is not for concurrent calls.  `Pipeline.release` trims a
 pipeline that is kept between uses to its tables: 1/M_g, kappa, the level
 data and the full-grid plan's constants.  The Monte-Carlo experiments keep
-released pipelines in a small cache in `risk`; `select_ridge`,
-`select_cutoff` and `admissible_ridge` answer one sample or size, so they
-build a pipeline per call and leave nothing behind.
+released pipelines in a small cache in `risk`; `select_ridge` and
+`select_cutoff` answer one sample, so they build a pipeline per call and
+leave nothing behind.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from .mellin import (
     MellinFunction,
     check_same_c,
     checked_real_part,
+    checked_x_grid,
     eval_on_grid,
 )
 from .model import whole_count
@@ -247,17 +249,15 @@ class RidgeBank(_LevelBank):
         excess[inner] = self.kappa[inner] ** self._p - self._powers[self._bucket[inner] - 1]
         return excess
 
-    def _multipliers(self, k) -> np.ndarray:
-        return self._inv * np.minimum(1.0, k / self.kappa) ** self._p
-
     def row(self, k: int) -> np.ndarray:
         """Multiplier of the bank level ``k`` on the bank's grid."""
-        return self._multipliers(float(self.k_values[_level_index(self, k)]))
+        return _ridge_row(self._inv, self.kappa, float(self.k_values[_level_index(self, k)]),
+                          self._p)
 
     @property
     def rows(self) -> np.ndarray:
         """(levels x nodes) stack of every level's multiplier, built on each access."""
-        return self._multipliers(self.k_values[:, None].astype(float))
+        return _ridge_row(self._inv, self.kappa, self.k_values[:, None].astype(float), self._p)
 
     def contrasts(self, mhat_abs_sq: np.ndarray) -> np.ndarray:
         """C[i, j] = ||f_hat_{k_j} - f_hat_{k_i}||^2 for i < j, zero elsewhere.
@@ -300,14 +300,14 @@ class CutoffBank(_LevelBank):
 
     Each level's window, `QuadratureConfig.window_index` (nearest node), is
     worked out once as ``windows`` and serves the norms, the selection
-    contrasts, `row` and the zero check of the largest window; ``inv_mg``
-    is the pipeline's 1/M_g table and ``g_mellin`` serves only that check.
+    contrasts and `row`; ``inv_mg`` is the pipeline's 1/M_g table.  The
+    bank checks no zeros: `Pipeline.bank` probes M_g on the largest window.
     The node-sized |1/M_g|^2 is built on first use and dropped by `release`.
     """
 
     _NODE_ARRAYS = ("_inv_sq",)
 
-    def __init__(self, g_mellin, inv_mg, cfg: SelectionConfig, q: QuadratureConfig, n_cap: float):
+    def __init__(self, inv_mg, cfg: SelectionConfig, q: QuadratureConfig, n_cap: float):
         self.q, self.cfg, self.inv_mg = q, cfg, inv_mg
         cum = q.centered_cumulative(self._inv_sq)
 
@@ -325,9 +325,6 @@ class CutoffBank(_LevelBank):
         self.k_values = np.array(levels, dtype=int)
         self.windows = np.array(windows, dtype=int)
         self.norms_sq = cum[self.windows]
-        if len(levels) > 0:
-            edge = float(q.t[q.center + windows[-1]])
-            check_nonvanishing(g_mellin, edge, q.t_step)
 
     @cached_property
     def _inv_sq(self) -> np.ndarray:
@@ -336,9 +333,7 @@ class CutoffBank(_LevelBank):
     def row(self, k: int) -> np.ndarray:
         """Cut-off multiplier of the bank level ``k``: 1/M_g on its window,
         zero outside."""
-        j = self.windows[_level_index(self, k)]
-        offsets = np.abs(np.arange(len(self.q)) - self.q.center)
-        return np.where(offsets <= j, self.inv_mg, 0.0)
+        return _cutoff_row(self.q, self.inv_mg, self.windows[_level_index(self, k)])
 
     def select(self, mhat_abs_sq: np.ndarray, sig_hat: float, n: int) -> SelectionResult:
         """Penalised-contrast selection given |M_hat|^2 on the bank's grid."""
@@ -349,6 +344,21 @@ class CutoffBank(_LevelBank):
         return _selection_result(
             "cutoff", self.k_values, window_norms, pen, pen - window_norms, sig_hat
         )
+
+
+def _ridge_row(inv, kappa, k, p) -> np.ndarray:
+    """Ridge multiplier R_k = (1/M_g) min(1, k/kappa)^p from the noise table."""
+    return inv * np.minimum(1.0, k / kappa) ** p
+
+
+def _cutoff_row(q: QuadratureConfig, inv, j: int) -> np.ndarray:
+    """Cut-off multiplier: 1/M_g on the window of index offset ``j``, zero outside."""
+    return np.where(np.abs(np.arange(len(q)) - q.center) <= j, inv, 0.0)
+
+
+def _check_method(method: str) -> None:
+    if method not in ("ridge", "cutoff"):
+        raise ValueError(f"method must be 'ridge' or 'cutoff', got {method!r}")
 
 
 def _level_index(bank, k) -> int:
@@ -387,10 +397,16 @@ class Pipeline:
     size on first use, so the ridge rule works where the cut-off bank raises
     `NoiseTransformZeroError`.  The banks of the last `_BANK_SIZES` sizes
     are kept, and only the current size's banks hold node-sized arrays.
-    The development points of ``g_mellin``, ``cfg`` and every sample must
-    agree; a mismatch raises `MellinError`.  A sample's transform on the
-    grid is its own memo, `EmpiricalMellin.on_grid`, so both methods fitted
-    to one sample share one transform.
+    Every cut-off window is checked zero-free (`check_nonvanishing`) before
+    use; the pipeline keeps the widest window probed and probes again only
+    past it.  The development points of ``g_mellin``, ``cfg`` and every
+    sample must agree; a mismatch raises `MellinError`, and so does an
+    x-grid refused by `checked_x_grid`.
+
+    `estimate` is the one estimate at a given level, and `fit` is `select`
+    followed by `estimate`.  A sample's transform on the grid is its own
+    memo, `EmpiricalMellin.on_grid`, so both methods fitted to one sample
+    share one transform.
 
     `invert` keeps the full grid's `InversionPlan`, built on first use, for
     the ridge rule; a cut-off window gets a new plan per call.  The plan
@@ -408,13 +424,15 @@ class Pipeline:
     ):
         check_same_c("selection", cfg.c, "noise", g_mellin.c)
         self.g_mellin, self.cfg, self.q, self.c = g_mellin, cfg, q, cfg.c
-        self.x_grid = np.asarray(x_grid, dtype=float)
+        self.x_grid = checked_x_grid(x_grid)
         self._banks = {}  # n -> {method: bank}, least recently used size first
+        self._probed = -1  # index offset of the widest window checked zero-free
 
     @cached_property
     def _noise_table(self) -> tuple:
         """(1/M_g, kappa) on the grid from the one evaluation of M_g, shared
-        read-only by every bank of this pipeline; `MellinError` if not finite."""
+        read-only by every bank and multiplier of this pipeline; `MellinError`
+        if not finite."""
         mg = eval_on_grid(self.g_mellin, self.q)
         inv, kappa = ridge_factors(mg, self.q.t, self.cfg.xi, self.cfg.r)
         inv.flags.writeable = kappa.flags.writeable = False
@@ -422,8 +440,7 @@ class Pipeline:
 
     def bank(self, method: str, n: int):
         """The ``method`` bank of the levels admissible at sample size ``n``."""
-        if method not in ("ridge", "cutoff"):
-            raise ValueError(f"method must be 'ridge' or 'cutoff', got {method!r}")
+        _check_method(method)
         n = whole_count(n, "sample size")
         banks = self._banks.pop(n, None)
         if banks is None:
@@ -436,12 +453,21 @@ class Pipeline:
         self._banks[n] = banks
         if method not in banks:
             inv, kappa = self._noise_table
-            banks[method] = (
-                RidgeBank(inv, kappa, self.cfg, self.q, n_cap=float(n))
-                if method == "ridge"
-                else CutoffBank(self.g_mellin, inv, self.cfg, self.q, n_cap=float(n))
-            )
+            if method == "ridge":
+                banks[method] = RidgeBank(inv, kappa, self.cfg, self.q, n_cap=float(n))
+            else:
+                bank = CutoffBank(inv, self.cfg, self.q, n_cap=float(n))
+                if len(bank) > 0:
+                    self._check_window(int(bank.windows[-1]))
+                banks[method] = bank
         return banks[method]
+
+    def _check_window(self, j: int) -> None:
+        """Probe M_g for zeros on the window of index offset ``j``, unless a
+        window at least as wide has passed; `NoiseTransformZeroError` if so."""
+        if j > self._probed:
+            check_nonvanishing(self.g_mellin, float(self.q.t[self.q.center + j]), self.q.t_step)
+            self._probed = j
 
     def fixed_ridge_bank(self, levels: Sequence[int]) -> RidgeBank:
         """Ridge bank of fixed increasing levels, without the admissibility cap."""
@@ -487,28 +513,30 @@ class Pipeline:
         if "_full_plan" in self.__dict__:
             self._full_plan.release()
 
+    def estimate(self, method: str, em: EmpiricalMellin, k: float) -> DensityEstimate:
+        """The ``method`` estimate of a sample at the fixed level ``k`` (> 0),
+        without the admissibility cap.  The ridge multiplier comes from the
+        noise table; the cut-off one is 1/M_g on the window of k
+        (`QuadratureConfig.window_index`), checked zero-free first."""
+        _check_method(method)
+        if not 0.0 < k < np.inf:
+            raise ValueError(f"level k must be positive and finite, got k={k!r}")
+        inv, kappa = self._noise_table
+        # the multiplier is a temporary on the right, so numpy multiplies into
+        # it in place; a named one rounds the imaginary part differently
+        if method == "ridge":
+            product = self.transform(em) * _ridge_row(inv, kappa, float(k), self.cfg.r + 2.0)
+            return DensityEstimate(self.x_grid, self.invert(product), self.c)
+        j = self.q.window_index(k)
+        self._check_window(j)
+        product = self.transform(em) * _cutoff_row(self.q, inv, j)
+        return DensityEstimate(self.x_grid, self.invert(product, float(k)), self.c)
+
     def fit(self, method: str, em: EmpiricalMellin) -> tuple:
-        """(SelectionResult, DensityEstimate) for a sample."""
+        """(SelectionResult, DensityEstimate) for a sample: `select`, then
+        `estimate` at the chosen level."""
         result = self.select(method, em)
-        product = em.on_grid(self.q) * self.bank(method, em.n).row(result.k_hat)
-        support = float(result.k_hat) if method == "cutoff" else None
-        return result, DensityEstimate(self.x_grid, self.invert(product, support), self.c)
-
-
-def admissible_ridge(
-    g_mellin: MellinFunction,
-    cfg: SelectionConfig,
-    n: int,
-    q: QuadratureConfig,
-) -> list:
-    """Prefix of the candidate grid with ||R_k||^2 <= n.
-
-    Raises `EmptyAdmissibleSetError` when even the first candidate fails
-    (the grid starts too high for this sample size).
-    """
-    bank = Pipeline(g_mellin, cfg, q, default_x_grid()).bank("ridge", n)
-    _require_levels(bank, "ridge", n)
-    return [int(k) for k in bank.k_values]
+        return result, self.estimate(method, em, result.k_hat)
 
 
 def select_ridge(

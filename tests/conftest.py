@@ -12,7 +12,10 @@ that replaced them; the bincount oracle is the type-1 NUFFT's former
 one-shot spread, the bitwise reference for the blocked one.
 `RowRidgeBank` is the package's former ridge bank, which tabulated every
 level's multiplier and compared each pair of levels with a pass over all
-nodes; it is the reference for the factored bank.
+nodes; it is the reference for the factored bank.  The direct-sum empirical
+transform, the Plancherel norm, the weighted distance and the oracle error
+are written out from their formulas, as references for the package's grid
+transform, norms and Monte-Carlo errors.
 """
 
 import itertools
@@ -21,7 +24,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mellin_deconv import risk
+from mellin_deconv import MellinError, density_eval, density_spec, risk
 
 # log-coordinate density values: id -> (u_lo, u_hi, w) with w(u) = h(e^u),
 # so that M_c[h](t) = int w(u) e^(c u) (cos(t u) + i sin(t u)) du
@@ -113,6 +116,50 @@ def ridge_risk_oracle(
     return float(bias_sq), float(variance)
 
 
+def mirror(half_values: np.ndarray) -> np.ndarray:
+    """Values on the t >= 0 half of a symmetric grid, extended to the whole
+    grid by conjugation."""
+    return np.concatenate((np.conj(half_values[:0:-1]), half_values))
+
+
+def empirical_mellin(em, t):
+    """Empirical Mellin transform n^-1 sum_j Y_j^(c-1+it) of the sample at
+    any points t, by the direct sum over the sample."""
+    t = np.asarray(t, dtype=float)
+    phases = np.exp(1j * np.outer(np.log(em.sample), np.atleast_1d(t)))
+    vals = (em.sample[:, None] ** (em.c - 1.0) * phases).sum(axis=0) / em.n
+    return vals[0] if t.ndim == 0 else vals
+
+
+def plancherel_norm_sq(transform, q) -> float:
+    """(2 pi)^-1 times the trapezoid integral of |H|^2 over the grid of ``q``:
+    by Plancherel, the squared weighted L^2 norm of the x-domain function
+    whose transform is H, up to quadrature and truncation error."""
+    values = np.abs(np.asarray(transform(q.t), dtype=np.complex128)) ** 2
+    return float(np.trapezoid(values, dx=q.t_step)) / (2.0 * np.pi)
+
+
+def weighted_l2_dist_sq(a, b) -> float:
+    """Trapezoid integral of (a - b)^2 x^(2c-1) over the shared x-grid of two
+    weighted functions; another grid or development point raises ValueError."""
+    if a.c != b.c:
+        raise ValueError("weighted functions have different development points")
+    if not np.array_equal(a.x_grid, b.x_grid):
+        raise ValueError("weighted functions live on different grids")
+    return float(np.trapezoid((a.values - b.values) ** 2 * a.x_grid ** (2.0 * a.c - 1.0), a.x_grid))
+
+
+def oracle_error(estimate, target: str, c: float) -> float:
+    """Trapezoid integral of (f_hat - f)^2 x^(2c-1) on the estimate's own
+    x-grid, f the catalog density ``target``; an estimate at another
+    development point than ``c`` raises `MellinError`."""
+    if estimate.c != c:
+        raise MellinError(f"development point mismatch: estimate c={estimate.c}, metric c={c}")
+    x = np.asarray(estimate.x_grid, dtype=float)
+    truth = density_eval(density_spec(target), x)
+    return float(np.trapezoid((estimate.values - truth) ** 2 * x ** (2.0 * c - 1.0), x))
+
+
 def rotator_mellin_on_grid(em, grid) -> np.ndarray:
     """Empirical Mellin transform on a symmetric uniform grid, blockwise.
 
@@ -134,7 +181,7 @@ def rotator_mellin_on_grid(em, grid) -> np.ndarray:
         half[m0 : m0 + nb] = carry @ zb[:, :nb]
         carry = carry * zstep
         m0 += nb
-    return grid.mirror(half)
+    return mirror(half)
 
 
 def bincount_mellin_on_grid(em, grid) -> np.ndarray:
@@ -170,7 +217,7 @@ def bincount_mellin_on_grid(em, grid) -> np.ndarray:
     spread = spread + 1j * np.bincount(nodes, (centred.imag[:, None] * kernel).ravel(), size)
     half = np.fft.ifft(spread)[k % size] * deconvolution
     half[0] = w.sum()
-    return grid.mirror(half)
+    return mirror(half)
 
 
 def rotator_invert_grid_values(grid, values, c, x_grid, support=None) -> np.ndarray:

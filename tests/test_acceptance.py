@@ -28,7 +28,6 @@ from mellin_deconv import (
     density_spec,
     inverse_mellin,
     multiplier_norm_sq,
-    plancherel_norm_sq,
     ridge_multiplier,
     run_oracle_rate,
     run_selection_oracle_comparison,
@@ -43,7 +42,7 @@ from mellin_deconv.risk import (
 )
 from mellin_deconv.selection import Pipeline, SelectionConfig
 
-from conftest import mellin_quad_oracle, norm_sq_quad_oracle, ridge_risk_oracle
+from conftest import mellin_quad_oracle, norm_sq_quad_oracle, plancherel_norm_sq, ridge_risk_oracle
 
 _REPORT_LINES = []
 
@@ -387,12 +386,12 @@ def test_c9_invariants_standalone():
         density_spec("noise_uniform"), 500, RngStream(5, 2)
     )
     em = EmpiricalMellin(1.0, y)
-    from mellin_deconv.mellin import invert_grid_values, empirical_mellin_on_grid
+    from mellin_deconv.mellin import InversionPlan, empirical_mellin_on_grid
 
     g = catalog_mellin("noise_uniform", 1.0)
     mult = ridge_multiplier(RidgeSpec(k=3.0, c=1.0, r=2.0), g)
     product = empirical_mellin_on_grid(em, q) * mult(q.t)
-    complex_vals = invert_grid_values(q, product, 1.0, default_x_grid(points=64))
+    complex_vals = InversionPlan(q, 1.0, default_x_grid(points=64))(product)
     realness = bool(
         np.abs(complex_vals.imag).max()
         <= 1e-8 * (1.0 + np.abs(complex_vals.real).max())

@@ -20,7 +20,7 @@ from mellin_deconv import (
     multiplier_norm_sq,
     ridge_multiplier,
 )
-from mellin_deconv.mellin import checked_real_part, invert_grid_values
+from mellin_deconv.mellin import InversionPlan, checked_real_part
 from mellin_deconv.model import density_eval, density_spec
 
 Q = QuadratureConfig(0.01, 150.0)
@@ -159,7 +159,7 @@ def test_ridge_norm_vanishes_with_k():
 def test_norm_conventions_differ_by_two_pi():
     # multiplier norms follow the plain int |.|^2 dt convention, the
     # function-space norm carries the 1/(2 pi); keep them locked together
-    from mellin_deconv import plancherel_norm_sq
+    from conftest import plancherel_norm_sq
 
     mult = ridge_multiplier(RidgeSpec(k=2.0, c=1.0, r=2.0), G_BETA)
     direct = multiplier_norm_sq(mult, Q)
@@ -200,7 +200,7 @@ def test_noiseless_population_estimate_recovers_target():
     q = QuadratureConfig(0.01, 80.0)
     product = mf(q.t) * G_BETA(q.t) * mult(q.t)
     x = np.geomspace(0.1, 15.0, 200)
-    vals = invert_grid_values(q, product, 1.0, x)
+    vals = InversionPlan(q, 1.0, x)(product)
     truth = density_eval(density_spec("gamma5"), x)
     assert np.max(np.abs(vals.real - truth)) < 1e-3
     assert np.max(np.abs(vals.imag)) < 1e-10
@@ -223,10 +223,10 @@ def test_estimate_realness_and_fast_path_equivalence(rng):
     # the product estimate_density inverts, built here
     product = empirical_mellin_on_grid(em, Q) * mult(Q.t)
     # generic two-sided inversion: imaginary residue within tolerance
-    complex_vals = invert_grid_values(Q, product, 1.0, x)
+    complex_vals = InversionPlan(Q, 1.0, x)(product)
     assert np.abs(complex_vals.imag).max() <= 1e-8 * (1.0 + np.abs(complex_vals.real).max())
     # the checked real part agrees with the two-sided sum
-    fast = checked_real_part(invert_grid_values(Q, product, 1.0, x))
+    fast = checked_real_part(InversionPlan(Q, 1.0, x)(product))
     assert np.allclose(fast, complex_vals.real, atol=1e-12)
     assert np.allclose(fast, est.values, atol=1e-12)
 
@@ -240,10 +240,10 @@ def test_product_without_conjugate_symmetry_is_refused(rng):
     lopsided = mhat * np.where(Q.t > 0.0, 2.0, 1.0)
     x = default_x_grid()
     with pytest.raises(HermitianSymmetryError):
-        checked_real_part(invert_grid_values(Q, lopsided, 1.0, x))
+        checked_real_part(InversionPlan(Q, 1.0, x)(lopsided))
     with pytest.raises(HermitianSymmetryError):
-        checked_real_part(invert_grid_values(Q, np.stack([mhat, lopsided]), 1.0, x))
-    assert checked_real_part(invert_grid_values(Q, np.stack([mhat]), 1.0, x)).shape == (1, x.size)
+        checked_real_part(InversionPlan(Q, 1.0, x)(np.stack([mhat, lopsided])))
+    assert checked_real_part(InversionPlan(Q, 1.0, x)(np.stack([mhat]))).shape == (1, x.size)
 
 
 def test_overflowing_sample_weights_are_refused(rng):

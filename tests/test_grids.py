@@ -22,12 +22,13 @@ from mellin_deconv import (
     catalog_mellin,
     cutoff_multiplier,
     default_x_grid,
-    empirical_mellin,
     multiplier_norm_sq,
-    plancherel_norm_sq,
     ridge_multiplier,
 )
 from mellin_deconv.grids import MAX_GRID_NODES
+from mellin_deconv.mellin import InversionPlan
+
+from conftest import empirical_mellin, plancherel_norm_sq
 
 #: the largest frequency grid a drawn configuration may build
 MAX_NODES = 20_001
@@ -128,3 +129,23 @@ def test_construction_builds_no_nodes_and_the_bound_is_inclusive():
     with pytest.raises(ValueError):
         small.t[0] = 0.0
     assert small == QuadratureConfig(0.5, 5.0) and hash(small) == hash(QuadratureConfig(0.5, 5.0))
+
+
+@pytest.mark.parametrize("k", [-1.0, -np.inf, np.inf, np.nan])
+def test_bad_window_level_is_refused_by_name(k):
+    # a negative level used to give a negative window, which failed far from
+    # its cause (ZeroDivisionError in the gridding, IndexError in the sum),
+    # and an infinite one an OverflowError
+    q = QuadratureConfig(0.5, 5.0)
+    product = np.ones(len(q), dtype=complex)
+    calls = [
+        lambda: q.window_index(k),
+        lambda: q.window_integrate(product.real, k),
+        lambda: InversionPlan(q, 1.0, X, support=k),
+        lambda: Pipeline(G_BETA, CFG, q, X).invert(product, support=k),
+    ]
+    if k > 0.0:  # `CutoffSpec` itself refuses the others
+        calls.append(lambda: cutoff_multiplier(CutoffSpec(k=k, c=1.0), G_BETA, q))
+    for call in calls:
+        with pytest.raises(ValueError, match=f"finite and nonnegative, got k={k!r}"):
+            call()

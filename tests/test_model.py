@@ -13,12 +13,13 @@ from mellin_deconv import (
     contaminate,
     density_eval,
     density_spec,
-    empirical_mellin,
     read_sample_csv,
     sample,
     stream_id_for,
     write_sample_csv,
 )
+
+from conftest import empirical_mellin
 
 N_BIG = 100_000
 KS_CRIT_1PCT = 1.63  # / sqrt(n)

@@ -1,6 +1,7 @@
 """The estimation pipeline: equivalence with the three-step form, input
 checks, and property tests over awkward samples and grids."""
 
+import re
 import tracemalloc
 from dataclasses import replace
 from functools import lru_cache
@@ -88,6 +89,69 @@ def test_fit_matches_three_step_estimate(method, error, n):
     assert np.array_equal(est.x_grid, ref.x_grid)
     # estimate_density builds its product on the grid of Q
     assert np.array_equal(pipeline.q.t, Q.t)
+
+
+@pytest.mark.parametrize("k", [2, 25])
+@pytest.mark.parametrize("method", ["ridge", "cutoff"])
+def test_estimate_matches_the_three_step_form_at_a_fixed_level(method, k):
+    # no admissibility cap: at n = 200 the ridge levels end at 4 and the
+    # cut-off ones at 16; the ridge estimate builds no bank
+    em = EmpiricalMellin(1.0, _draw("gamma5", "noise_uniform", 200))
+    g, cfg, x = _noise("noise_uniform", 1.0), table1_selection_config("noise_uniform"), default_x_grid()
+    pipeline = Pipeline(g, cfg, Q, x)
+    est = pipeline.estimate(method, em, k)
+    if method == "ridge":
+        mult = ridge_multiplier(RidgeSpec(k=float(k), c=1.0, xi=cfg.xi, r=cfg.r), g)
+    else:
+        mult = cutoff_multiplier(CutoffSpec(k=float(k), c=1.0), g, Q)
+    ref = estimate_density(mult, em, x, Q)
+    assert np.abs(est.values - ref.values).max() <= 1e-12 * np.abs(ref.values).max()
+    assert np.array_equal(est.x_grid, x) and est.c == 1.0
+    assert pipeline._banks == {}
+
+
+def test_estimate_probes_only_past_the_widest_checked_window(monkeypatch):
+    # the cut-off bank probes its largest window when built, so a fit probes
+    # once; a fixed level probes again only past the widest window checked
+    probes = []
+    check = selection.check_nonvanishing
+
+    def counted(g, edge, t_step):
+        probes.append(edge)
+        check(g, edge, t_step)
+
+    monkeypatch.setattr(selection, "check_nonvanishing", counted)
+    em = EmpiricalMellin(1.0, _draw("gamma5", "noise_beta", 2000))
+    pipeline = Pipeline(_noise("noise_beta", 1.0), table1_selection_config("noise_beta"), Q,
+                        default_x_grid())
+    pipeline.fit("cutoff", em)
+    widest = int(pipeline.bank("cutoff", em.n).k_values[-1])
+    assert probes == [pytest.approx(widest)]
+    for k in (1, widest):
+        pipeline.estimate("cutoff", em, k)
+    assert len(probes) == 1
+    pipeline.estimate("cutoff", em, widest + 5)
+    pipeline.estimate("cutoff", em, widest + 2)
+    pipeline.fit("cutoff", EmpiricalMellin(1.0, _draw("gamma5", "noise_beta", 500)))
+    assert probes == [pytest.approx(widest), pytest.approx(widest + 5)]
+
+
+def test_estimate_refuses_a_window_across_a_zero_and_bad_levels():
+    # uniform noise at c = 0 vanishes near t = 5.72: the cut-off estimate at
+    # k = 6 is refused, the ridge estimate is not
+    em = EmpiricalMellin(0.0, _draw("gamma5", "noise_uniform", 500))
+    cfg = SelectionConfig(chi1=0.125, chi2=0.125, chi=5.0, c=0.0)
+    pipeline = Pipeline(_noise("noise_uniform", 0.0), cfg, Q, default_x_grid())
+    with pytest.raises(NoiseTransformZeroError):
+        pipeline.estimate("cutoff", em, 6)
+    assert np.all(np.isfinite(pipeline.estimate("ridge", em, 6).values))
+    for k in (0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            pipeline.estimate("ridge", em, k)
+    with pytest.raises(ValueError, match="'magic'"):
+        pipeline.estimate("magic", em, 1)
+    with pytest.raises(MellinError, match="development point mismatch"):
+        pipeline.estimate("ridge", EmpiricalMellin(1.0, em.sample), 1)
 
 
 def _three_step(method, em, noise, q=Q):
@@ -345,6 +409,17 @@ def test_development_point_mismatch_is_refused():
         select_ridge(EmpiricalMellin(1.0, y), g, off, Q)
     with pytest.raises(MellinError):
         Pipeline(g, off, Q, default_x_grid())
+
+
+@pytest.mark.parametrize("x, shape", [(np.array([]), "(0,)"), (np.ones((2, 3)), "(2, 3)"),
+                                      (2.0, "()")])
+def test_malformed_x_grid_is_refused_at_construction(x, shape):
+    # an empty grid used to run selection and then fail in numpy's reduction,
+    # a 2-D one with a broadcast error
+    g, cfg = _noise("noise_beta", 1.0), table1_selection_config("noise_beta")
+    for build in (lambda: Pipeline(g, cfg, Q, x), lambda: mellin.InversionPlan(Q, 1.0, x)):
+        with pytest.raises(MellinError, match=re.escape(f"nonempty 1-D array, got shape {shape}")):
+            build()
 
 
 def test_non_finite_moment_weights_are_refused():

@@ -13,12 +13,10 @@ from mellin_deconv import (
     MellinError,
     QuadratureConfig,
     WeightedFunction,
-    admissible_ridge,
     bias_variance_profile,
     default_x_grid,
     density_eval,
     density_spec,
-    oracle_error,
     run_mise,
     run_mise_pair,
     run_oracle_rate,
@@ -32,6 +30,8 @@ from mellin_deconv import (
     weighted_moment,
 )
 from mellin_deconv.cli import main
+
+from conftest import oracle_error
 
 SEL_U = table1_selection_config("noise_uniform")
 SEL_B = table1_selection_config("noise_beta")
@@ -269,7 +269,6 @@ def test_one_shot_paths_leave_the_scenario_cache_empty(tmp_path):
     g = risk.catalog_mellin("noise_uniform", 1.0)
     select_ridge(em, g, SEL_U, FAST_Q)
     select_cutoff(em, g, SEL_U, FAST_Q)
-    admissible_ridge(g, SEL_U, 500, FAST_Q)
     sample = tmp_path / "s.csv"
     assert main(["simulate", "--target", "gamma5", "--error", "noise_uniform", "--n", "500",
                  "--out", str(sample)]) == 0

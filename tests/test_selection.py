@@ -12,11 +12,9 @@ from mellin_deconv import (
     RidgeSpec,
     RngStream,
     SelectionConfig,
-    admissible_ridge,
     catalog_mellin,
     cutoff_multiplier,
     density_spec,
-    empirical_mellin,
     multiplier_norm_sq,
     sample,
     select_cutoff,
@@ -29,7 +27,7 @@ from mellin_deconv.risk import run_selection_oracle_comparison
 from mellin_deconv.selection import Pipeline
 from mellin_deconv import ExperimentConfig, default_x_grid, table1_selection_config
 
-from conftest import RowRidgeBank
+from conftest import RowRidgeBank, empirical_mellin
 
 Q = QuadratureConfig(0.01, 150.0)
 G_BETA = catalog_mellin("noise_beta", 1.0)
@@ -59,12 +57,18 @@ def test_sigma_hat_examples():
 # ---------------------------------------------------------------------- #
 
 
+def _admissible_ridge(g, cfg, n, q) -> list:
+    """Levels of the ridge bank at sample size n."""
+    return Pipeline(g, cfg, q, default_x_grid()).bank("ridge", n).k_values.tolist()
+
+
 def test_admissible_ridge_examples():
     cfg = SelectionConfig(chi1=1.0, chi2=1.0, chi=1.0, c=1.0, r=2.0)
     # ||R_1||^2 = 3 pi / 4 ~ 2.36 exceeds n = 1
+    assert _admissible_ridge(G_BETA, cfg, 1, Q) == []
     with pytest.raises(EmptyAdmissibleSetError):
-        admissible_ridge(G_BETA, cfg, 1, Q)
-    assert admissible_ridge(G_BETA, cfg, 3, Q) == [1]
+        Pipeline(G_BETA, cfg, Q, default_x_grid()).select("ridge", EmpiricalMellin(1.0, [2.0]))
+    assert _admissible_ridge(G_BETA, cfg, 3, Q) == [1]
 
 
 @pytest.mark.filterwarnings("ignore:ridge norm truncated")
@@ -72,7 +76,7 @@ def test_admissible_ridge_explicit_grid_is_prefix():
     from mellin_deconv import RidgeSpec, ridge_multiplier
 
     cfg = SelectionConfig(chi1=1.0, chi2=1.0, chi=1.0, c=1.0, r=2.0, k_grid=(1, 2, 3, 5, 8))
-    ks = admissible_ridge(G_BETA, cfg, 300, Q)
+    ks = _admissible_ridge(G_BETA, cfg, 300, Q)
     assert ks == [1, 2, 3, 5]  # ||R_8||^2 > 300 stops the scan
     norms = [
         multiplier_norm_sq(
@@ -85,7 +89,7 @@ def test_admissible_ridge_explicit_grid_is_prefix():
 
 def test_admissible_ridge_full_grid_for_large_n():
     cfg = SelectionConfig(chi1=1.0, chi2=1.0, chi=1.0, c=1.0, r=2.0, k_grid=(1, 2, 3))
-    assert admissible_ridge(G_BETA, cfg, 10**9, Q) == [1, 2, 3]
+    assert _admissible_ridge(G_BETA, cfg, 10**9, Q) == [1, 2, 3]
 
 
 def test_admissible_ridge_scan_stops_at_saturation():
@@ -93,7 +97,7 @@ def test_admissible_ridge_scan_stops_at_saturation():
     # level is the same estimator with norm 562 800.00125 < n; the
     # consecutive scan must end there instead of running forever
     cfg = table1_selection_config("noise_beta")
-    ks = admissible_ridge(catalog_mellin("noise_beta", 1.0), cfg, 600_000, QuadratureConfig())
+    ks = _admissible_ridge(catalog_mellin("noise_beta", 1.0), cfg, 600_000, QuadratureConfig())
     assert ks == list(range(1, 77))
 
 
