@@ -13,13 +13,15 @@ The ridge multiplier factors into k-free vectors: with
 kappa = (1+|t|)^xi / |M_g| (infinite where M_g = 0),
 R_k = (1/M_g) min(1, k/kappa)^(r+2) = a min(kappa, k)^(r+2), where
 a = conj(M_g) |M_g|^r (1+|t|)^(-xi(r+2)).  `ridge_factors` is the one place
-that formula is written.  The damped region G_k = {kappa > k} shrinks as k
-grows; multiplier magnitudes grow monotonically in k.
+the factors are written, and `ridge_row` and `cutoff_row` the one place
+each multiplier is formed from them, by the multipliers here and by
+`selection.Pipeline.multiplier` alike.  The damped region
+G_k = {kappa > k} shrinks as k grows; multiplier magnitudes grow
+monotonically in k.
 
-Every product, one at a time or stacked, is inverted by a
-`mellin.InversionPlan`, a type-2 non-uniform FFT, and passes the
-Hermitian residue check of `mellin.checked_real_part`, which returns an
-owned real copy.
+Every product is inverted on its own by a `mellin.InversionPlan`, a type-2
+non-uniform FFT, and passes the Hermitian residue check of
+`mellin.checked_real_part`, which returns an owned real copy.
 """
 
 from __future__ import annotations
@@ -58,9 +60,15 @@ class RidgeSpec:
     r: float = 2.0
 
     def __post_init__(self):
-        if not self.k > 0.0:
-            raise ValueError("ridge level k must be positive")
+        check_level(self.k)
         check_ridge_exponents(self.xi, self.r)
+
+
+def check_level(k: float) -> None:
+    """Raise `ValueError` unless the regularisation level k is positive and
+    finite: the one level rule of both specs and `selection.Pipeline`."""
+    if not 0.0 < k < np.inf:
+        raise ValueError(f"level k must be positive and finite, got k={k!r}")
 
 
 def check_ridge_exponents(xi: float, r: float) -> None:
@@ -77,8 +85,7 @@ class CutoffSpec:
     c: float
 
     def __post_init__(self):
-        if not self.k > 0.0:
-            raise ValueError("cut-off level k must be positive")
+        check_level(self.k)
 
 
 @dataclass(frozen=True)
@@ -127,6 +134,18 @@ def ridge_factors(mg: np.ndarray, t: np.ndarray, xi: float, r: float) -> tuple:
     return inv, kappa
 
 
+def ridge_row(inv: np.ndarray, kappa: np.ndarray, k: float, p: float) -> np.ndarray:
+    """Ridge multiplier R_k = (1/M_g) min(1, k/kappa)^p, p = r + 2, from the
+    `ridge_factors` (inv, kappa) at the same nodes."""
+    return inv * np.minimum(1.0, k / kappa) ** p
+
+
+def cutoff_row(inv: np.ndarray, t: np.ndarray, edge: float) -> np.ndarray:
+    """Cut-off multiplier: ``inv`` = 1/M_g at the nodes ``t`` with
+    |t| <= ``edge``, zero elsewhere."""
+    return np.where(np.abs(t) <= edge, inv, 0.0)
+
+
 def ridge_multiplier(spec: RidgeSpec, g_mellin: MellinFunction) -> MellinMultiplier:
     """Build the ridge multiplier for an error transform.
 
@@ -151,7 +170,7 @@ def ridge_multiplier(spec: RidgeSpec, g_mellin: MellinFunction) -> MellinMultipl
     def eval_fn(t, k=k, xi=xi, r=r, g=g_mellin):
         t = np.asarray(t, dtype=float)
         inv, kappa = ridge_factors(np.asarray(g.eval_fn(t), dtype=np.complex128), t, xi, r)
-        return inv * np.minimum(1.0, k / kappa) ** (r + 2.0)
+        return ridge_row(inv, kappa, k, r + 2.0)
 
     return MellinMultiplier(spec=spec, g_mellin=g_mellin, eval_fn=eval_fn, support=None)
 
@@ -180,16 +199,15 @@ def cutoff_multiplier(
 ) -> MellinMultiplier:
     """Build the cut-off multiplier 1/M_g on the window of level k, zero
     outside.  The window ends at the grid node nearest to k
-    (`QuadratureConfig.window_index`), as in the cut-off bank and the
-    windowed inversion."""
+    (`QuadratureConfig.window_index`), as in `selection.Pipeline.multiplier`
+    and the windowed inversion."""
     check_same_c("multiplier", spec.c, "noise", g_mellin.c)
     edge = float(q.t[q.center + q.window_index(spec.k)])
     check_nonvanishing(g_mellin, edge, q.t_step)
 
     def eval_fn(t, edge=edge, g=g_mellin):
         t = np.asarray(t, dtype=float)
-        inv = _reciprocal(np.asarray(g.eval_fn(t), dtype=np.complex128))
-        return np.where(np.abs(t) <= edge, inv, 0.0)
+        return cutoff_row(_reciprocal(np.asarray(g.eval_fn(t), dtype=np.complex128)), t, edge)
 
     return MellinMultiplier(spec=spec, g_mellin=g_mellin, eval_fn=eval_fn, support=spec.k)
 

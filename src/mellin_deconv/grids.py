@@ -2,9 +2,11 @@
 
 All frequency-domain integrals in the package are composite trapezoid sums
 on a uniform grid t_m = m * t_step, m = -M..M.  `QuadratureConfig` is that
-grid: it carries the nodes, the trapezoid weights and helpers for
-integrating over symmetric sub-windows [-k, k], which the cut-off estimator
-and the selection rules need for every candidate k in one cumulative pass.
+grid: it carries the nodes and helpers for trapezoid integration over the
+whole grid and over symmetric sub-windows [-k, k], which the cut-off
+estimator and the selection rules need for every candidate k in one
+cumulative pass.  It keeps no weight vector; the ridge bank builds its own
+(`selection.RidgeBank`).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ MAX_GRID_NODES = 10_000_001
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Uniform symmetric grid on [-t_max, t_max] with trapezoid weights.
+    """Uniform symmetric grid on [-t_max, t_max] with trapezoid integration.
 
     Parameters
     ----------

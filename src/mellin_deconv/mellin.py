@@ -4,11 +4,12 @@ Provides the empirical transform of a positive sample, closed-form
 transforms for the built-in density catalog, and inversion back to x-space
 by quadrature in the weighted space L^2(R_+, x^(2c-1)).  The development
 point c selects the weight; transforms of real densities satisfy
-H(-t) = conj(H(t)), which inversion exploits and verifies.  On the uniform frequency grid both directions are non-uniform
-FFTs sharing one Gaussian-gridding kernel.  An `InversionPlan` holds the
-product-free part of an inversion and reuses its FFT buffers from call to
-call, so neither a plan nor a `selection.Pipeline`, which keeps one, is
-for concurrent calls.
+H(-t) = conj(H(t)), which inversion exploits and verifies.  On the uniform
+frequency grid both directions are non-uniform FFTs sharing one
+Gaussian-gridding kernel.  An `InversionPlan` holds the product-free part
+of an inversion, inverts one product per call and reuses its FFT buffers
+from call to call, so neither a plan nor a `selection.Pipeline`, which
+keeps one, is for concurrent calls.
 """
 
 from __future__ import annotations
@@ -327,19 +328,20 @@ class InversionPlan:
     """Inversion on ``grid`` at the points ``x_grid``, with everything that
     does not depend on the product built once.
 
-    Called on one product on the grid, or a (K, len(grid)) stack, the plan
-    returns the complex quadrature sum (2pi)^-1 sum_m w_m x^(-c-i t_m) H(t_m),
-    of shape (len(x),) or (K, len(x)).  With ``support`` = k the sum runs
-    over the sub-window [-k, k] with proper trapezoid end weights there.  An
-    x-grid refused by `checked_x_grid` raises `MellinError` at construction; a
-    product whose last axis is not len(grid) long raises it before any work.
+    Called on one product H on the grid, the plan returns the complex
+    quadrature sum (2pi)^-1 sum_m w_m x^(-c-i t_m) H(t_m) of shape (len(x),).
+    With ``support`` = k the sum runs over the sub-window [-k, k] with
+    proper trapezoid end weights there.  An x-grid refused by
+    `checked_x_grid` raises `MellinError` at construction; a product of any
+    shape but (len(grid),), a stack of products included, raises it before
+    any work.
 
     The sum over m = -j..j is a Fourier series in the phase t_step*log x,
     evaluated as a type-2 non-uniform FFT (Dutt & Rokhlin 1993, SIAM J. Sci.
     Comput. 14:1368), the adjoint of `empirical_mellin_on_grid`: deconvolved
     modes on a grid of >= 2*(2j+1) nodes (65 536 for the default grid), then
-    Gaussian interpolation at each x (`_gaussian_kernel`).  Per row,
-    conj H(t_m) times the t >= 0 half of the weights goes into a
+    Gaussian interpolation at each x (`_gaussian_kernel`).  The values
+    conj H(t_m) times the t >= 0 half of the weights go into a
     half-spectrum buffer and one real inverse FFT runs into a real buffer;
     for a conjugate-symmetric product that is the whole sum, and the
     imaginary part is exactly 0.  Where H(-t) differs from conj H(t) on the
@@ -374,35 +376,35 @@ class InversionPlan:
     def __call__(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values)
         n = len(self.grid)
-        if values.ndim == 0 or values.shape[-1] != n:
-            got = values.shape[-1] if values.ndim else "no"
-            raise MellinError(f"product has {got} values per row; the grid has {n} nodes")
+        if values.shape != (n,):
+            raise MellinError(
+                f"product has shape {values.shape}; the plan inverts one product "
+                f"of {n} values, one per grid node"
+            )
         if self._half is None:
             self._half = np.zeros(self.size // 2 + 1, dtype=np.complex128)
             self._real = np.empty(self.size)
-        rows = values.reshape(-1, n)
-        out = np.empty((rows.shape[0], self._x_c.size), dtype=np.complex128)
+        out = np.empty(self._x_c.size, dtype=np.complex128)
         j, mid = self.j, self.grid.center
         half = self._half[: j + 1]
-        for i, row in enumerate(rows):
-            np.conjugate(row[mid : mid + j + 1], out=half)  # conj H(t_m), m = 0..j
-            mirrored = row[mid - j : mid + 1][::-1]  # H(-t_m)
-            if np.array_equal(half, mirrored):
-                half *= self._weights
-                out.real[i] = self._interpolate()
-                out.imag[i] = 0.0
-                continue
+        np.conjugate(values[mid : mid + j + 1], out=half)  # conj H(t_m), m = 0..j
+        mirrored = values[mid - j : mid + 1][::-1]  # H(-t_m)
+        if np.array_equal(half, mirrored):
+            half *= self._weights
+            out.real = self._interpolate()
+            out.imag = 0.0
+        else:
             # H = P + iQ with P and Q conjugate-symmetric: conj Q, then conj P
             odd = (half - mirrored) * 0.5j
             half += mirrored
             half *= 0.5
             half *= self._weights
-            out.real[i] = self._interpolate()
+            out.real = self._interpolate()
             np.multiply(odd, self._weights, out=half)
-            out.imag[i] = self._interpolate()
+            out.imag = self._interpolate()
         out *= self._x_c
         out /= 2.0 * np.pi
-        return out.reshape(values.shape[:-1] + self._x_c.shape)
+        return out
 
     def _interpolate(self) -> np.ndarray:
         """The real FFT of the half-spectrum buffer, interpolated at each x."""
@@ -416,7 +418,7 @@ def checked_real_part(values: np.ndarray) -> np.ndarray:
     """Real part of an `InversionPlan` output, after the Hermitian check.
 
     The imaginary residue of the two-sided sum is the inversion of the
-    product's anti-Hermitian part.  For each row it must stay within
+    product's anti-Hermitian part.  It must stay within
     1e-8 * (1 + max |Re|); a larger residue means the inverted transform
     was not conjugate-symmetric and raises `HermitianSymmetryError`.  A
     non-finite value, which no residue test can judge, raises `MellinError`.
@@ -425,7 +427,7 @@ def checked_real_part(values: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise MellinError("inversion output is not finite")
     re, im = values.real, values.imag
-    if np.any(np.abs(im).max(axis=-1) > 1e-8 * (1.0 + np.abs(re).max(axis=-1))):
+    if np.abs(im).max() > 1e-8 * (1.0 + np.abs(re).max()):
         raise HermitianSymmetryError(
             "imaginary residue of the inversion exceeds tolerance; "
             "the Mellin-domain input is not conjugate-symmetric"

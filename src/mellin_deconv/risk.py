@@ -3,14 +3,16 @@
 Per-replication work is keyed by content-hashed RNG streams, so results do
 not depend on execution order, and the same draws feed both estimation
 methods within a scenario (paired comparison).  Every experiment runs
-through one `selection.Pipeline` per scenario: both methods are fitted to
-each replication's sample (or, with a fixed level, estimated at it by
-`Pipeline.estimate`), whose empirical transform is computed once, by its
-own memo (`EmpiricalMellin.on_grid`), and shared by them; every estimate is
-inverted by the pipeline, which checks the Hermitian residue of each
-product.  This module adds only the truth tabulation and the error
-integrals, taken in the weighted space L^2(R_+, x^(2c-1)) on a log-spaced
-x-window covering the catalog targets' effective support.
+through one `selection.Pipeline` per scenario and estimates only through
+its `select`, `fit`, `estimate` and `multiplier`: both methods are fitted
+to each replication's sample (or, with a fixed level, estimated at it by
+`Pipeline.estimate`, as the oracle comparison estimates every admissible
+level), whose empirical transform is computed once, by its own memo
+(`EmpiricalMellin.on_grid`), and shared by them; every estimate is one
+product inverted by the pipeline, which checks its Hermitian residue.  This
+module adds only the truth tabulation and the error integrals, taken in the
+weighted space L^2(R_+, x^(2c-1)) on a log-spaced x-window covering the
+catalog targets' effective support.
 
 A scenario's pipeline depends only on the noise configuration: the error
 id, c, the `SelectionConfig`, the `QuadratureConfig` and the `XGridSpec`.
@@ -23,9 +25,8 @@ it returns the pipeline trimmed by `Pipeline.release` to its tables (about
 1.1 MB on the default grids), and after an exception it drops it.  Results
 are bitwise those of a fresh pipeline.  The one-shot functions of
 `selection` (`select_ridge`, `select_cutoff`) and `cli estimate` build
-their own pipeline and never touch the cache: a single
-estimate has no later scenario to share with, so it leaves nothing behind
-and does the same work as before.
+their own pipeline and never touch the cache: a single estimate has no
+later scenario to share with, so it leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .grids import QuadratureConfig, default_x_grid
-from .mellin import EmpiricalMellin, catalog_mellin
+from .mellin import EmpiricalMellin, MellinError, catalog_mellin, eval_on_grid
 from .model import (
     RngStream,
     contaminate,
@@ -126,11 +127,10 @@ def sigma_c_true(target: str, error: str, c: float) -> float:
 
 
 def _error_integral(target: str, c: float, x: np.ndarray):
-    """Weighted squared error against the truth on ``x``, of one estimate
-    or of each row of a stack."""
+    """Weighted squared error of an estimate against the truth on ``x``."""
     truth = density_eval(density_spec(target), x)
     weight = x ** (2.0 * c - 1.0)
-    return lambda values: np.trapezoid((values - truth) ** 2 * weight, x, axis=-1)
+    return lambda values: np.trapezoid((values - truth) ** 2 * weight, x)
 
 
 def _replication_sample(cfg: ExperimentConfig, rep: int) -> EmpiricalMellin:
@@ -270,10 +270,13 @@ def bias_variance_profile(
     """Empirical bias^2/variance of fixed-k ridge estimates vs the risk bound.
 
     Empirical parts use the Mellin-domain identity: the estimate's transform
-    is M_hat * R_k, so across replications only the running mean of M_hat
-    and of |M_hat|^2 are needed.  Bound terms come from the catalog
-    transforms by quadrature: (2 pi)^-1 * int_{G_k} |M_f|^2 for the bias and
-    sigma_c ||R_k||^2 / (2 pi n) for the variance.
+    is M_hat * R_k, with R_k from `Pipeline.multiplier`, so across
+    replications only the running mean of M_hat and of |M_hat|^2 are
+    needed.  Bound terms come from the catalog transforms by quadrature:
+    (2 pi)^-1 * int_{G_k} |M_f|^2 for the bias and
+    sigma_c ||R_k||^2 / (2 pi n) for the variance, with G_k and ||R_k||^2
+    from the uncapped ridge bank of ``k_grid``.  A non-finite M_f on the
+    grid or sigma_c (as at a large c) raises `MellinError`.
     """
     if selection is None:
         selection = table1_selection_config(error, c)
@@ -288,36 +291,30 @@ def bias_variance_profile(
         seed=seed,
         quadrature=quadrature,
     )
+    mf = eval_on_grid(catalog_mellin(target, c), quadrature)
+    sig_c = sigma_c_true(target, error, c)
+    if not np.isfinite(sig_c):
+        raise MellinError(f"sigma_c of {target} * {error} is not finite at c={c}")
     sum_mhat = np.zeros(len(quadrature), dtype=np.complex128)
     sum_sq = np.zeros(len(quadrature))
+    out = []
     with _scenario_pipeline(cfg) as pipeline:
         bank = pipeline.fixed_ridge_bank(k_grid)
         for rep in range(reps):
             mhat = pipeline.transform(_replication_sample(cfg, rep))
             sum_mhat += mhat
             sum_sq += np.abs(mhat) ** 2
-    mf = np.asarray(catalog_mellin(target, c)(quadrature.t), dtype=np.complex128)
-    mean_mhat = sum_mhat / reps
-    var_mhat = np.maximum(sum_sq / reps - np.abs(mean_mhat) ** 2, 0.0)
-
-    sig_c = sigma_c_true(target, error, c)
-    out = []
-    for k, norm in zip(bank.k_values, bank.norms_sq):
-        row = bank.row(k)
-        bias_sq = float(quadrature.integrate(np.abs(mf - mean_mhat * row) ** 2)) / TWO_PI
-        variance = float(quadrature.integrate(var_mhat * np.abs(row) ** 2)) / TWO_PI
-        in_gk = bank.kappa > k
-        bound_bias = float(quadrature.integrate(np.abs(mf) ** 2 * in_gk)) / TWO_PI
-        bound_var = float(sig_c * norm / (TWO_PI * cfg.n))
-        out.append(
-            ProfileRow(
-                k=int(k),
-                bias_sq=bias_sq,
-                variance=variance,
-                bound_bias=bound_bias,
-                bound_var=bound_var,
-            )
-        )
+        mean_mhat = sum_mhat / reps
+        var_mhat = np.maximum(sum_sq / reps - np.abs(mean_mhat) ** 2, 0.0)
+        for k, norm in zip(bank.k_values, bank.norms_sq):
+            row = pipeline.multiplier("ridge", k)
+            bias_sq = float(quadrature.integrate(np.abs(mf - mean_mhat * row) ** 2)) / TWO_PI
+            variance = float(quadrature.integrate(var_mhat * np.abs(row) ** 2)) / TWO_PI
+            in_gk = bank.kappa > k
+            bound_bias = float(quadrature.integrate(np.abs(mf) ** 2 * in_gk)) / TWO_PI
+            bound_var = float(sig_c * norm / (TWO_PI * cfg.n))
+            out.append(ProfileRow(k=int(k), bias_sq=bias_sq, variance=variance,
+                                  bound_bias=bound_bias, bound_var=bound_var))
     return out
 
 
@@ -326,8 +323,10 @@ def run_selection_oracle_comparison(cfg: ExperimentConfig) -> dict:
 
     Returns dict with arrays ``selected`` and ``oracle`` plus the admissible
     levels; used to check that the data-driven rule tracks the oracle.
-    Only the data-driven ridge rule is compared: another ``cfg.method`` or
-    a ``cfg.fixed_k`` raises `ValueError`.
+    Each replication is estimated by `Pipeline.estimate` at every level of
+    its selection's admissible set, which depends on n only.  Only the
+    data-driven ridge rule is compared: another ``cfg.method`` or a
+    ``cfg.fixed_k`` raises `ValueError`.
     """
     if cfg.method != "ridge" or cfg.fixed_k is not None:
         raise ValueError("the oracle comparison runs the data-driven ridge rule only")
@@ -335,18 +334,16 @@ def run_selection_oracle_comparison(cfg: ExperimentConfig) -> dict:
     oracle = np.empty(cfg.replications)
     with _scenario_pipeline(cfg) as pipeline:
         error = _error_integral(cfg.target, cfg.c, pipeline.x_grid)
-        bank = pipeline.bank("ridge", cfg.n)
-        rows = bank.rows
         for rep in range(cfg.replications):
             em = _replication_sample(cfg, rep)
-            k_hat = pipeline.select("ridge", em).k_hat
-            errs = error(pipeline.invert(pipeline.transform(em)[None, :] * rows))
-            selected[rep] = errs[list(bank.k_values).index(k_hat)]
-            oracle[rep] = errs.min()
+            result = pipeline.select("ridge", em)
+            errs = [error(pipeline.estimate("ridge", em, k).values) for k in result.admissible]
+            selected[rep] = errs[result.admissible.index(result.k_hat)]
+            oracle[rep] = min(errs)
     return {
         "selected": selected,
         "oracle": oracle,
-        "k_values": bank.k_values.copy(),
+        "k_values": np.array(result.admissible),
     }
 
 

@@ -23,11 +23,12 @@ per-bucket moments, in O(N + m^2) for N nodes and m levels.
 `Pipeline` is the package's one chain of grid, noise-transform table,
 banks, empirical transform, selection and inversion for a configuration;
 every estimate runs through it, whatever the sample size.
-`Pipeline.estimate` is the one estimate at a given level, and
-`Pipeline.fit` is `Pipeline.select` followed by it.  Each takes the sample
-itself: its transform on the grid is computed once, by the sample's own
-memo (`EmpiricalMellin.on_grid`), and shared by every later call.  A pipeline
-keeps the level data (levels, norms, cut-off windows) of its last
+`Pipeline.multiplier` forms a level's multiplier on the grid,
+`Pipeline.estimate` inverts the sample's transform times it, and
+`Pipeline.fit` is `Pipeline.select` followed by `estimate`.  Each takes the
+sample itself: its transform on the grid is computed once, by the sample's
+own memo (`EmpiricalMellin.on_grid`), and shared by every later call.  A
+pipeline keeps the level data (levels, norms, cut-off windows) of its last
 `_BANK_SIZES` sample sizes, but the banks' node-sized arrays for the
 current size only, and its full-grid inversion plan owns reused buffers, so
 a pipeline is not for concurrent calls.  `Pipeline.release` trims a
@@ -50,9 +51,12 @@ import numpy as np
 
 from .estimators import (
     DensityEstimate,
+    check_level,
     check_nonvanishing,
     check_ridge_exponents,
+    cutoff_row,
     ridge_factors,
+    ridge_row,
 )
 from .grids import QuadratureConfig, default_x_grid
 from .mellin import (
@@ -190,10 +194,9 @@ class RidgeBank(_LevelBank):
 
     Each node's bucket l, where k_(l-1) < kappa <= k_l (l = m past the
     last of the m levels), is fixed per bank, so `contrasts` reduces a
-    sample to per-bucket moments in O(N) and combines them in O(m^2).  No
-    (levels x nodes) table is kept: `row` and `rows` evaluate on demand.
-    The node-sized scales, buckets and excesses are built on first use and
-    dropped by `release`.
+    sample to per-bucket moments in O(N) and combines them in O(m^2), and
+    no level's multiplier is formed.  The node-sized scales, buckets and
+    excesses are built on first use and dropped by `release`.
     """
 
     _NODE_ARRAYS = ("_scale_sq", "_bucket", "_excess")
@@ -249,16 +252,6 @@ class RidgeBank(_LevelBank):
         excess[inner] = self.kappa[inner] ** self._p - self._powers[self._bucket[inner] - 1]
         return excess
 
-    def row(self, k: int) -> np.ndarray:
-        """Multiplier of the bank level ``k`` on the bank's grid."""
-        return _ridge_row(self._inv, self.kappa, float(self.k_values[_level_index(self, k)]),
-                          self._p)
-
-    @property
-    def rows(self) -> np.ndarray:
-        """(levels x nodes) stack of every level's multiplier, built on each access."""
-        return _ridge_row(self._inv, self.kappa, self.k_values[:, None].astype(float), self._p)
-
     def contrasts(self, mhat_abs_sq: np.ndarray) -> np.ndarray:
         """C[i, j] = ||f_hat_{k_j} - f_hat_{k_i}||^2 for i < j, zero elsewhere.
 
@@ -299,9 +292,9 @@ class CutoffBank(_LevelBank):
     """Cut-off window norms tabulated for a prefix of admissible levels.
 
     Each level's window, `QuadratureConfig.window_index` (nearest node), is
-    worked out once as ``windows`` and serves the norms, the selection
-    contrasts and `row`; ``inv_mg`` is the pipeline's 1/M_g table.  The
-    bank checks no zeros: `Pipeline.bank` probes M_g on the largest window.
+    worked out once as ``windows`` and serves the norms and the selection
+    contrasts; ``inv_mg`` is the pipeline's 1/M_g table.  The bank checks
+    no zeros: `Pipeline.bank` probes M_g on the largest window.
     The node-sized |1/M_g|^2 is built on first use and dropped by `release`.
     """
 
@@ -330,11 +323,6 @@ class CutoffBank(_LevelBank):
     def _inv_sq(self) -> np.ndarray:
         return np.abs(self.inv_mg) ** 2
 
-    def row(self, k: int) -> np.ndarray:
-        """Cut-off multiplier of the bank level ``k``: 1/M_g on its window,
-        zero outside."""
-        return _cutoff_row(self.q, self.inv_mg, self.windows[_level_index(self, k)])
-
     def select(self, mhat_abs_sq: np.ndarray, sig_hat: float, n: int) -> SelectionResult:
         """Penalised-contrast selection given |M_hat|^2 on the bank's grid."""
         _require_levels(self, "cut-off", n)
@@ -346,28 +334,9 @@ class CutoffBank(_LevelBank):
         )
 
 
-def _ridge_row(inv, kappa, k, p) -> np.ndarray:
-    """Ridge multiplier R_k = (1/M_g) min(1, k/kappa)^p from the noise table."""
-    return inv * np.minimum(1.0, k / kappa) ** p
-
-
-def _cutoff_row(q: QuadratureConfig, inv, j: int) -> np.ndarray:
-    """Cut-off multiplier: 1/M_g on the window of index offset ``j``, zero outside."""
-    return np.where(np.abs(np.arange(len(q)) - q.center) <= j, inv, 0.0)
-
-
 def _check_method(method: str) -> None:
     if method not in ("ridge", "cutoff"):
         raise ValueError(f"method must be 'ridge' or 'cutoff', got {method!r}")
-
-
-def _level_index(bank, k) -> int:
-    hits = np.flatnonzero(bank.k_values == k)
-    if hits.size == 0:
-        raise ValueError(
-            f"level k={k!r} is not in this bank; its levels are {bank.k_values.tolist()}"
-        )
-    return int(hits[0])
 
 
 def _require_levels(bank, name: str, n: int) -> None:
@@ -403,14 +372,16 @@ class Pipeline:
     sample must agree; a mismatch raises `MellinError`, and so does an
     x-grid refused by `checked_x_grid`.
 
-    `estimate` is the one estimate at a given level, and `fit` is `select`
-    followed by `estimate`.  A sample's transform on the grid is its own
-    memo, `EmpiricalMellin.on_grid`, so both methods fitted to one sample
-    share one transform.
+    `multiplier` forms a level's multiplier from the noise table,
+    `estimate` inverts the sample's transform times it, and `fit` is
+    `select` followed by `estimate`.  A sample's transform on the grid is
+    its own memo, `EmpiricalMellin.on_grid`, so both methods fitted to one
+    sample share one transform.
 
-    `invert` keeps the full grid's `InversionPlan`, built on first use, for
-    the ridge rule; a cut-off window gets a new plan per call.  The plan
-    owns reused buffers, so a pipeline is not for concurrent calls.
+    `invert` inverts one product.  It keeps the full grid's
+    `InversionPlan`, built on first use, for the ridge rule; a cut-off
+    window gets a new plan per call.  The plan owns reused buffers, so a
+    pipeline is not for concurrent calls.
     `release` drops every node-sized bank array and the plan's buffers, all
     rebuilt bitwise the same on next use.
     """
@@ -492,8 +463,8 @@ class Pipeline:
         return self.bank(method, em.n).select(mhat_abs_sq, sig, em.n)
 
     def invert(self, product: np.ndarray, support: Optional[float] = None) -> np.ndarray:
-        """Real x-grid values of a product, or of a stack of products, over
-        the whole grid or the cut-off window [-support, support]."""
+        """Real x-grid values of one product over the whole grid or the
+        cut-off window [-support, support]."""
         if support is None:
             plan = self._full_plan
         else:
@@ -513,24 +484,29 @@ class Pipeline:
         if "_full_plan" in self.__dict__:
             self._full_plan.release()
 
-    def estimate(self, method: str, em: EmpiricalMellin, k: float) -> DensityEstimate:
-        """The ``method`` estimate of a sample at the fixed level ``k`` (> 0),
-        without the admissibility cap.  The ridge multiplier comes from the
-        noise table; the cut-off one is 1/M_g on the window of k
-        (`QuadratureConfig.window_index`), checked zero-free first."""
+    def multiplier(self, method: str, k: float) -> np.ndarray:
+        """The ``method`` multiplier at the fixed level ``k`` on the grid,
+        without the admissibility cap: the ridge row R_k from the noise
+        table, or 1/M_g on the window of k (`QuadratureConfig.window_index`),
+        checked zero-free first.  A level that is not positive and finite
+        raises `ValueError`, as in the specs (`check_level`)."""
         _check_method(method)
-        if not 0.0 < k < np.inf:
-            raise ValueError(f"level k must be positive and finite, got k={k!r}")
+        check_level(k)
         inv, kappa = self._noise_table
-        # the multiplier is a temporary on the right, so numpy multiplies into
-        # it in place; a named one rounds the imaginary part differently
         if method == "ridge":
-            product = self.transform(em) * _ridge_row(inv, kappa, float(k), self.cfg.r + 2.0)
-            return DensityEstimate(self.x_grid, self.invert(product), self.c)
+            return ridge_row(inv, kappa, float(k), self.cfg.r + 2.0)
         j = self.q.window_index(k)
         self._check_window(j)
-        product = self.transform(em) * _cutoff_row(self.q, inv, j)
-        return DensityEstimate(self.x_grid, self.invert(product, float(k)), self.c)
+        return cutoff_row(inv, self.q.t, float(self.q.t[self.q.center + j]))
+
+    def estimate(self, method: str, em: EmpiricalMellin, k: float) -> DensityEstimate:
+        """The ``method`` estimate of a sample at the fixed level ``k``: its
+        transform times `multiplier`, inverted over the whole grid (ridge)
+        or the window of k (cut-off)."""
+        product = self.multiplier(method, k)
+        product *= self.transform(em)  # R * M_hat: numpy rounds M_hat * R apart
+        support = float(k) if method == "cutoff" else None
+        return DensityEstimate(self.x_grid, self.invert(product, support), self.c)
 
     def fit(self, method: str, em: EmpiricalMellin) -> tuple:
         """(SelectionResult, DensityEstimate) for a sample: `select`, then

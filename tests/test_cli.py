@@ -271,6 +271,16 @@ def test_diagnose_single_k(tmp_path):
     assert len(out.read_text().strip().splitlines()) == 2
 
 
+def test_diagnose_refuses_non_finite_profile_inputs(tmp_path, capsys):
+    # at c = 190 lognormal's transform overflows: an error, not a row of inf and nan
+    out = tmp_path / "p.csv"
+    with np.errstate(over="ignore"):
+        rc = _run("diagnose", "--target", "lognormal", "--error", "noise_uniform",
+                  "--c", "190", "--n", "500", "--k-max", "2", "--reps", "2", "--out", str(out))
+    assert rc == 1 and not out.exists()
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_diagnose_refuses_the_penalty_constants_estimate_takes(tmp_path, capsys):
     # the profile reads only c, r and xi, so diagnose has no chi flags
     for flag in ("--chi1", "--chi2", "--chi"):

@@ -10,6 +10,7 @@ from mellin_deconv import (
     MellinError,
     MellinMultiplier,
     NoiseTransformZeroError,
+    Pipeline,
     QuadratureConfig,
     RidgeSpec,
     catalog_mellin,
@@ -19,6 +20,7 @@ from mellin_deconv import (
     estimate_density,
     multiplier_norm_sq,
     ridge_multiplier,
+    table1_selection_config,
 )
 from mellin_deconv.mellin import InversionPlan, checked_real_part
 from mellin_deconv.model import density_eval, density_spec
@@ -233,17 +235,15 @@ def test_estimate_realness_and_fast_path_equivalence(rng):
 
 def test_product_without_conjugate_symmetry_is_refused(rng):
     # the lopsided multiplier (2 for t > 0, 1 otherwise) breaks
-    # H(-t) = conj(H(t)); the Monte-Carlo engine inverts one product or a
-    # stack of them through this same call
+    # H(-t) = conj(H(t)); every estimate inverts its one product through
+    # this same call
     y = rng.gamma(5.0, 1.0, 500) * np.sqrt(rng.uniform(size=500))
     mhat = empirical_mellin_on_grid(EmpiricalMellin(1.0, y), Q)
     lopsided = mhat * np.where(Q.t > 0.0, 2.0, 1.0)
     x = default_x_grid()
     with pytest.raises(HermitianSymmetryError):
         checked_real_part(InversionPlan(Q, 1.0, x)(lopsided))
-    with pytest.raises(HermitianSymmetryError):
-        checked_real_part(InversionPlan(Q, 1.0, x)(np.stack([mhat, lopsided])))
-    assert checked_real_part(InversionPlan(Q, 1.0, x)(np.stack([mhat]))).shape == (1, x.size)
+    assert checked_real_part(InversionPlan(Q, 1.0, x)(mhat)).shape == (x.size,)
 
 
 def test_overflowing_sample_weights_are_refused(rng):
@@ -261,6 +261,21 @@ def test_estimate_c_mismatch(rng):
     mult = ridge_multiplier(RidgeSpec(k=1.0, c=1.0, r=2.0), G_BETA)
     with pytest.raises(MellinError):
         estimate_density(mult, em, default_x_grid(points=16), Q)
+
+
+@pytest.mark.parametrize("k", [0.0, -1.0, np.inf, np.nan])
+def test_specs_and_pipeline_share_one_level_rule(k):
+    # an infinite level used to build a spec, and the three-step form then
+    # returned the unregularised 1/M_g estimate that the pipeline refuses
+    pipeline = Pipeline(G_BETA, table1_selection_config("noise_beta"), Q, default_x_grid())
+    for build in (
+        lambda: RidgeSpec(k=k, c=1.0),
+        lambda: CutoffSpec(k=k, c=1.0),
+        lambda: pipeline.multiplier("ridge", k),
+        lambda: pipeline.multiplier("cutoff", k),
+    ):
+        with pytest.raises(ValueError, match=rf"level k must be positive and finite, got k={k!r}"):
+            build()
 
 
 def test_spec_validation():

@@ -144,8 +144,9 @@ def test_bad_window_level_is_refused_by_name(k):
         lambda: InversionPlan(q, 1.0, X, support=k),
         lambda: Pipeline(G_BETA, CFG, q, X).invert(product, support=k),
     ]
-    if k > 0.0:  # `CutoffSpec` itself refuses the others
-        calls.append(lambda: cutoff_multiplier(CutoffSpec(k=k, c=1.0), G_BETA, q))
     for call in calls:
         with pytest.raises(ValueError, match=f"finite and nonnegative, got k={k!r}"):
             call()
+    # the level rule refuses each before a cut-off multiplier reaches the window
+    with pytest.raises(ValueError, match=f"positive and finite, got k={k!r}"):
+        CutoffSpec(k=k, c=1.0)

@@ -81,6 +81,29 @@ def test_risk_and_cli_estimate_only_through_the_pipeline():
     assert found == []
 
 
+#: `Pipeline` and bank members below the estimate: the experiments and the
+#: command line estimate only through `select`, `fit`, `estimate` and
+#: `multiplier`
+BELOW_THE_ESTIMATE = {"invert", "bank", "row", "rows"}
+
+
+def _uses_below_the_estimate(path: Path) -> list:
+    return [
+        f"{path.name}:{node.lineno} uses .{node.attr}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in BELOW_THE_ESTIMATE
+    ]
+
+
+def test_risk_and_cli_estimate_only_through_select_fit_estimate_and_multiplier():
+    found = [
+        line
+        for module in ("risk.py", "cli.py")
+        for line in _uses_below_the_estimate(PACKAGE_DIR / module)
+    ]
+    assert found == []
+
+
 def _functions_calling(name: str) -> list:
     found = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):

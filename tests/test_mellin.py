@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -335,7 +336,7 @@ def test_checked_real_part_owns_its_values():
     q = QuadratureConfig(0.01, 30.0)
     x = default_x_grid(points=16)
     product = catalog_mellin("gamma5", 1.0)(q.t)
-    for values in (product, np.stack([product, 2.0 * product])):
+    for values in (product, 2.0 * product):
         raw = InversionPlan(q, 1.0, x)(values)
         re = checked_real_part(raw)
         assert re.flags.owndata
@@ -395,7 +396,8 @@ def test_inversion_matches_rotator_oracle(
     x = _x_grid(kind, points, rng)
     bound = 1e-12 * grid.t_step / (2.0 * np.pi) * window[:, None] * x ** (-c)
 
-    fast = InversionPlan(grid, c, x, support)(values)
+    plan = InversionPlan(grid, c, x, support)
+    fast = np.stack([plan(row) for row in values])
     ref = rotator_invert_grid_values(grid, values, c, x, support)
     assert fast.shape == ref.shape == (rows, x.size)
     assert np.all(np.abs(fast - ref) <= bound)
@@ -432,7 +434,7 @@ def test_half_spectrum_plan_matches_complex_fft_oracle(
     bound = 1e-12 * grid.t_step / (2.0 * np.pi) * window[:, None] * x ** (-c)
 
     plan = InversionPlan(grid, c, x, support)
-    out = plan(values)
+    out = np.stack([plan(row) for row in values])
     ref = complex_fft_invert_grid_values(grid, values, c, x, support)
     assert out.shape == ref.shape == (rows, x.size)
     deviation = np.abs(out - ref)
@@ -441,7 +443,7 @@ def test_half_spectrum_plan_matches_complex_fft_oracle(
     if hermitian:
         assert np.all(out.imag == 0.0)
     # the reused buffers carry nothing from one call to the next
-    assert plan(values[-1]).tobytes() == out[-1].tobytes()
+    assert plan(values[0]).tobytes() == out[0].tobytes()
 
 
 @pytest.mark.parametrize("length", [30_008, 30_011, 29_999])
@@ -451,7 +453,17 @@ def test_inversion_refuses_a_product_off_the_grid(length, rows):
     q = QuadratureConfig()
     plan = InversionPlan(q, 1.0, default_x_grid(points=16))
     shape = (length,) if rows is None else (rows, length)
-    with pytest.raises(MellinError, match=f"{length} values.*{len(q)} nodes"):
+    with pytest.raises(MellinError, match=re.escape(f"shape {shape}") + f".*of {len(q)} values"):
+        plan(np.ones(shape, dtype=complex))
+
+
+@pytest.mark.parametrize("shape", [(), (1, 30_001), (3, 30_001)])
+def test_inversion_refuses_a_stack_of_products_on_the_grid(shape):
+    # one product per call: a stack is inverted row by row by the caller
+    q = QuadratureConfig()
+    plan = InversionPlan(q, 1.0, default_x_grid(points=16))
+    assert plan(np.ones(len(q), dtype=complex)).shape == (16,)
+    with pytest.raises(MellinError, match=re.escape(f"shape {shape}") + f".*of {len(q)} values"):
         plan(np.ones(shape, dtype=complex))
 
 

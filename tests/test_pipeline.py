@@ -230,7 +230,8 @@ def test_second_inversion_reuses_the_pipeline_plan(method):
     g, cfg, x = _noise("noise_beta", 1.0), table1_selection_config("noise_beta"), default_x_grid()
     pipeline = Pipeline(g, cfg, Q, x)
     result, est = pipeline.fit(method, em)
-    product = pipeline.transform(em) * pipeline.bank(method, em.n).row(result.k_hat)
+    product = pipeline.multiplier(method, result.k_hat)
+    product *= pipeline.transform(em)
     support = float(result.k_hat) if method == "cutoff" else None
     tracemalloc.start()
     try:

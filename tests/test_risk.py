@@ -162,6 +162,16 @@ def test_oracle_comparison_refuses_what_it_would_ignore():
         run_selection_oracle_comparison(_cfg(fixed_k=2.0))
 
 
+def test_oracle_comparison_selected_error_is_the_fitted_estimate_error():
+    # every level is estimated by `Pipeline.estimate`, so the selected level's
+    # error is bitwise the one `run_mise` takes from `Pipeline.fit`
+    cfg = _cfg(replications=3)
+    out = run_selection_oracle_comparison(cfg)
+    assert np.array_equal(out["selected"], run_mise(cfg).errors)
+    assert np.all(out["oracle"] <= out["selected"])
+    assert out["k_values"].tolist() == list(range(1, len(out["k_values"]) + 1))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         _cfg(method="magic")
@@ -341,6 +351,15 @@ def test_profile_bias_vanishes_for_large_level():
     )
     assert rows[1].bound_bias < 1e-8  # smoothing bias gone once the window opens
     assert rows[1].bias_sq < rows[0].bias_sq
+
+
+@pytest.mark.parametrize("c, what", [(100.0, "sigma_c"), (190.0, "non-finite values")])
+def test_profile_refuses_non_finite_bound_inputs(c, what):
+    # lognormal's second weighted moment overflows from about c = 100 on and
+    # its transform at c = 190; the profile used to return inf and nan rows
+    with np.errstate(over="ignore"):
+        with pytest.raises(MellinError, match=what):
+            bias_variance_profile("lognormal", "noise_uniform", c, 500, [1, 2], reps=2, seed=1)
 
 
 def test_single_k_profile():

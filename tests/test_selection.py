@@ -165,7 +165,8 @@ def test_population_level_selection_is_sane():
     # must track the best achievable error up to a small floor
     cfg = table1_selection_config("noise_beta")
     n = 2000
-    bank = Pipeline(G_BETA, cfg, Q, default_x_grid()).bank("ridge", n)
+    pipeline = Pipeline(G_BETA, cfg, Q, default_x_grid())
+    bank = pipeline.bank("ridge", n)
     mf = catalog_mellin("gamma5", 1.0)
     my = mf(Q.t) * G_BETA(Q.t)
     res = bank.select(np.abs(my) ** 2, 1.0, n)
@@ -173,8 +174,9 @@ def test_population_level_selection_is_sane():
     # population errors per level are pure smoothing biases
     errs = np.array(
         [
-            float(Q.integrate(np.abs(mf(Q.t) - my * row) ** 2)) / TWO_PI
-            for row in bank.rows
+            float(Q.integrate(np.abs(mf(Q.t) - my * pipeline.multiplier("ridge", k)) ** 2))
+            / TWO_PI
+            for k in bank.k_values
         ]
     )
     norm_f = float(Q.integrate(np.abs(mf(Q.t)) ** 2)) / TWO_PI
@@ -190,8 +192,8 @@ def _assert_bank_matches_row_oracle(g, cfg, q, n, y):
     if oracle.k_values.size == 0:
         return
     np.testing.assert_allclose(bank.norms_sq, oracle.norms_sq, rtol=1e-12, atol=0.0)
-    for row, ref in zip(bank.rows, oracle.rows):
-        assert np.abs(row - ref).max() <= 1e-13 * np.abs(ref).max()
+    for k, ref in zip(bank.k_values, oracle.rows):
+        assert np.abs(pipeline.multiplier("ridge", k) - ref).max() <= 1e-13 * np.abs(ref).max()
 
     em = EmpiricalMellin(cfg.c, y)
     abs_sq, sig = np.abs(pipeline.transform(em)) ** 2, sigma_hat(em)
@@ -250,20 +252,12 @@ def test_ridge_bank_rows_where_the_noise_transform_is_zero():
         c=1.0, eval_fn=lambda t: np.where(np.abs(np.asarray(t)) == t0, 0.0, G_BETA.eval_fn(t))
     )
     cfg = SelectionConfig(chi1=1.0, chi2=1.0, chi=1.0, c=1.0, r=2.0)
-    bank = Pipeline(g, cfg, Q, default_x_grid()).bank("ridge", 10**6)
+    pipeline = Pipeline(g, cfg, Q, default_x_grid())
+    bank = pipeline.bank("ridge", 10**6)
     oracle = RowRidgeBank(g, cfg, Q, n_cap=1e6)
     assert np.isinf(bank.kappa[Q.center + 250]) and np.array_equal(bank.k_values, oracle.k_values)
-    assert np.all(bank.rows[:, Q.center + 250] == 0.0)
+    assert all(pipeline.multiplier("ridge", k)[Q.center + 250] == 0.0 for k in bank.k_values)
     np.testing.assert_allclose(bank.norms_sq, oracle.norms_sq, rtol=1e-12, atol=0.0)
-
-
-@pytest.mark.parametrize("method", ["ridge", "cutoff"])
-@pytest.mark.parametrize("k", [99, 2.5, 0])
-def test_bank_row_refuses_a_level_outside_the_bank(method, k):
-    pipeline = Pipeline(G_BETA, table1_selection_config("noise_beta"), Q, default_x_grid())
-    bank = pipeline.bank(method, 2000)
-    with pytest.raises(ValueError, match=rf"k={k}\b.*levels are \[1, 2"):
-        bank.row(k)
 
 
 def test_selected_risk_tracks_oracle():
@@ -366,15 +360,16 @@ def test_cutoff_bank_rejects_window_across_zero():
 
 def test_cutoff_windows_follow_the_grid_window_rule():
     # on t_step = 0.3 the window of k = 2 ends at the nearest node, t = 2.1:
-    # the bank's row and norm, the three-step multiplier and the inversion
-    # window must all hold that node
+    # the pipeline's multiplier, the bank's norm, the three-step multiplier
+    # and the inversion window must all hold that node
     q = QuadratureConfig(0.3, 20.0)
     cfg = SelectionConfig(chi1=1.0, chi2=1.0, chi=1.0, c=1.0)
-    bank = Pipeline(G_BETA, cfg, q, default_x_grid()).bank("cutoff", 10**6)
+    pipeline = Pipeline(G_BETA, cfg, q, default_x_grid())
+    bank = pipeline.bank("cutoff", 10**6)
     assert list(bank.k_values) == list(range(1, 21))
     for k, norm in zip(bank.k_values, bank.norms_sq):
         j = q.window_index(k)
-        row = bank.row(k)
+        row = pipeline.multiplier("cutoff", k)
         assert np.array_equal(np.nonzero(row)[0], np.arange(q.center - j, q.center + j + 1))
         assert norm == pytest.approx(q.window_integrate(np.abs(row) ** 2, k), rel=1e-12)
         cut = cutoff_multiplier(CutoffSpec(k=float(k), c=1.0), G_BETA, q)
