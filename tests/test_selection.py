@@ -260,6 +260,19 @@ def test_ridge_bank_rows_where_the_noise_transform_is_zero():
     np.testing.assert_allclose(bank.norms_sq, oracle.norms_sq, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("method", ["ridge", "cutoff"])
+@pytest.mark.parametrize("k", [0])
+def test_bank_row_refuses_a_level_outside_the_bank(method, k, rng):
+    # the bank's levels start at 1; the fixed-level multiplier that stands in
+    # for a bank row, and the estimate built on it, refuse a level below them
+    pipeline = Pipeline(G_BETA, table1_selection_config("noise_beta"), Q, default_x_grid())
+    assert pipeline.bank(method, 2000).k_values[0] == 1
+    em = EmpiricalMellin(1.0, rng.gamma(5.0, 1.0, 50))
+    for build in (lambda: pipeline.multiplier(method, k), lambda: pipeline.estimate(method, em, k)):
+        with pytest.raises(ValueError, match=rf"level k must be positive and finite, got k={k}\b"):
+            build()
+
+
 def test_selected_risk_tracks_oracle():
     cfg = ExperimentConfig(
         target="beta25",
