@@ -39,7 +39,6 @@ from .estimators import (
     RidgeSpec,
     cutoff_multiplier,
     estimate_density,
-    multiplier_norm_sq,
     ridge_multiplier,
     write_estimate_csv,
 )
@@ -49,6 +48,7 @@ from .selection import (
     Pipeline,
     SelectionConfig,
     SelectionResult,
+    TooManyLevelsError,
     select_cutoff,
     select_ridge,
     sigma_hat,

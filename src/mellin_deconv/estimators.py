@@ -15,9 +15,9 @@ R_k = (1/M_g) min(1, k/kappa)^(r+2) = a min(kappa, k)^(r+2), where
 a = conj(M_g) |M_g|^r (1+|t|)^(-xi(r+2)).  `ridge_factors` is the one place
 the factors are written, and `ridge_row` and `cutoff_row` the one place
 each multiplier is formed from them, by the multipliers here and by
-`selection.Pipeline.multiplier` alike.  The damped region
-G_k = {kappa > k} shrinks as k grows; multiplier magnitudes grow
-monotonically in k.
+`selection.Pipeline.multiplier` alike.  The damped region G_k = {kappa > k}
+shrinks as k grows, and |R_k| and ||R_k||^2 grow; the norms and their
+truncation bound are computed in one place, `selection.RidgeBank`.
 
 Every product is inverted on its own by a `mellin.InversionPlan`, a type-2
 non-uniform FFT, and passes the Hermitian residue check of
@@ -136,8 +136,11 @@ def ridge_factors(mg: np.ndarray, t: np.ndarray, xi: float, r: float) -> tuple:
 
 def ridge_row(inv: np.ndarray, kappa: np.ndarray, k: float, p: float) -> np.ndarray:
     """Ridge multiplier R_k = (1/M_g) min(1, k/kappa)^p, p = r + 2, from the
-    `ridge_factors` (inv, kappa) at the same nodes."""
-    return inv * np.minimum(1.0, k / kappa) ** p
+    `ridge_factors` (inv, kappa) at the same nodes, via one real temporary."""
+    scale = np.divide(k, kappa, out=np.empty(np.shape(kappa)))  # 0-d for scalar t
+    np.minimum(1.0, scale, out=scale)
+    scale **= p
+    return inv * scale
 
 
 def cutoff_row(inv: np.ndarray, t: np.ndarray, edge: float) -> np.ndarray:
@@ -210,38 +213,6 @@ def cutoff_multiplier(
         return cutoff_row(_reciprocal(np.asarray(g.eval_fn(t), dtype=np.complex128)), t, edge)
 
     return MellinMultiplier(spec=spec, g_mellin=g_mellin, eval_fn=eval_fn, support=spec.k)
-
-
-def multiplier_norm_sq(mult: MellinMultiplier, q: QuadratureConfig) -> float:
-    """Integral of |multiplier|^2 dt (no 2*pi normalisation).
-
-    Cut-off multipliers are integrated exactly over their window [-k, k];
-    ridge multipliers over the full quadrature window.  When the noise
-    transform carries decay metadata, the analytic tail bound is checked
-    against ``q.rel_tail_tol`` and a truncation warning is emitted if the
-    window is too short.
-    """
-    vals = np.abs(mult(q.t)) ** 2
-    if mult.support is not None:
-        return float(q.window_integrate(vals, mult.support))
-    norm = float(q.integrate(vals))
-    g = mult.g_mellin
-    spec = mult.spec
-    if isinstance(spec, RidgeSpec) and g.decay_exponent is not None:
-        # tail of |R|^2 <= (k^(r+2) C^(r+1))^2 (1+t^2)^(-gamma(r+1)) past the last node
-        rate = 2.0 * g.decay_exponent * (spec.r + 1.0)
-        if rate > 1.0:
-            const = (spec.k ** (spec.r + 2.0) * g.decay_upper ** (spec.r + 1.0)) ** 2
-            tail = 2.0 * const * (q.half_size * q.t_step) ** (1.0 - rate) / (rate - 1.0)
-            if tail > q.rel_tail_tol * max(norm, np.finfo(float).tiny):
-                warnings.warn(
-                    f"ridge norm truncated: analytic tail bound {tail:.3g} "
-                    f"exceeds rel_tail_tol of the computed value {norm:.6g}; "
-                    "increase t_max",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-    return norm
 
 
 def estimate_density(

@@ -35,8 +35,9 @@ class QuadratureConfig:
         Truncation bound; the outermost node is the one nearest to it,
         ``half_size * t_step``.
     rel_tail_tol : float
-        Acceptable relative mass of an integrand's truncated tail.  Used by
-        diagnostics that hold an analytic tail bound; plain quadrature calls
+        Acceptable relative mass of an integrand's truncated tail.  Only
+        `selection.Pipeline.fixed_ridge_bank` reads it, warning when a
+        level's `RidgeBank.tail_ratios` exceeds it; plain quadrature calls
         integrate the window as given.
 
     Construction only validates and refuses more than `MAX_GRID_NODES`

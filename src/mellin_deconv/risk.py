@@ -2,31 +2,21 @@
 
 Per-replication work is keyed by content-hashed RNG streams, so results do
 not depend on execution order, and the same draws feed both estimation
-methods within a scenario (paired comparison).  Every experiment runs
-through one `selection.Pipeline` per scenario and estimates only through
-its `select`, `fit`, `estimate` and `multiplier`: both methods are fitted
-to each replication's sample (or, with a fixed level, estimated at it by
-`Pipeline.estimate`, as the oracle comparison estimates every admissible
-level), whose empirical transform is computed once, by its own memo
-(`EmpiricalMellin.on_grid`), and shared by them; every estimate is one
-product inverted by the pipeline, which checks its Hermitian residue.  This
-module adds only the truth tabulation and the error integrals, taken in the
-weighted space L^2(R_+, x^(2c-1)) on a log-spaced x-window covering the
-catalog targets' effective support.
+methods within a scenario (paired comparison).  Every experiment estimates
+only through the `select`, `fit`, `estimate` and `multiplier` of one
+`selection.Pipeline` per scenario, so a replication's empirical transform
+is computed once (`EmpiricalMellin.on_grid`).  This module adds only the
+truth tabulation and the error integrals, in the weighted space
+L^2(R_+, x^(2c-1)) on a log-spaced x-window.
 
-A scenario's pipeline depends only on the noise configuration: the error
-id, c, the `SelectionConfig`, the `QuadratureConfig` and the `XGridSpec`.
-So the experiments share one pipeline per configuration across targets,
-sample sizes and calls, through a cache of at most `_SCENARIO_PIPELINES`
-(one per paper noise), least recently returned dropped first.  A scenario
-checks its pipeline out of the cache, so two concurrent scenarios with one
-configuration never share one (the second builds its own); on completion
-it returns the pipeline trimmed by `Pipeline.release` to its tables (about
-1.1 MB on the default grids), and after an exception it drops it.  Results
-are bitwise those of a fresh pipeline.  The one-shot functions of
-`selection` (`select_ridge`, `select_cutoff`) and `cli estimate` build
-their own pipeline and never touch the cache: a single estimate has no
-later scenario to share with, so it leaves nothing behind.
+A scenario's pipeline depends only on the noise configuration (error id,
+c, `SelectionConfig`, `QuadratureConfig`, `XGridSpec`), so the experiments
+share one per configuration through a cache of at most
+`_SCENARIO_PIPELINES`, least recently returned dropped first.  A scenario
+checks its pipeline out, so concurrent scenarios never share one, returns
+it released on completion and drops it after an exception.  Results are
+bitwise those of a fresh pipeline.  `select_ridge`, `select_cutoff` and
+`cli estimate` build their own pipeline and leave the cache alone.
 """
 
 from __future__ import annotations
@@ -40,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .grids import QuadratureConfig, default_x_grid
-from .mellin import EmpiricalMellin, MellinError, catalog_mellin, eval_on_grid
+from .mellin import EmpiricalMellin, MellinError, catalog_mellin
 from .model import (
     RngStream,
     contaminate,
@@ -275,8 +265,9 @@ def bias_variance_profile(
     needed.  Bound terms come from the catalog transforms by quadrature:
     (2 pi)^-1 * int_{G_k} |M_f|^2 for the bias and
     sigma_c ||R_k||^2 / (2 pi n) for the variance, with G_k and ||R_k||^2
-    from the uncapped ridge bank of ``k_grid``.  A non-finite M_f on the
-    grid or sigma_c (as at a large c) raises `MellinError`.
+    from the uncapped ridge bank of ``k_grid``, which warns when a level's
+    norm is truncated (`Pipeline.fixed_ridge_bank`).  A non-finite M_f on
+    the grid or sigma_c (as at a large c) raises `MellinError` naming them.
     """
     if selection is None:
         selection = table1_selection_config(error, c)
@@ -291,8 +282,11 @@ def bias_variance_profile(
         seed=seed,
         quadrature=quadrature,
     )
-    mf = eval_on_grid(catalog_mellin(target, c), quadrature)
-    sig_c = sigma_c_true(target, error, c)
+    with np.errstate(over="ignore", invalid="ignore"):  # both refused by name below
+        mf = catalog_mellin(target, c)(quadrature.t)
+        sig_c = sigma_c_true(target, error, c)
+    if not np.all(np.isfinite(mf)):
+        raise MellinError(f"{target} transform takes non-finite values on the grid at c={c:g}")
     if not np.isfinite(sig_c):
         raise MellinError(f"sigma_c of {target} * {error} is not finite at c={c}")
     sum_mhat = np.zeros(len(quadrature), dtype=np.complex128)

@@ -22,27 +22,19 @@ per-bucket moments, in O(N + m^2) for N nodes and m levels.
 
 `Pipeline` is the package's one chain of grid, noise-transform table,
 banks, empirical transform, selection and inversion for a configuration;
-every estimate runs through it, whatever the sample size.
-`Pipeline.multiplier` forms a level's multiplier on the grid,
-`Pipeline.estimate` inverts the sample's transform times it, and
-`Pipeline.fit` is `Pipeline.select` followed by `estimate`.  Each takes the
-sample itself: its transform on the grid is computed once, by the sample's
-own memo (`EmpiricalMellin.on_grid`), and shared by every later call.  A
-pipeline keeps the level data (levels, norms, cut-off windows) of its last
-`_BANK_SIZES` sample sizes, but the banks' node-sized arrays for the
-current size only, and its full-grid inversion plan owns reused buffers, so
-a pipeline is not for concurrent calls.  `Pipeline.release` trims a
-pipeline that is kept between uses to its tables: 1/M_g, kappa, the level
-data and the full-grid plan's constants.  The Monte-Carlo experiments keep
-released pipelines in a small cache in `risk`; `select_ridge` and
-`select_cutoff` answer one sample, so they build a pipeline per call and
-leave nothing behind.
+every estimate runs through it.  `RidgeBank` is the one place ||R_k||^2
+is computed, with its truncation bound.  A pipeline keeps the level data
+of its last `_BANK_SIZES` sample sizes, the banks' node-sized arrays for
+the current size only, and an inversion plan with reused buffers, so it is
+not for concurrent calls; `Pipeline.release` trims it to its tables.
+`select_ridge` and `select_cutoff` build a pipeline per call.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
+import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional, Sequence
@@ -74,10 +66,16 @@ from .model import whole_count
 TWO_PI = 2.0 * np.pi
 #: sample sizes whose level data one `Pipeline` keeps: the paper's two
 _BANK_SIZES = 2
+#: most levels a `RidgeBank` holds: its contrasts take six (m x m) arrays, 48 MB
+MAX_RIDGE_LEVELS = 1000
 
 
 class EmptyAdmissibleSetError(ValueError):
     """No candidate level passes the admissibility bound for this sample size."""
+
+
+class TooManyLevelsError(ValueError):
+    """A ridge bank would hold more than `MAX_RIDGE_LEVELS` levels."""
 
 
 @dataclass(frozen=True)
@@ -190,7 +188,14 @@ class RidgeBank(_LevelBank):
     nodes: a node with kappa <= k adds w/|M_g|^2, the others w |a|^2 k^(2p)
     (w the trapezoid weight).  The consecutive scan also ends at the first
     saturated level, k >= every finite kappa, whose multiplier is 1/M_g
-    wherever M_g != 0: every later level is the same estimator.
+    wherever M_g != 0: every later level is the same estimator.  A scan that
+    would pass `MAX_RIDGE_LEVELS` levels, or a longer ``k_grid``, raises
+    `TooManyLevelsError`.
+
+    ``tail_ratios`` (read-only) holds, per level, 2 (k^p C^(r+1))^2 T^(1-rho)
+    / (rho-1), rho = 2 gamma (r+1), over ``norms_sq``: the bound on the part
+    of ||R_k||^2 past the grid edge T from ``g_mellin``'s decay certificate
+    |M_g| <= C (1+t^2)^(-gamma/2); inf where rho <= 1, None without one.
 
     Each node's bucket l, where k_(l-1) < kappa <= k_l (l = m past the
     last of the m levels), is fixed per bank, so `contrasts` reduces a
@@ -201,7 +206,13 @@ class RidgeBank(_LevelBank):
 
     _NODE_ARRAYS = ("_scale_sq", "_bucket", "_excess")
 
-    def __init__(self, inv, kappa, cfg: SelectionConfig, q: QuadratureConfig, n_cap: float):
+    def __init__(self, inv, kappa, cfg: SelectionConfig, q: QuadratureConfig, n_cap: float,
+                 g_mellin: MellinFunction):
+        too_many = TooManyLevelsError(
+            f"a ridge bank at xi={cfg.xi:g}, n={n_cap:g} would hold more than "
+            f"{MAX_RIDGE_LEVELS} levels; pass an explicit k_grid of at most that many")
+        if len(cfg.k_grid or ()) > MAX_RIDGE_LEVELS:
+            raise too_many
         self.q, self.cfg, self._inv, self.kappa = q, cfg, inv, kappa
         p = self._p = cfg.r + 2.0
         scale_sq = self._scale_sq  # w |a|^2, before the scan's buffers
@@ -227,6 +238,8 @@ class RidgeBank(_LevelBank):
             norm = float(below[i] + float(k) ** (2.0 * p) * above[i])
             if norm > n_cap:
                 break
+            if len(levels) == MAX_RIDGE_LEVELS:
+                raise too_many
             levels.append(int(k))
             norms.append(norm)
             if cfg.k_grid is None and k >= saturation:
@@ -234,6 +247,18 @@ class RidgeBank(_LevelBank):
         self.k_values = np.array(levels, dtype=int)
         self.norms_sq = np.array(norms, dtype=float)
         self._powers = self.k_values ** p
+        self.tail_ratios = None if g_mellin.decay_exponent is None else self._tail_ratios(g_mellin)
+
+    def _tail_ratios(self, g: MellinFunction) -> np.ndarray:
+        rate = 2.0 * g.decay_exponent * (self.cfg.r + 1.0)
+        ratios = np.full(len(self), np.inf)
+        if rate > 1.0:
+            with np.errstate(over="ignore", invalid="ignore"):  # inf or nan past the float range
+                const = (self._powers * g.decay_upper ** (self.cfg.r + 1.0)) ** 2
+                tail = 2.0 * const * (self.q.half_size * self.q.t_step) ** (1.0 - rate)
+                ratios = tail / (rate - 1.0) / np.maximum(self.norms_sq, np.finfo(float).tiny)
+        ratios.flags.writeable = False
+        return ratios
 
     @cached_property
     def _scale_sq(self) -> np.ndarray:
@@ -423,11 +448,10 @@ class Pipeline:
                 b.release()
         self._banks[n] = banks
         if method not in banks:
-            inv, kappa = self._noise_table
             if method == "ridge":
-                banks[method] = RidgeBank(inv, kappa, self.cfg, self.q, n_cap=float(n))
+                banks[method] = RidgeBank(*self._noise_table, self.cfg, self.q, float(n), self.g_mellin)
             else:
-                bank = CutoffBank(inv, self.cfg, self.q, n_cap=float(n))
+                bank = CutoffBank(self._noise_table[0], self.cfg, self.q, n_cap=float(n))
                 if len(bank) > 0:
                     self._check_window(int(bank.windows[-1]))
                 banks[method] = bank
@@ -441,9 +465,18 @@ class Pipeline:
             self._probed = j
 
     def fixed_ridge_bank(self, levels: Sequence[int]) -> RidgeBank:
-        """Ridge bank of fixed increasing levels, without the admissibility cap."""
+        """Ridge bank of fixed increasing levels, without the admissibility cap;
+        warns once, naming the worst level, if a tail ratio passes ``rel_tail_tol``."""
         cfg = replace(self.cfg, k_grid=tuple(levels))
-        return RidgeBank(*self._noise_table, cfg, self.q, n_cap=np.inf)
+        bank = RidgeBank(*self._noise_table, cfg, self.q, np.inf, self.g_mellin)
+        ratios = bank.tail_ratios
+        if ratios is not None and np.any(ratios > self.q.rel_tail_tol):
+            i = int(np.argmax(ratios))
+            warnings.warn(f"ridge norm truncated: analytic tail bound at k={bank.k_values[i]} is "
+                          f"{ratios[i]:.3g} of ||R_k||^2, above rel_tail_tol={self.q.rel_tail_tol:g}; "
+                          f"increase t_max={self.q.half_size * self.q.t_step:g}",
+                          RuntimeWarning, stacklevel=2)
+        return bank
 
     def transform(self, em: EmpiricalMellin) -> np.ndarray:
         """The sample's read-only M_hat on the grid (`EmpiricalMellin.on_grid`);

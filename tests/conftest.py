@@ -15,16 +15,20 @@ level's multiplier and compared each pair of levels with a pass over all
 nodes; it is the reference for the factored bank.  The direct-sum empirical
 transform, the Plancherel norm, the weighted distance and the oracle error
 are written out from their formulas, as references for the package's grid
-transform, norms and Monte-Carlo errors.
+transform, norms and Monte-Carlo errors.  `multiplier_norm_sq` is the
+package's former norm of one multiplier, integrated from its values on the
+grid, with its truncation warning; `ridge_tail_bound` is that warning's
+analytic bound, the reference for `RidgeBank.tail_ratios`.
 """
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mellin_deconv import MellinError, density_eval, density_spec, risk
+from mellin_deconv import MellinError, RidgeSpec, density_eval, density_spec, risk
 
 # log-coordinate density values: id -> (u_lo, u_hi, w) with w(u) = h(e^u),
 # so that M_c[h](t) = int w(u) e^(c u) (cos(t u) + i sin(t u)) du
@@ -158,6 +162,46 @@ def oracle_error(estimate, target: str, c: float) -> float:
     x = np.asarray(estimate.x_grid, dtype=float)
     truth = density_eval(density_spec(target), x)
     return float(np.trapezoid((estimate.values - truth) ** 2 * x ** (2.0 * c - 1.0), x))
+
+
+def ridge_tail_bound(k: float, r: float, g, q) -> float:
+    """Bound on the integral of |R_k|^2 past the last node of ``q``, from the
+    decay certificate |M_g| <= C (1+t^2)^(-gamma/2) of ``g``: inf when
+    2 gamma (r+1) <= 1."""
+    # tail of |R|^2 <= (k^(r+2) C^(r+1))^2 (1+t^2)^(-gamma(r+1)) past the last node
+    rate = 2.0 * g.decay_exponent * (r + 1.0)
+    if rate <= 1.0:
+        return np.inf
+    const = (k ** (r + 2.0) * g.decay_upper ** (r + 1.0)) ** 2
+    return 2.0 * const * (q.half_size * q.t_step) ** (1.0 - rate) / (rate - 1.0)
+
+
+def multiplier_norm_sq(mult, q) -> float:
+    """Integral of |multiplier|^2 dt (no 2*pi normalisation).
+
+    Cut-off multipliers are integrated exactly over their window [-k, k];
+    ridge multipliers over the full quadrature window.  When the noise
+    transform carries decay metadata, the analytic tail bound is checked
+    against ``q.rel_tail_tol`` and a truncation warning is emitted if the
+    window is too short.
+    """
+    vals = np.abs(mult(q.t)) ** 2
+    if mult.support is not None:
+        return float(q.window_integrate(vals, mult.support))
+    norm = float(q.integrate(vals))
+    g = mult.g_mellin
+    spec = mult.spec
+    if isinstance(spec, RidgeSpec) and g.decay_exponent is not None:
+        tail = ridge_tail_bound(spec.k, spec.r, g, q)
+        if np.isfinite(tail) and tail > q.rel_tail_tol * max(norm, np.finfo(float).tiny):
+            warnings.warn(
+                f"ridge norm truncated: analytic tail bound {tail:.3g} "
+                f"exceeds rel_tail_tol of the computed value {norm:.6g}; "
+                "increase t_max",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+    return norm
 
 
 def rotator_mellin_on_grid(em, grid) -> np.ndarray:

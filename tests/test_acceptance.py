@@ -28,7 +28,6 @@ from mellin_deconv import (
     density_eval,
     density_spec,
     inverse_mellin,
-    multiplier_norm_sq,
     ridge_multiplier,
     run_oracle_rate,
     run_selection_oracle_comparison,
@@ -43,7 +42,13 @@ from mellin_deconv.risk import (
 )
 from mellin_deconv.selection import Pipeline, SelectionConfig
 
-from conftest import mellin_quad_oracle, norm_sq_quad_oracle, plancherel_norm_sq, ridge_risk_oracle
+from conftest import (
+    mellin_quad_oracle,
+    multiplier_norm_sq,
+    norm_sq_quad_oracle,
+    plancherel_norm_sq,
+    ridge_risk_oracle,
+)
 
 _REPORT_LINES = []
 

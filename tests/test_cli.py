@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -279,6 +280,21 @@ def test_diagnose_refuses_non_finite_profile_inputs(tmp_path, capsys):
                   "--c", "190", "--n", "500", "--k-max", "2", "--reps", "2", "--out", str(out))
     assert rc == 1 and not out.exists()
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("c, message", [
+    ("190", "error: lognormal transform takes non-finite values on the grid at c=190\n"),
+    ("100", "error: sigma_c of lognormal * noise_uniform is not finite at c=100.0\n"),
+], ids=["transform", "sigma_c"])
+def test_diagnose_names_an_overflowing_input_without_a_warning(tmp_path, capsys, c, message):
+    # lognormal's transform overflows at c = 190 and sigma_c at c = 100:
+    # one error line on stderr, naming the density and c, and no numpy warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = _run("diagnose", "--target", "lognormal", "--error", "noise_uniform", "--c", c,
+                  "--n", "500", "--k-max", "2", "--reps", "2", "--out", str(tmp_path / "p.csv"))
+    assert rc == 1 and [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == message
 
 
 def test_diagnose_refuses_the_penalty_constants_estimate_takes(tmp_path, capsys):

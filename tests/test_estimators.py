@@ -18,12 +18,14 @@ from mellin_deconv import (
     default_x_grid,
     empirical_mellin_on_grid,
     estimate_density,
-    multiplier_norm_sq,
     ridge_multiplier,
     table1_selection_config,
 )
+from mellin_deconv.estimators import ridge_factors, ridge_row
 from mellin_deconv.mellin import InversionPlan, checked_real_part
 from mellin_deconv.model import density_eval, density_spec
+
+from conftest import multiplier_norm_sq
 
 Q = QuadratureConfig(0.01, 150.0)
 G_BETA = catalog_mellin("noise_beta", 1.0)
@@ -175,6 +177,30 @@ def test_ridge_norm_truncation_warning():
     mult = ridge_multiplier(RidgeSpec(k=64.0, c=1.0, r=2.0), G_UNIF)
     with pytest.warns(RuntimeWarning, match="truncated"):
         multiplier_norm_sq(mult, q)
+
+
+def test_fixed_ridge_bank_warns_of_truncation_once():
+    # the same grid and level through the package's one truncation check
+    cfg = table1_selection_config("noise_uniform")
+    pipeline = Pipeline(G_UNIF, cfg, QuadratureConfig(0.01, 30.0), default_x_grid(points=8))
+    with pytest.warns(RuntimeWarning, match="truncated") as caught:
+        bank = pipeline.fixed_ridge_bank((8, 64))
+    assert len(caught) == 1
+    assert "k=64" in str(caught[0].message) and "t_max=30" in str(caught[0].message)
+    assert bank.tail_ratios[1] > bank.tail_ratios[0]
+
+
+@pytest.mark.parametrize("p", [2.0, 3.5, 4.0])
+def test_ridge_row_matches_the_plain_product_bitwise(p):
+    # the in-place row is bitwise inv * min(1, k/kappa)^p, on nodes and at a scalar t
+    q = QuadratureConfig(0.05, 60.0)
+    inv, kappa = ridge_factors(G_UNIF(q.t), q.t, 0.5, p - 2.0)
+    for k in (1.0, 7.0, 1e6):
+        assert ridge_row(inv, kappa, k, p).tobytes() == (inv * np.minimum(1.0, k / kappa) ** p).tobytes()
+        t = np.asarray(3.3)
+        inv0, kappa0 = ridge_factors(np.asarray(G_UNIF(t)), t, 0.5, p - 2.0)
+        row0 = ridge_row(inv0, kappa0, k, p)
+        assert np.ndim(row0) == 0 and row0 == inv0 * np.minimum(1.0, k / kappa0) ** p
 
 
 # ---------------------------------------------------------------------- #

@@ -22,13 +22,12 @@ from mellin_deconv import (
     catalog_mellin,
     cutoff_multiplier,
     default_x_grid,
-    multiplier_norm_sq,
     ridge_multiplier,
 )
 from mellin_deconv.grids import MAX_GRID_NODES
 from mellin_deconv.mellin import InversionPlan
 
-from conftest import empirical_mellin, plancherel_norm_sq
+from conftest import empirical_mellin, multiplier_norm_sq, plancherel_norm_sq
 
 #: the largest frequency grid a drawn configuration may build
 MAX_NODES = 20_001

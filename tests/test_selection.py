@@ -1,3 +1,7 @@
+import time
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -15,7 +19,6 @@ from mellin_deconv import (
     catalog_mellin,
     cutoff_multiplier,
     density_spec,
-    multiplier_norm_sq,
     sample,
     select_cutoff,
     select_ridge,
@@ -24,10 +27,10 @@ from mellin_deconv import (
     write_diagnostics_csv,
 )
 from mellin_deconv.risk import run_selection_oracle_comparison
-from mellin_deconv.selection import Pipeline
+from mellin_deconv.selection import MAX_RIDGE_LEVELS, Pipeline, TooManyLevelsError
 from mellin_deconv import ExperimentConfig, default_x_grid, table1_selection_config
 
-from conftest import RowRidgeBank, empirical_mellin
+from conftest import RowRidgeBank, empirical_mellin, multiplier_norm_sq, ridge_tail_bound
 
 Q = QuadratureConfig(0.01, 150.0)
 G_BETA = catalog_mellin("noise_beta", 1.0)
@@ -99,6 +102,80 @@ def test_admissible_ridge_scan_stops_at_saturation():
     cfg = table1_selection_config("noise_beta")
     ks = _admissible_ridge(catalog_mellin("noise_beta", 1.0), cfg, 600_000, QuadratureConfig())
     assert ks == list(range(1, 77))
+
+
+@pytest.mark.parametrize("noise", ["noise_uniform", "noise_beta"])
+def test_bank_tail_ratios_match_the_oracle_bound(noise):
+    # every level's ratio is the former truncation check's bound over the
+    # bank's own norm, on the admissible and on the uncapped banks
+    g, cfg = catalog_mellin(noise, 1.0), table1_selection_config(noise)
+    pipeline = Pipeline(g, cfg, QuadratureConfig(), default_x_grid(points=8))
+    banks = [pipeline.bank("ridge", n) for n in (500, 2000, 10_000)]
+    with pytest.warns(RuntimeWarning, match="truncated"):
+        banks.append(pipeline.fixed_ridge_bank(range(1, 21)))
+    for bank in banks:
+        ref = [ridge_tail_bound(k, cfg.r, g, QuadratureConfig()) for k in bank.k_values]
+        np.testing.assert_allclose(bank.tail_ratios, np.array(ref) / bank.norms_sq, rtol=1e-12)
+        assert not bank.tail_ratios.flags.writeable
+
+
+def test_bank_tail_ratio_is_infinite_without_a_bound_and_absent_without_a_certificate():
+    # 2 gamma (r+1) <= 1 leaves the tail unbounded; a noise without a decay
+    # certificate (noise_uniform at c = 0 has zeros) records no ratio
+    slow = MellinFunction(1.0, G_BETA.eval_fn, decay_exponent=0.25, decay_upper=1.0)
+    cfg = SelectionConfig(chi1=1.0, chi2=1.0, chi=1.0, c=1.0, r=0.5)
+    bank = Pipeline(slow, cfg, Q, default_x_grid(points=8)).bank("ridge", 500)
+    assert len(bank) > 0 and np.all(bank.tail_ratios == np.inf)
+    assert ridge_tail_bound(1.0, cfg.r, slow, Q) == np.inf
+    g0 = catalog_mellin("noise_uniform", 0.0)
+    assert g0.decay_exponent is None
+    cfg0 = SelectionConfig(chi1=0.125, chi2=0.125, chi=5.0, c=0.0, r=2.0)
+    pipeline = Pipeline(g0, cfg0, Q, default_x_grid(points=8))
+    assert pipeline.bank("ridge", 2000).tail_ratios is None
+    assert pipeline.fixed_ridge_bank((1, 2, 3)).tail_ratios is None
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("noise", ["noise_uniform", "noise_beta"])
+def test_fits_on_the_default_grid_raise_no_warning(noise):
+    # admissible banks record their tail ratios (above rel_tail_tol at large
+    # n) but only the uncapped fixed-level bank warns
+    g, cfg = catalog_mellin(noise, 1.0), table1_selection_config(noise)
+    pipeline = Pipeline(g, cfg, QuadratureConfig(), default_x_grid())
+    for n in (500, 2000, 10_000):
+        em = EmpiricalMellin(1.0, _simulated_sample(n, error=noise))
+        for method in ("ridge", "cutoff"):
+            result, est = pipeline.fit(method, em)
+            assert np.all(np.isfinite(est.values))
+    assert pipeline.bank("ridge", 10_000).tail_ratios.max() > QuadratureConfig().rel_tail_tol
+
+
+def test_unbounded_ridge_scan_fails_fast_with_a_typed_error():
+    # at xi = 2 noise_uniform admits 195 600 levels at n = 10^5, whose
+    # contrasts would need about 300 GB: the scan stops at the bound instead
+    cfg = replace(table1_selection_config("noise_uniform"), xi=2.0)
+    pipeline = Pipeline(G_UNIF, cfg, Q, default_x_grid(points=8))
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(TooManyLevelsError, match="xi=2, n=100000") as exc:
+            pipeline.bank("ridge", 100_000)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(exc.value, ValueError)
+    assert f"more than {MAX_RIDGE_LEVELS} levels" in str(exc.value) and "k_grid" in str(exc.value)
+    assert elapsed < 10.0 and peak < 20e6
+    # the select of a sample reaches the same error, and so does a longer k_grid
+    em = EmpiricalMellin(1.0, _simulated_sample(2000))
+    with pytest.raises(TooManyLevelsError, match="xi=2, n=2000"):
+        pipeline.select("ridge", em)
+    long_grid = replace(cfg, k_grid=range(1, MAX_RIDGE_LEVELS + 2))
+    with pytest.raises(TooManyLevelsError):
+        Pipeline(G_UNIF, long_grid, Q, default_x_grid(points=8)).bank("ridge", 10)
+    fits = replace(cfg, k_grid=range(1, MAX_RIDGE_LEVELS + 1))
+    assert len(Pipeline(G_UNIF, fits, Q, default_x_grid(points=8)).bank("ridge", 10**9)) == MAX_RIDGE_LEVELS
 
 
 def test_cutoff_admissibility_closed_form():

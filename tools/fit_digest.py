@@ -18,7 +18,11 @@ Each line is a digest and the section it covers:
 - ``profile rows``: `bias_variance_profile` for two scenarios;
 - ``rate points``: `run_oracle_rate` along n = 500, 2000;
 - ``oracle comparisons``: the admissible levels and per-replication errors
-  of `run_selection_oracle_comparison` for two scenarios.
+  of `run_selection_oracle_comparison` for two scenarios;
+- ``banks``: the levels and ``norms_sq`` of `Pipeline.bank("ridge", n)`
+  for both noises and n in {500, 2000, 10 000}, on the default grid;
+- ``tails``: the same banks' ``tail_ratios``, on commits whose ridge bank
+  records them.
 
 Only the package's public names and numpy are used, so the script runs on
 any commit that has `Pipeline.fit(method, sample)`.
@@ -137,8 +141,38 @@ def oracle_comparisons() -> tuple:
     return digest, f"{len(SCENARIOS)} oracle comparisons"
 
 
+def _ridge_banks():
+    for noise in NOISES:
+        pipeline = md.Pipeline(md.catalog_mellin(noise, C), md.table1_selection_config(noise, C),
+                               md.QuadratureConfig(), md.default_x_grid())
+        for n in SIZES:
+            yield pipeline.bank("ridge", n)
+
+
+def banks() -> tuple:
+    digest = hashlib.sha256()
+    count = 0
+    for bank in _ridge_banks():
+        digest.update(np.asarray(bank.k_values, dtype=np.int64).tobytes())
+        digest.update(bank.norms_sq.tobytes())
+        count += 1
+    return digest, f"{count} ridge banks"
+
+
+def tails() -> tuple:
+    digest = hashlib.sha256()
+    count = 0
+    for bank in _ridge_banks():
+        if not hasattr(bank, "tail_ratios"):
+            return digest, "tails: not recorded by this commit"
+        digest.update(bank.tail_ratios.tobytes())
+        count += 1
+    return digest, f"{count} ridge banks' tail ratios"
+
+
 def main() -> None:
-    for section in (fits, three_step, table_rows, profile_rows, rate_points, oracle_comparisons):
+    for section in (fits, three_step, table_rows, profile_rows, rate_points, oracle_comparisons,
+                    banks, tails):
         digest, what = section()
         print(f"{digest.hexdigest()}  {what}", flush=True)
 
