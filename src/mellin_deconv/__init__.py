@@ -46,6 +46,7 @@ from .selection import (
     EmptyAdmissibleSetError,
     LevelDiagnostics,
     Pipeline,
+    RidgePowerOverflowError,
     SelectionConfig,
     SelectionResult,
     TooManyLevelsError,

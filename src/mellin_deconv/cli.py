@@ -106,7 +106,7 @@ _MISE_KEYS = {
     },
     **{f"selection.{error}": {k: (k, float) for k in ("chi1", "chi2", "chi")}
        for error in TABLE1_ERRORS},
-    "quadrature": {k: (k, float) for k in ("t_step", "t_max", "rel_tail_tol")},
+    "quadrature": {k: (k, float) for k in ("t_step", "t_max")},
     "grid": {"x_min": ("x_min", float), "x_max": ("x_max", float), "x_points": ("points", int)},
 }
 

@@ -5,8 +5,8 @@ on a uniform grid t_m = m * t_step, m = -M..M.  `QuadratureConfig` is that
 grid: it carries the nodes and helpers for trapezoid integration over the
 whole grid and over symmetric sub-windows [-k, k], which the cut-off
 estimator and the selection rules need for every candidate k in one
-cumulative pass.  It keeps no weight vector; the ridge bank builds its own
-(`selection.RidgeBank`).
+cumulative pass.  It holds its step and bound only: `selection.RidgeBank`
+builds its own weights, and the tail tolerance is `selection.REL_TAIL_TOL`.
 """
 
 from __future__ import annotations
@@ -34,11 +34,6 @@ class QuadratureConfig:
     t_max : float
         Truncation bound; the outermost node is the one nearest to it,
         ``half_size * t_step``.
-    rel_tail_tol : float
-        Acceptable relative mass of an integrand's truncated tail.  Only
-        `selection.Pipeline.fixed_ridge_bank` reads it, warning when a
-        level's `RidgeBank.tail_ratios` exceeds it; plain quadrature calls
-        integrate the window as given.
 
     Construction only validates and refuses more than `MAX_GRID_NODES`
     nodes; the nodes ``t`` are built on first use and kept with the object.
@@ -46,15 +41,12 @@ class QuadratureConfig:
 
     t_step: float = 0.01
     t_max: float = 150.0
-    rel_tail_tol: float = 1e-6
 
     def __post_init__(self):
         if not 0.0 < self.t_step < np.inf:
             raise ValueError("t_step must be positive and finite")
         if not 10.0 * self.t_step <= self.t_max < np.inf:
             raise ValueError("t_max must be finite and at least 10 * t_step")
-        if not 0.0 < self.rel_tail_tol <= 0.01:
-            raise ValueError("rel_tail_tol must lie in (0, 0.01]")
         nodes = 2.0 * np.round(self.t_max / self.t_step) + 1.0
         if not nodes <= MAX_GRID_NODES:
             raise ValueError(

@@ -7,7 +7,8 @@ only through the `select`, `fit`, `estimate` and `multiplier` of one
 `selection.Pipeline` per scenario, so a replication's empirical transform
 is computed once (`EmpiricalMellin.on_grid`).  This module adds only the
 truth tabulation and the error integrals, in the weighted space
-L^2(R_+, x^(2c-1)) on a log-spaced x-window.
+L^2(R_+, x^(2c-1)) on a log-spaced x-window.  The rate experiment's fixed
+level is an argument of `run_oracle_rate`, not a scenario field.
 
 A scenario's pipeline depends only on the noise configuration (error id,
 c, `SelectionConfig`, `QuadratureConfig`, `XGridSpec`), so the experiments
@@ -47,11 +48,14 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class XGridSpec:
-    """Log-spaced x-window for error integrals."""
+    """Log-spaced x-window for error integrals of a whole number of ``points``."""
 
     x_min: float = 1e-2
     x_max: float = 30.0
     points: int = 512
+
+    def __post_init__(self):
+        object.__setattr__(self, "points", whole_count(self.points, "points"))
 
     def build(self) -> np.ndarray:
         return default_x_grid(self.x_min, self.x_max, self.points)
@@ -60,12 +64,7 @@ class XGridSpec:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Scenario descriptor for a Monte-Carlo run; ``n`` and ``replications``
-    are whole numbers of at least 1.
-
-    ``fixed_k`` bypasses the data-driven selection and estimates with the
-    given whole-number ridge level in every replication (used by rate
-    experiments); running the cut-off method with it raises `ValueError`.
-    """
+    are whole numbers of at least 1."""
 
     target: str
     error: str
@@ -77,15 +76,12 @@ class ExperimentConfig:
     seed: int
     x_grid: XGridSpec = XGridSpec()
     quadrature: QuadratureConfig = QuadratureConfig()
-    fixed_k: Optional[float] = None
 
     def __post_init__(self):
         if self.method not in ("ridge", "cutoff"):
             raise ValueError("method must be 'ridge' or 'cutoff'")
         for name in ("n", "replications"):
             object.__setattr__(self, name, whole_count(getattr(self, name), name))
-        if self.fixed_k is not None:
-            whole_count(self.fixed_k, "fixed_k")
 
 
 @dataclass(frozen=True)
@@ -157,21 +153,20 @@ def _scenario_pipeline(cfg: ExperimentConfig):
             del _pipelines[next(iter(_pipelines))]
 
 
-def _mise_reports(cfg: ExperimentConfig, methods: Sequence[str]) -> dict:
-    """MiseReport per method, all on the same draws; with ``cfg.fixed_k``
-    the ridge method estimates at that level, uncapped, in every replication."""
-    if cfg.fixed_k is not None and "cutoff" in methods:
-        raise ValueError("fixed_k applies to the ridge method only, not to cutoff")
+def _mise_reports(cfg: ExperimentConfig, methods: Sequence[str],
+                  level: Optional[float] = None) -> dict:
+    """MiseReport per method, all on the same draws; with ``level`` every
+    method estimates at that fixed level, uncapped, in every replication."""
     errors = {m: np.empty(cfg.replications) for m in methods}
     with _scenario_pipeline(cfg) as pipeline:
         error = _error_integral(cfg.target, cfg.c, pipeline.x_grid)
         for rep in range(cfg.replications):
             em = _replication_sample(cfg, rep)
             for m in methods:
-                if cfg.fixed_k is None:
+                if level is None:
                     estimate = pipeline.fit(m, em)[1]
                 else:
-                    estimate = pipeline.estimate(m, em, cfg.fixed_k)
+                    estimate = pipeline.estimate(m, em, level)
                 errors[m][rep] = error(estimate.values)
     return {m: MiseReport.from_errors(errors[m]) for m in methods}
 
@@ -229,9 +224,8 @@ def run_oracle_rate(
             seed=seed,
             x_grid=x_grid,
             quadrature=quadrature,
-            fixed_k=float(k_o),
         )
-        out.append((n, run_mise(cfg).mise))
+        out.append((n, _mise_reports(cfg, ("ridge",), level=float(k_o))["ridge"].mise))
     return out
 
 
@@ -319,10 +313,9 @@ def run_selection_oracle_comparison(cfg: ExperimentConfig) -> dict:
     levels; used to check that the data-driven rule tracks the oracle.
     Each replication is estimated by `Pipeline.estimate` at every level of
     its selection's admissible set, which depends on n only.  Only the
-    data-driven ridge rule is compared: another ``cfg.method`` or a
-    ``cfg.fixed_k`` raises `ValueError`.
+    data-driven ridge rule is compared; another method raises `ValueError`.
     """
-    if cfg.method != "ridge" or cfg.fixed_k is not None:
+    if cfg.method != "ridge":
         raise ValueError("the oracle comparison runs the data-driven ridge rule only")
     selected = np.empty(cfg.replications)
     oracle = np.empty(cfg.replications)

@@ -23,10 +23,11 @@ per-bucket moments, in O(N + m^2) for N nodes and m levels.
 `Pipeline` is the package's one chain of grid, noise-transform table,
 banks, empirical transform, selection and inversion for a configuration;
 every estimate runs through it.  `RidgeBank` is the one place ||R_k||^2
-is computed, with its truncation bound.  A pipeline keeps the level data
-of its last `_BANK_SIZES` sample sizes, the banks' node-sized arrays for
-the current size only, and an inversion plan with reused buffers, so it is
-not for concurrent calls; `Pipeline.release` trims it to its tables.
+is computed, with its truncation bound, which only `fixed_ridge_bank`
+holds to `REL_TAIL_TOL`.  A pipeline keeps the level data of its last
+`_BANK_SIZES` sample sizes, the banks' node-sized arrays for the current
+size only, and an inversion plan with reused buffers, so it is not for
+concurrent calls; `Pipeline.release` trims it to its tables.
 `select_ridge` and `select_cutoff` build a pipeline per call.
 """
 
@@ -68,6 +69,8 @@ TWO_PI = 2.0 * np.pi
 _BANK_SIZES = 2
 #: most levels a `RidgeBank` holds: its contrasts take six (m x m) arrays, 48 MB
 MAX_RIDGE_LEVELS = 1000
+#: tail ratio past which `Pipeline.fixed_ridge_bank` warns of a truncated norm
+REL_TAIL_TOL = 1e-6
 
 
 class EmptyAdmissibleSetError(ValueError):
@@ -76,6 +79,10 @@ class EmptyAdmissibleSetError(ValueError):
 
 class TooManyLevelsError(ValueError):
     """A ridge bank would hold more than `MAX_RIDGE_LEVELS` levels."""
+
+
+class RidgePowerOverflowError(ValueError):
+    """A level's k^(2(r+2)) in a ridge norm passes the float range."""
 
 
 @dataclass(frozen=True)
@@ -190,7 +197,8 @@ class RidgeBank(_LevelBank):
     saturated level, k >= every finite kappa, whose multiplier is 1/M_g
     wherever M_g != 0: every later level is the same estimator.  A scan that
     would pass `MAX_RIDGE_LEVELS` levels, or a longer ``k_grid``, raises
-    `TooManyLevelsError`.
+    `TooManyLevelsError`; a level whose k^(2p) passes the float range
+    raises `RidgePowerOverflowError`.
 
     ``tail_ratios`` (read-only) holds, per level, 2 (k^p C^(r+1))^2 T^(1-rho)
     / (rho-1), rho = 2 gamma (r+1), over ``norms_sq``: the bound on the part
@@ -235,7 +243,11 @@ class RidgeBank(_LevelBank):
         norms = []
         for k in cfg.k_grid or itertools.count(1):
             i = np.searchsorted(kappa_sorted, k, side="right")  # nodes with kappa <= k
-            norm = float(below[i] + float(k) ** (2.0 * p) * above[i])
+            try:
+                norm = float(below[i] + float(k) ** (2.0 * p) * above[i])
+            except OverflowError:
+                raise RidgePowerOverflowError(
+                    f"k^(2(r+2)) passes the float range at r={cfg.r:g}, level k={k}") from None
             if norm > n_cap:
                 break
             if len(levels) == MAX_RIDGE_LEVELS:
@@ -466,14 +478,14 @@ class Pipeline:
 
     def fixed_ridge_bank(self, levels: Sequence[int]) -> RidgeBank:
         """Ridge bank of fixed increasing levels, without the admissibility cap;
-        warns once, naming the worst level, if a tail ratio passes ``rel_tail_tol``."""
+        warns once, naming the worst level, if a tail ratio passes `REL_TAIL_TOL`."""
         cfg = replace(self.cfg, k_grid=tuple(levels))
         bank = RidgeBank(*self._noise_table, cfg, self.q, np.inf, self.g_mellin)
         ratios = bank.tail_ratios
-        if ratios is not None and np.any(ratios > self.q.rel_tail_tol):
+        if ratios is not None and np.any(ratios > REL_TAIL_TOL):
             i = int(np.argmax(ratios))
             warnings.warn(f"ridge norm truncated: analytic tail bound at k={bank.k_values[i]} is "
-                          f"{ratios[i]:.3g} of ||R_k||^2, above rel_tail_tol={self.q.rel_tail_tol:g}; "
+                          f"{ratios[i]:.3g} of ||R_k||^2, above the tolerance {REL_TAIL_TOL:g}; "
                           f"increase t_max={self.q.half_size * self.q.t_step:g}",
                           RuntimeWarning, stacklevel=2)
         return bank

@@ -176,14 +176,14 @@ def ridge_tail_bound(k: float, r: float, g, q) -> float:
     return 2.0 * const * (q.half_size * q.t_step) ** (1.0 - rate) / (rate - 1.0)
 
 
-def multiplier_norm_sq(mult, q) -> float:
+def multiplier_norm_sq(mult, q, rel_tail_tol: float = 1e-6) -> float:
     """Integral of |multiplier|^2 dt (no 2*pi normalisation).
 
     Cut-off multipliers are integrated exactly over their window [-k, k];
     ridge multipliers over the full quadrature window.  When the noise
     transform carries decay metadata, the analytic tail bound is checked
-    against ``q.rel_tail_tol`` and a truncation warning is emitted if the
-    window is too short.
+    against ``rel_tail_tol`` times the computed norm and a truncation
+    warning is emitted if the window is too short.
     """
     vals = np.abs(mult(q.t)) ** 2
     if mult.support is not None:
@@ -193,7 +193,7 @@ def multiplier_norm_sq(mult, q) -> float:
     spec = mult.spec
     if isinstance(spec, RidgeSpec) and g.decay_exponent is not None:
         tail = ridge_tail_bound(spec.k, spec.r, g, q)
-        if np.isfinite(tail) and tail > q.rel_tail_tol * max(norm, np.finfo(float).tiny):
+        if np.isfinite(tail) and tail > rel_tail_tol * max(norm, np.finfo(float).tiny):
             warnings.warn(
                 f"ridge norm truncated: analytic tail bound {tail:.3g} "
                 f"exceeds rel_tail_tol of the computed value {norm:.6g}; "

@@ -131,6 +131,7 @@ def test_mise_missing_config(tmp_path, capsys):
         ("[selection.noise_bta]\nchi = 1.0\n", "selection.noise_bta"),
         ("[grids]\nx_min = 0.1\n", "grids"),
         ("[DEFAULT]\nseed = 5\n", "DEFAULT"),
+        ("[quadrature]\nrel_tail_tol = 1e-3\n", "rel_tail_tol"),
     ],
 )
 def test_mise_refuses_unknown_config_keys(tmp_path, capsys, body, named):
@@ -324,6 +325,20 @@ def test_estimate_refuses_a_grid_past_the_node_bound(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "300000000001 nodes" in err
+
+
+def test_a_ridge_power_past_the_float_range_exits_with_one_error_line(tmp_path, capsys):
+    s = tmp_path / "s.csv"
+    _run("simulate", "--target", "gamma5", "--error", "noise_beta",
+         "--n", "500", "--seed", "2", "--out", str(s))
+    capsys.readouterr()
+    for command in (("estimate", "--sample", str(s)),
+                    ("diagnose", "--target", "gamma5", "--k-max", "12", "--n", "200", "--reps", "2")):
+        rc = _run(*command, "--error", "noise_beta", "--r", "200", "--out", str(tmp_path / "x.csv"))
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error:") and len(err.splitlines()) == 1
+        assert "r=200, level k=" in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_estimate_refuses_a_negative_ridge_power(tmp_path, capsys):

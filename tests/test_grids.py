@@ -45,17 +45,18 @@ def _configs(draw):
     t_step = draw(st.floats(min_value=1e-5, max_value=2.0))
     half = draw(st.just(10) | st.integers(min_value=10, max_value=(MAX_NODES - 1) // 2))
     tol = draw(st.just(0.01) | st.floats(min_value=1e-12, max_value=0.01))
-    return QuadratureConfig(t_step, 10.0 * t_step if half == 10 else half * t_step, tol)
+    return QuadratureConfig(t_step, 10.0 * t_step if half == 10 else half * t_step), tol
 
 
 @_SETTINGS
-@given(q=_configs())
-def test_config_near_its_limits_gives_finite_results_or_typed_errors(q):
+@given(config=_configs())
+def test_config_near_its_limits_gives_finite_results_or_typed_errors(config):
+    q, tol = config
     assert 21 <= len(q) <= MAX_NODES
     assert np.isfinite(plancherel_norm_sq(G_BETA, q))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # a short window warns of truncation
-        assert np.isfinite(multiplier_norm_sq(ridge_multiplier(RidgeSpec(k=2.0, c=1.0), G_BETA), q))
+        assert np.isfinite(multiplier_norm_sq(ridge_multiplier(RidgeSpec(k=2.0, c=1.0), G_BETA), q, tol))
     # the window ends at the node nearest to k = 1 (`window_index`), which may
     # be the outermost node also when that lies below 1; past it it is refused
     if int(round(1.0 / q.t_step)) <= q.half_size:
@@ -81,15 +82,12 @@ def test_config_near_its_limits_gives_finite_results_or_typed_errors(q):
 @given(
     t_step=st.floats(min_value=1e-6, max_value=10.0),
     shortfall=st.floats(min_value=1e-12, max_value=0.5),
-    excess=st.floats(min_value=1e-12, max_value=1.0),
 )
-def test_config_past_its_limits_is_refused(t_step, shortfall, excess):
+def test_config_past_its_limits_is_refused(t_step, shortfall):
     short = 10.0 * t_step * (1.0 - shortfall)
     if short < 10.0 * t_step:
         with pytest.raises(ValueError, match="t_max"):
             QuadratureConfig(t_step, short)
-    with pytest.raises(ValueError, match="rel_tail_tol"):
-        QuadratureConfig(t_step, 10.0 * t_step, 0.01 * (1.0 + excess))
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,7 @@ from mellin_deconv import (
     contaminate,
     default_x_grid,
     density_spec,
-    run_mise,
+    risk,
     run_mise_pair,
     run_selection_oracle_comparison,
     sample,
@@ -168,5 +168,5 @@ def test_every_experiment_product_is_conjugate_symmetric(noise, target, n, seed,
     with _inverted_products() as products:
         run_mise_pair(cfg)
         run_selection_oracle_comparison(cfg)
-        run_mise(ExperimentConfig(**{**vars(cfg), "fixed_k": float(fixed_k)}))
+        risk._mise_reports(cfg, ("ridge",), level=float(fixed_k))
     _assert_conjugate_symmetric(products)

@@ -511,7 +511,7 @@ def test_plancherel_consistency_all_catalog(name, c):
         t_max = 3.0e4  # 1/t tail with zeros: push the window further out
     else:
         t_max = 1.5e4
-    q = QuadratureConfig(0.02, t_max, 1e-3)
+    q = QuadratureConfig(0.02, t_max)
     mellin_side = plancherel_norm_sq(catalog_mellin(name, c), q)
     x_side = norm_sq_quad_oracle(name, c)
     assert mellin_side == pytest.approx(x_side, rel=1e-3)

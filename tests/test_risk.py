@@ -13,6 +13,7 @@ from mellin_deconv import (
     MellinError,
     QuadratureConfig,
     WeightedFunction,
+    XGridSpec,
     bias_variance_profile,
     default_x_grid,
     density_eval,
@@ -140,26 +141,15 @@ def test_pair_run_equals_individual_runs():
 
 
 def test_fixed_level_bypasses_selection():
-    rep = run_mise(_cfg(fixed_k=2.0, replications=2))
+    rep = risk._mise_reports(_cfg(replications=2), ("ridge",), level=2.0)["ridge"]
     assert np.all(rep.errors > 0.0)
 
 
-def test_fixed_level_with_cutoff_is_refused():
-    # a fixed level is a ridge level; the cut-off method must not silently
-    # fall back to its data-driven selection
-    with pytest.raises(ValueError, match="fixed_k"):
-        run_mise(_cfg(method="cutoff", fixed_k=3.0))
-    with pytest.raises(ValueError, match="fixed_k"):
-        run_mise_pair(_cfg(fixed_k=3.0))
-
-
 def test_oracle_comparison_refuses_what_it_would_ignore():
-    # it runs the data-driven ridge rule only; a cut-off method or a fixed
-    # level must not silently fall back to it
+    # it runs the data-driven ridge rule only; a cut-off method must not
+    # silently fall back to it
     with pytest.raises(ValueError, match="ridge rule only"):
         run_selection_oracle_comparison(_cfg(method="cutoff"))
-    with pytest.raises(ValueError, match="ridge rule only"):
-        run_selection_oracle_comparison(_cfg(fixed_k=2.0))
 
 
 def test_oracle_comparison_selected_error_is_the_fitted_estimate_error():
@@ -178,10 +168,19 @@ def test_config_validation():
     with pytest.raises(ValueError):
         _cfg(replications=0)
     # a bool or a fraction is refused by name instead of failing inside numpy
-    for name, bad in (("n", 300.5), ("n", True), ("replications", 2.5), ("n", np.nan),
-                      ("fixed_k", True), ("fixed_k", 2.5)):
+    for name, bad in (("n", 300.5), ("n", True), ("replications", 2.5), ("n", np.nan)):
         with pytest.raises(ValueError, match=rf"{name} must be a whole number"):
             _cfg(**{name: bad})
+    # so is an x-grid's point count, which numpy's geomspace would refuse untyped
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match="points must be a whole number"):
+            XGridSpec(points=bad)
+    grid_rows = [
+        run_table_grid(1, 1, targets=("gamma5",), errors=("noise_uniform",), sizes=(300,),
+                       quadrature=FAST_Q, x_grid=XGridSpec(points=points))
+        for points in (np.float64(64.0), 64)
+    ]
+    assert grid_rows[0] == grid_rows[1]
     whole = _cfg(n=400.0, replications=np.int64(2))
     assert (whole.n, whole.replications) == (400, 2)
     assert type(whole.n) is int and type(whole.replications) is int
@@ -306,10 +305,8 @@ def test_oracle_rate_mise_nonincreasing():
     mises, ses = [], []
     for n in (500, 2000, 8000):
         k_o = max(1, int(round(n ** (1.0 / 7.0))))
-        rep = run_mise(
-            _cfg(n=n, fixed_k=float(k_o), replications=reps, seed=seed,
-                 quadrature=QuadratureConfig(0.01, 60.0))
-        )
+        cfg = _cfg(n=n, replications=reps, seed=seed, quadrature=QuadratureConfig(0.01, 60.0))
+        rep = risk._mise_reports(cfg, ("ridge",), level=float(k_o))["ridge"]
         mises.append(rep.mise)
         ses.append(rep.mise_se)
     for i in range(len(mises) - 1):

@@ -1,3 +1,4 @@
+import re
 import time
 import tracemalloc
 from dataclasses import replace
@@ -27,7 +28,13 @@ from mellin_deconv import (
     write_diagnostics_csv,
 )
 from mellin_deconv.risk import run_selection_oracle_comparison
-from mellin_deconv.selection import MAX_RIDGE_LEVELS, Pipeline, TooManyLevelsError
+from mellin_deconv.selection import (
+    MAX_RIDGE_LEVELS,
+    REL_TAIL_TOL,
+    Pipeline,
+    RidgePowerOverflowError,
+    TooManyLevelsError,
+)
 from mellin_deconv import ExperimentConfig, default_x_grid, table1_selection_config
 
 from conftest import RowRidgeBank, empirical_mellin, multiplier_norm_sq, ridge_tail_bound
@@ -138,7 +145,7 @@ def test_bank_tail_ratio_is_infinite_without_a_bound_and_absent_without_a_certif
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("noise", ["noise_uniform", "noise_beta"])
 def test_fits_on_the_default_grid_raise_no_warning(noise):
-    # admissible banks record their tail ratios (above rel_tail_tol at large
+    # admissible banks record their tail ratios (above REL_TAIL_TOL at large
     # n) but only the uncapped fixed-level bank warns
     g, cfg = catalog_mellin(noise, 1.0), table1_selection_config(noise)
     pipeline = Pipeline(g, cfg, QuadratureConfig(), default_x_grid())
@@ -147,7 +154,7 @@ def test_fits_on_the_default_grid_raise_no_warning(noise):
         for method in ("ridge", "cutoff"):
             result, est = pipeline.fit(method, em)
             assert np.all(np.isfinite(est.values))
-    assert pipeline.bank("ridge", 10_000).tail_ratios.max() > QuadratureConfig().rel_tail_tol
+    assert pipeline.bank("ridge", 10_000).tail_ratios.max() > REL_TAIL_TOL
 
 
 def test_unbounded_ridge_scan_fails_fast_with_a_typed_error():
@@ -176,6 +183,24 @@ def test_unbounded_ridge_scan_fails_fast_with_a_typed_error():
         Pipeline(G_UNIF, long_grid, Q, default_x_grid(points=8)).bank("ridge", 10)
     fits = replace(cfg, k_grid=range(1, MAX_RIDGE_LEVELS + 1))
     assert len(Pipeline(G_UNIF, fits, Q, default_x_grid(points=8)).bank("ridge", 10**9)) == MAX_RIDGE_LEVELS
+
+
+@pytest.mark.parametrize("r", [200.0, 1e300])
+@pytest.mark.parametrize("noise", ["noise_uniform", "noise_beta"])
+def test_a_ridge_power_past_the_float_range_is_refused_by_name(noise, r):
+    # k^(2(r+2)) leaves the float range within the first levels: the bank
+    # names r and the level instead of raising a bare OverflowError
+    em = EmpiricalMellin(1.0, _simulated_sample(500, error=noise))
+    cfg = replace(table1_selection_config(noise), r=r)
+    pipeline = Pipeline(catalog_mellin(noise, 1.0), cfg, Q, default_x_grid(points=8))
+    named = re.escape(f"r={r:g}, level k=")
+    with pytest.raises(RidgePowerOverflowError, match=named):
+        pipeline.fit("ridge", em)
+    with pytest.raises(RidgePowerOverflowError, match=named):
+        pipeline.fixed_ridge_bank(range(1, 13))
+    assert pipeline.fit("cutoff", em)[0].k_hat >= 1  # the cut-off rule has no power
+    assert Pipeline(catalog_mellin(noise, 1.0), replace(cfg, r=100.0), Q,
+                    default_x_grid(points=8)).fit("ridge", em)[0].k_hat >= 1
 
 
 def test_cutoff_admissibility_closed_form():

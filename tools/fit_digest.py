@@ -22,7 +22,11 @@ Each line is a digest and the section it covers:
 - ``banks``: the levels and ``norms_sq`` of `Pipeline.bank("ridge", n)`
   for both noises and n in {500, 2000, 10 000}, on the default grid;
 - ``tails``: the same banks' ``tail_ratios``, on commits whose ridge bank
-  records them.
+  records them;
+- ``fixed levels``: the density bytes of `Pipeline.estimate` at
+  k in {1, 3, 10, 40}, both methods, for the n = 500 samples of ``fits``,
+  on commits whose pipeline has it.  `run_oracle_rate` estimates through
+  it at its fixed level; the cut-off levels are covered by no other section.
 
 Only the package's public names and numpy are used, so the script runs on
 any commit that has `Pipeline.fit(method, sample)`.
@@ -46,6 +50,8 @@ SEED = 7
 C = 1.0
 #: (target, noise) scenarios of the profile and oracle-comparison sections
 SCENARIOS = (("gamma5", "noise_beta"), ("lognormal", "noise_uniform"))
+#: levels of the fixed-level section
+FIXED_LEVELS = (1, 3, 10, 40)
 
 
 def _samples():
@@ -61,13 +67,18 @@ def _samples():
                     yield (noise, n), md.EmpiricalMellin(C, md.contaminate(x, md.density_spec(noise), u))
 
 
-def fits() -> tuple:
-    digest = hashlib.sha256()
-    pipelines = {
+def _pipelines() -> dict:
+    """One pipeline per noise on the default grids, as in the Monte-Carlo experiments."""
+    return {
         noise: md.Pipeline(md.catalog_mellin(noise, C), md.table1_selection_config(noise, C),
                            md.QuadratureConfig(), md.default_x_grid())
         for noise in NOISES
     }
+
+
+def fits() -> tuple:
+    digest = hashlib.sha256()
+    pipelines = _pipelines()
     count = 0
     for (noise, _), em in _samples():
         for method in ("ridge", "cutoff"):
@@ -142,9 +153,7 @@ def oracle_comparisons() -> tuple:
 
 
 def _ridge_banks():
-    for noise in NOISES:
-        pipeline = md.Pipeline(md.catalog_mellin(noise, C), md.table1_selection_config(noise, C),
-                               md.QuadratureConfig(), md.default_x_grid())
+    for pipeline in _pipelines().values():
         for n in SIZES:
             yield pipeline.bank("ridge", n)
 
@@ -170,9 +179,26 @@ def tails() -> tuple:
     return digest, f"{count} ridge banks' tail ratios"
 
 
+def fixed_levels() -> tuple:
+    digest = hashlib.sha256()
+    if not hasattr(md.Pipeline, "estimate"):
+        return digest, "fixed levels: no Pipeline.estimate in this commit"
+    pipelines = _pipelines()
+    count = 0
+    for (noise, n), em in _samples():
+        if n != 500:
+            continue
+        for method in ("ridge", "cutoff"):
+            for k in FIXED_LEVELS:
+                digest.update(f"{method} {k};".encode())
+                digest.update(pipelines[noise].estimate(method, em, k).values.tobytes())
+                count += 1
+    return digest, f"{count} fixed-level estimates"
+
+
 def main() -> None:
     for section in (fits, three_step, table_rows, profile_rows, rate_points, oracle_comparisons,
-                    banks, tails):
+                    banks, tails, fixed_levels):
         digest, what = section()
         print(f"{digest.hexdigest()}  {what}", flush=True)
 
