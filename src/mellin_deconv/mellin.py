@@ -246,16 +246,18 @@ def probe_minimum(fn, t: np.ndarray, values: np.ndarray, trigger: float) -> tupl
     """(smallest value, abscissa) of a nonnegative vectorised ``fn`` on the
     probe grid ``t``, where ``values`` = fn(t).
 
-    A grid minimum can straddle an exact zero between nodes, so every
-    interior dip below ``trigger`` is polished by golden-section search over
-    its two neighbouring cells.  The package's one zero-freeness probe.
+    A grid minimum can straddle an exact zero between nodes, so every dip
+    below ``trigger`` (a node lower than its neighbours, an end node lower
+    than its one neighbour) is polished by golden-section search over its
+    neighbouring cells.  The package's one zero-freeness probe.
     """
     i = int(np.argmin(values))
     best, at = float(values[i]), float(t[i])
     point = lambda x: float(fn(np.array([x]))[0])
-    interior = (values[1:-1] < values[:-2]) & (values[1:-1] < values[2:])
-    for idx in np.where(interior & (values[1:-1] < trigger))[0] + 1:
-        low, x = golden_section_min(point, t[idx - 1], t[idx + 1])
+    left = np.append(True, values[1:] < values[:-1])  # first, or below its left neighbour
+    right = np.append(values[:-1] < values[1:], True)  # last, or below its right neighbour
+    for idx in np.where(left & right & (values < trigger))[0]:
+        low, x = golden_section_min(point, t[max(idx - 1, 0)], t[min(idx + 1, t.size - 1)])
         if low < best:
             best, at = low, float(x)
     return best, at

@@ -24,10 +24,11 @@ per-bucket moments, in O(N + m^2) for N nodes and m levels.
 banks, empirical transform, selection and inversion for a configuration;
 every estimate runs through it.  `RidgeBank` is the one place ||R_k||^2
 is computed, with its truncation bound, which only `fixed_ridge_bank`
-holds to `REL_TAIL_TOL`.  A pipeline keeps the level data of its last
-`_BANK_SIZES` sample sizes, the banks' node-sized arrays for the current
-size only, and an inversion plan with reused buffers, so it is not for
-concurrent calls; `Pipeline.release` trims it to its tables.
+holds to `REL_TAIL_TOL`.  A pipeline builds one bank per method, holding
+every candidate level; a sample size only picks the admissible prefix
+(`admissible`).  It keeps the ridge bank's node arrays for the last prefix
+and an inversion plan with reused buffers, so it is not for concurrent
+calls; `Pipeline.release` trims it to its tables.
 `select_ridge` and `select_cutoff` build a pipeline per call.
 """
 
@@ -62,11 +63,8 @@ from .mellin import (
     checked_x_grid,
     eval_on_grid,
 )
-from .model import whole_count
 
 TWO_PI = 2.0 * np.pi
-#: sample sizes whose level data one `Pipeline` keeps: the paper's two
-_BANK_SIZES = 2
 #: most levels a `RidgeBank` holds: its contrasts take six (m x m) arrays, 48 MB
 MAX_RIDGE_LEVELS = 1000
 #: tail ratio past which `Pipeline.fixed_ridge_bank` warns of a truncated norm
@@ -92,8 +90,7 @@ class SelectionConfig:
     chi1/chi2 scale the ridge penalties (chi2 >= chi1 > 0), chi the cut-off
     penalty, all finite; xi and r as in `RidgeSpec`.  ``k_grid`` holds whole
     numbers (a bool or a fraction raises `ValueError`); None means 1, 2, ...
-    with the scan stopping at the first inadmissible level (for the ridge
-    rule also after the first saturated level; see `RidgeBank`).
+    up to where each bank stops (`RidgeBank`, `CutoffBank`).
     """
 
     chi1: float
@@ -165,14 +162,17 @@ def _trapezoid_weights(q: QuadratureConfig) -> np.ndarray:
     return w
 
 
+def _prefix_length(stop: np.ndarray) -> int:
+    """Number of entries before the first True in ``stop``."""
+    return int(np.argmax(np.append(stop, True)))
+
+
 class _LevelBank:
-    """What both banks share: a prefix of levels, and node-sized arrays
-    (cached properties named in ``_NODE_ARRAYS``) built on first use."""
+    """What both banks share: every candidate level with its norm, of which a
+    sample size admits a prefix, and node-sized arrays (named in
+    ``_NODE_ARRAYS``) built on first use."""
 
     _NODE_ARRAYS = ()
-
-    def __len__(self) -> int:
-        return self.k_values.size
 
     def release(self) -> None:
         """Drop the node-sized arrays; the next use builds them again,
@@ -182,22 +182,21 @@ class _LevelBank:
 
 
 class RidgeBank(_LevelBank):
-    """Ridge multipliers of a prefix of levels, held as k-free factors.
+    """Ridge multipliers of every candidate level, held as k-free factors.
 
-    Levels are taken from ``cfg.k_grid`` (or 1, 2, ... when absent) as long
-    as ||R_k||^2 <= n_cap; by magnitude monotonicity in k the admissible set
-    is always such a prefix.  ``inv`` = 1/M_g and ``kappa`` are the
-    `ridge_factors` of the pipeline's noise-transform table: with p = r + 2,
-    R_k = (1/M_g) min(1, k/kappa)^p = a min(kappa, k)^p, |a| = |1/M_g| kappa^-p.
-    ``kappa`` is kept, so G_k = {kappa > k}.
+    The levels are ``cfg.k_grid``, or 1, 2, ... through the first saturated
+    level, k >= every finite kappa, whose multiplier is 1/M_g wherever
+    M_g != 0 (every later level is the same estimator); at most
+    `MAX_RIDGE_LEVELS` + 1.  A sample size n admits a prefix of them,
+    ||R_k||^2 <= n, by magnitude monotonicity in k (`admissible`).
+    ``inv`` = 1/M_g and ``kappa`` are the `ridge_factors` of the pipeline's
+    noise-transform table: with p = r + 2, R_k = (1/M_g) min(1, k/kappa)^p
+    = a min(kappa, k)^p, |a| = |1/M_g| kappa^-p; G_k = {kappa > k}.
 
-    The norm of any level comes from cumulative sums over the kappa-sorted
-    nodes: a node with kappa <= k adds w/|M_g|^2, the others w |a|^2 k^(2p)
-    (w the trapezoid weight).  The consecutive scan also ends at the first
-    saturated level, k >= every finite kappa, whose multiplier is 1/M_g
-    wherever M_g != 0: every later level is the same estimator.  A scan that
-    would pass `MAX_RIDGE_LEVELS` levels, or a longer ``k_grid``, raises
-    `TooManyLevelsError`; a level whose k^(2p) passes the float range
+    The norms of all levels come from cumulative sums over the kappa-sorted
+    nodes in one pass: a node with kappa <= k adds w/|M_g|^2, the others
+    w |a|^2 k^(2p) (w the trapezoid weight).  A level whose k^(2p) passes
+    the float range is held with an infinite power; a prefix reaching it
     raises `RidgePowerOverflowError`.
 
     ``tail_ratios`` (read-only) holds, per level, 2 (k^p C^(r+1))^2 T^(1-rho)
@@ -205,22 +204,19 @@ class RidgeBank(_LevelBank):
     of ||R_k||^2 past the grid edge T from ``g_mellin``'s decay certificate
     |M_g| <= C (1+t^2)^(-gamma/2); inf where rho <= 1, None without one.
 
-    Each node's bucket l, where k_(l-1) < kappa <= k_l (l = m past the
-    last of the m levels), is fixed per bank, so `contrasts` reduces a
-    sample to per-bucket moments in O(N) and combines them in O(m^2), and
-    no level's multiplier is formed.  The node-sized scales, buckets and
-    excesses are built on first use and dropped by `release`.
+    For a prefix of m levels, each node's bucket l, where
+    k_(l-1) < kappa <= k_l (l = m past k_m), is fixed, so `contrasts`
+    reduces a sample to per-bucket moments in O(N) and combines them in
+    O(m^2), and no level's multiplier is formed.  The node-sized scales,
+    and the buckets and excesses of the last prefix contrasted, are built
+    on first use and dropped by `release`.
     """
 
-    _NODE_ARRAYS = ("_scale_sq", "_bucket", "_excess")
+    _NODE_ARRAYS = ("_scale_sq", "_prefix")
+    _prefix = None  # (m, bucket, excess) of the last prefix contrasted
 
-    def __init__(self, inv, kappa, cfg: SelectionConfig, q: QuadratureConfig, n_cap: float,
+    def __init__(self, inv, kappa, cfg: SelectionConfig, q: QuadratureConfig,
                  g_mellin: MellinFunction):
-        too_many = TooManyLevelsError(
-            f"a ridge bank at xi={cfg.xi:g}, n={n_cap:g} would hold more than "
-            f"{MAX_RIDGE_LEVELS} levels; pass an explicit k_grid of at most that many")
-        if len(cfg.k_grid or ()) > MAX_RIDGE_LEVELS:
-            raise too_many
         self.q, self.cfg, self._inv, self.kappa = q, cfg, inv, kappa
         p = self._p = cfg.r + 2.0
         scale_sq = self._scale_sq  # w |a|^2, before the scan's buffers
@@ -237,36 +233,43 @@ class RidgeBank(_LevelBank):
         np.take(scale_sq, order, out=above[:-1], mode="clip")
         np.cumsum(above[-2::-1], out=above[-2::-1])
         kappa_sorted = np.take(self.kappa, order, out=exact_sq, mode="clip")
-        saturation = np.max(self.kappa, where=np.isfinite(self.kappa), initial=0.0)
 
-        levels = []
-        norms = []
-        for k in cfg.k_grid or itertools.count(1):
-            i = np.searchsorted(kappa_sorted, k, side="right")  # nodes with kappa <= k
-            try:
-                norm = float(below[i] + float(k) ** (2.0 * p) * above[i])
-            except OverflowError:
-                raise RidgePowerOverflowError(
-                    f"k^(2(r+2)) passes the float range at r={cfg.r:g}, level k={k}") from None
-            if norm > n_cap:
-                break
-            if len(levels) == MAX_RIDGE_LEVELS:
-                raise too_many
-            levels.append(int(k))
-            norms.append(norm)
-            if cfg.k_grid is None and k >= saturation:
-                break
-        self.k_values = np.array(levels, dtype=int)
-        self.norms_sq = np.array(norms, dtype=float)
-        self._powers = self.k_values ** p
+        if cfg.k_grid is None:
+            saturation = np.max(self.kappa, where=np.isfinite(self.kappa), initial=0.0)
+            levels = np.arange(1, min(max(1, int(np.ceil(saturation))), MAX_RIDGE_LEVELS + 1) + 1)
+        else:
+            levels = np.array(cfg.k_grid[:MAX_RIDGE_LEVELS + 1])
+        i = np.searchsorted(kappa_sorted, levels, side="right")  # nodes with kappa <= k
+        with np.errstate(over="ignore", invalid="ignore"):  # an infinite power marks overflow
+            # libm's pow per level: numpy's vectorised power rounds apart from it on some hosts
+            power = np.array([np.float64(k) ** (2.0 * p) for k in levels.tolist()])
+            self.norms_sq = below[i] + power * above[i]
+            self._powers = levels ** p
+        self.k_values = levels
+        self._overflow = _prefix_length(np.isinf(power))  # index of the first overflowing level
         self.tail_ratios = None if g_mellin.decay_exponent is None else self._tail_ratios(g_mellin)
+
+    def admissible(self, n: float) -> int:
+        """Number of leading levels admissible at sample size ``n``.  More
+        than `MAX_RIDGE_LEVELS` of them, or a longer ``k_grid``, raise
+        `TooManyLevelsError`; reaching a level whose k^(2p) passes the
+        float range raises `RidgePowerOverflowError`."""
+        m = _prefix_length(self.norms_sq[: self._overflow] > n)
+        if m > MAX_RIDGE_LEVELS or len(self.cfg.k_grid or ()) > MAX_RIDGE_LEVELS:
+            raise TooManyLevelsError(
+                f"a ridge bank at xi={self.cfg.xi:g}, n={n:g} would hold more than "
+                f"{MAX_RIDGE_LEVELS} levels; pass an explicit k_grid of at most that many")
+        if m == self._overflow < self.k_values.size:
+            raise RidgePowerOverflowError(
+                f"k^(2(r+2)) passes the float range at r={self.cfg.r:g}, level k={self.k_values[m]}")
+        return m
 
     def _tail_ratios(self, g: MellinFunction) -> np.ndarray:
         rate = 2.0 * g.decay_exponent * (self.cfg.r + 1.0)
-        ratios = np.full(len(self), np.inf)
+        ratios = np.full(self.k_values.size, np.inf)
         if rate > 1.0:
             with np.errstate(over="ignore", invalid="ignore"):  # inf or nan past the float range
-                const = (self._powers * g.decay_upper ** (self.cfg.r + 1.0)) ** 2
+                const = (self._powers * np.float64(g.decay_upper) ** (self.cfg.r + 1.0)) ** 2
                 tail = 2.0 * const * (self.q.half_size * self.q.t_step) ** (1.0 - rate)
                 ratios = tail / (rate - 1.0) / np.maximum(self.norms_sq, np.finfo(float).tiny)
         ratios.flags.writeable = False
@@ -277,20 +280,21 @@ class RidgeBank(_LevelBank):
         """w |a|^2 per node, w the trapezoid weight."""
         return _trapezoid_weights(self.q) * (np.abs(self._inv) * self.kappa**-self._p) ** 2
 
-    @cached_property
-    def _bucket(self) -> np.ndarray:
-        return np.searchsorted(self.k_values, self.kappa)
+    def _buckets(self, m: int) -> tuple:
+        """(bucket, excess) per node for the first m levels: the bucket, and
+        kappa^p above the bucket's lower level where a later level holds
+        kappa; kept for the last m."""
+        if self._prefix is None or self._prefix[0] != m:
+            self._prefix = None  # the last prefix's arrays go before the new ones are built
+            bucket = np.searchsorted(self.k_values[:m], self.kappa)
+            inner = (bucket > 0) & (bucket < m)
+            excess = np.zeros(len(self.q))
+            excess[inner] = self.kappa[inner] ** self._p - self._powers[bucket[inner] - 1]
+            self._prefix = (m, bucket, excess)
+        return self._prefix[1:]
 
-    @cached_property
-    def _excess(self) -> np.ndarray:
-        """kappa^p above the bucket's lower level, where a later level holds kappa."""
-        inner = (self._bucket > 0) & (self._bucket < len(self))
-        excess = np.zeros(len(self.q))
-        excess[inner] = self.kappa[inner] ** self._p - self._powers[self._bucket[inner] - 1]
-        return excess
-
-    def contrasts(self, mhat_abs_sq: np.ndarray) -> np.ndarray:
-        """C[i, j] = ||f_hat_{k_j} - f_hat_{k_i}||^2 for i < j, zero elsewhere.
+    def contrasts(self, mhat_abs_sq: np.ndarray, m: int) -> np.ndarray:
+        """C[i, j] = ||f_hat_{k_j} - f_hat_{k_i}||^2 for i < j < m, zero elsewhere.
 
         By Plancherel C[i, j] = (2 pi)^-1 sum_t w |a|^2 |M_hat|^2 (s_j - s_i)^2
         with s_k = min(kappa, k)^p.  A node of bucket l adds (u + d)^2, with
@@ -299,14 +303,14 @@ class RidgeBank(_LevelBank):
         b = w |a|^2 |M_hat|^2, times 1, u and u^2, give every contrast as a
         sum of nonnegative terms.
         """
-        m = len(self)
+        bucket, excess = self._buckets(m)
         b = self._scale_sq * mhat_abs_sq
-        b0 = np.bincount(self._bucket, weights=b, minlength=m + 1)[1:]
-        b *= self._excess  # b u
-        b1 = np.bincount(self._bucket, weights=b, minlength=m + 1)[1:]
-        b *= self._excess  # b u^2
-        b2 = np.bincount(self._bucket, weights=b, minlength=m + 1)[1:]
-        powers = self._powers
+        b0 = np.bincount(bucket, weights=b, minlength=m + 1)[1:]
+        b *= excess  # b u
+        b1 = np.bincount(bucket, weights=b, minlength=m + 1)[1:]
+        b *= excess  # b u^2
+        b2 = np.bincount(bucket, weights=b, minlength=m + 1)[1:]
+        powers = self._powers[:m]
         # buckets 1..m-1 against levels i, kept where the bucket lies above k_i
         d = powers[None, :-1] - powers[:, None]
         between = np.where(d >= 0.0, b2[:-1] + d * (2.0 * b1[:-1] + d * b0[:-1]), 0.0)
@@ -316,58 +320,64 @@ class RidgeBank(_LevelBank):
         return np.triu(out, 1) / TWO_PI
 
     def select(self, mhat_abs_sq: np.ndarray, sig_hat: float, n: int) -> SelectionResult:
-        """Goldenshluger-Lepski selection given |M_hat|^2 on the bank's grid."""
-        _require_levels(self, "ridge", n)
-        v_hat = 2.0 * sig_hat * self.norms_sq / n
-        excess = self.contrasts(mhat_abs_sq) - self.cfg.chi1 * v_hat
+        """Goldenshluger-Lepski selection over the levels admissible at ``n``,
+        given |M_hat|^2 on the bank's grid."""
+        m = self.admissible(n)
+        _require_levels(m, "ridge", n)
+        v_hat = 2.0 * sig_hat * self.norms_sq[:m] / n
+        excess = self.contrasts(mhat_abs_sq, m) - self.cfg.chi1 * v_hat
         a_hat = np.triu(excess, 1).max(axis=1, initial=0.0)
         objective = a_hat + self.cfg.chi2 * v_hat
-        return _selection_result("ridge", self.k_values, a_hat, v_hat, objective, sig_hat)
+        return _selection_result("ridge", self.k_values[:m], a_hat, v_hat, objective, sig_hat)
 
 
 class CutoffBank(_LevelBank):
-    """Cut-off window norms tabulated for a prefix of admissible levels.
+    """Cut-off window norms tabulated for every candidate level.
 
-    Each level's window, `QuadratureConfig.window_index` (nearest node), is
-    worked out once as ``windows`` and serves the norms and the selection
-    contrasts; ``inv_mg`` is the pipeline's 1/M_g table.  The bank checks
-    no zeros: `Pipeline.bank` probes M_g on the largest window.
-    The node-sized |1/M_g|^2 is built on first use and dropped by `release`.
+    The levels are ``cfg.k_grid``, or 1, 2, ..., up to the first whose
+    window passes the grid edge; `admissible` gives the prefix that a
+    sample size admits, ||1_[-k,k] / M_g||^2 <= 2 pi n.  Each level's
+    window, `QuadratureConfig.window_index` (nearest node), is worked out
+    once as ``windows`` and serves the norms and the selection contrasts;
+    ``inv_mg`` is the pipeline's 1/M_g table.  The bank checks no zeros:
+    `Pipeline.select` probes M_g on the largest admissible window.  The
+    node-sized |1/M_g|^2 is built on first use and dropped by `release`.
     """
 
     _NODE_ARRAYS = ("_inv_sq",)
 
-    def __init__(self, inv_mg, cfg: SelectionConfig, q: QuadratureConfig, n_cap: float):
+    def __init__(self, inv_mg, cfg: SelectionConfig, q: QuadratureConfig):
         self.q, self.cfg, self.inv_mg = q, cfg, inv_mg
-        cum = q.centered_cumulative(self._inv_sq)
-
         levels = []
         windows = []
         for k in cfg.k_grid or itertools.count(1):
             try:
-                j = q.window_index(k)
+                windows.append(q.window_index(k))
             except ValueError:  # the window passes the grid edge
                 break
-            if cum[j] > TWO_PI * n_cap:
-                break
             levels.append(int(k))
-            windows.append(j)
         self.k_values = np.array(levels, dtype=int)
         self.windows = np.array(windows, dtype=int)
-        self.norms_sq = cum[self.windows]
+        self.norms_sq = q.centered_cumulative(self._inv_sq)[self.windows]
+
+    def admissible(self, n: float) -> int:
+        """Number of leading levels admissible at sample size ``n``."""
+        return _prefix_length(self.norms_sq > TWO_PI * n)
 
     @cached_property
     def _inv_sq(self) -> np.ndarray:
         return np.abs(self.inv_mg) ** 2
 
     def select(self, mhat_abs_sq: np.ndarray, sig_hat: float, n: int) -> SelectionResult:
-        """Penalised-contrast selection given |M_hat|^2 on the bank's grid."""
-        _require_levels(self, "cut-off", n)
+        """Penalised-contrast selection over the levels admissible at ``n``,
+        given |M_hat|^2 on the bank's grid."""
+        m = self.admissible(n)
+        _require_levels(m, "cut-off", n)
         cum = self.q.centered_cumulative(mhat_abs_sq * self._inv_sq)
-        window_norms = cum[self.windows] / TWO_PI
-        pen = 2.0 * self.cfg.chi * sig_hat * self.norms_sq / (TWO_PI * n)
+        window_norms = cum[self.windows[:m]] / TWO_PI
+        pen = 2.0 * self.cfg.chi * sig_hat * self.norms_sq[:m] / (TWO_PI * n)
         return _selection_result(
-            "cutoff", self.k_values, window_norms, pen, pen - window_norms, sig_hat
+            "cutoff", self.k_values[:m], window_norms, pen, pen - window_norms, sig_hat
         )
 
 
@@ -376,8 +386,8 @@ def _check_method(method: str) -> None:
         raise ValueError(f"method must be 'ridge' or 'cutoff', got {method!r}")
 
 
-def _require_levels(bank, name: str, n: int) -> None:
-    if len(bank) == 0:
+def _require_levels(m: int, name: str, n: int) -> None:
+    if m == 0:
         raise EmptyAdmissibleSetError(
             f"no {name} level on the candidate grid satisfies the "
             f"admissibility bound for n={n}"
@@ -398,16 +408,16 @@ class Pipeline:
     """The estimation chain for one configuration.
 
     Holds the frequency grid ``q`` and the x-grid of the estimates; the
-    sample size comes from each sample.  M_g is tabulated on the grid once,
-    on first bank use, and both banks are built from that table per sample
-    size on first use, so the ridge rule works where the cut-off bank raises
-    `NoiseTransformZeroError`.  The banks of the last `_BANK_SIZES` sizes
-    are kept, and only the current size's banks hold node-sized arrays.
-    Every cut-off window is checked zero-free (`check_nonvanishing`) before
-    use; the pipeline keeps the widest window probed and probes again only
-    past it.  The development points of ``g_mellin``, ``cfg`` and every
-    sample must agree; a mismatch raises `MellinError`, and so does an
-    x-grid refused by `checked_x_grid`.
+    sample size comes from each sample and only picks the admissible prefix
+    of a bank's levels.  M_g is tabulated on the grid once, on first bank
+    use, and each method's one bank is built from that table on first use,
+    so the ridge rule works where a cut-off window raises
+    `NoiseTransformZeroError`.  Every cut-off window is checked zero-free
+    (`check_nonvanishing`) before use: `select` probes the largest
+    admissible one, and the widest window probed is kept, so only a wider
+    one is probed again.  The development points of ``g_mellin``, ``cfg``
+    and every sample must agree; a mismatch raises `MellinError`, and so
+    does an x-grid refused by `checked_x_grid`.
 
     `multiplier` forms a level's multiplier from the noise table,
     `estimate` inverts the sample's transform times it, and `fit` is
@@ -433,7 +443,7 @@ class Pipeline:
         check_same_c("selection", cfg.c, "noise", g_mellin.c)
         self.g_mellin, self.cfg, self.q, self.c = g_mellin, cfg, q, cfg.c
         self.x_grid = checked_x_grid(x_grid)
-        self._banks = {}  # n -> {method: bank}, least recently used size first
+        self._banks = {}  # method -> bank, built on first use
         self._probed = -1  # index offset of the widest window checked zero-free
 
     @cached_property
@@ -446,28 +456,14 @@ class Pipeline:
         inv.flags.writeable = kappa.flags.writeable = False
         return inv, kappa
 
-    def bank(self, method: str, n: int):
-        """The ``method`` bank of the levels admissible at sample size ``n``."""
+    def bank(self, method: str):
+        """The ``method`` bank of every candidate level, built on first use."""
         _check_method(method)
-        n = whole_count(n, "sample size")
-        banks = self._banks.pop(n, None)
-        if banks is None:
-            banks = {}
-            if len(self._banks) == _BANK_SIZES:
-                del self._banks[next(iter(self._banks))]
-        for other in self._banks.values():  # node arrays for one size at a time
-            for b in other.values():
-                b.release()
-        self._banks[n] = banks
-        if method not in banks:
-            if method == "ridge":
-                banks[method] = RidgeBank(*self._noise_table, self.cfg, self.q, float(n), self.g_mellin)
-            else:
-                bank = CutoffBank(self._noise_table[0], self.cfg, self.q, n_cap=float(n))
-                if len(bank) > 0:
-                    self._check_window(int(bank.windows[-1]))
-                banks[method] = bank
-        return banks[method]
+        if method not in self._banks:
+            inv, kappa = self._noise_table
+            self._banks[method] = (RidgeBank(inv, kappa, self.cfg, self.q, self.g_mellin)
+                                   if method == "ridge" else CutoffBank(inv, self.cfg, self.q))
+        return self._banks[method]
 
     def _check_window(self, j: int) -> None:
         """Probe M_g for zeros on the window of index offset ``j``, unless a
@@ -480,7 +476,8 @@ class Pipeline:
         """Ridge bank of fixed increasing levels, without the admissibility cap;
         warns once, naming the worst level, if a tail ratio passes `REL_TAIL_TOL`."""
         cfg = replace(self.cfg, k_grid=tuple(levels))
-        bank = RidgeBank(*self._noise_table, cfg, self.q, np.inf, self.g_mellin)
+        bank = RidgeBank(*self._noise_table, cfg, self.q, self.g_mellin)
+        bank.admissible(np.inf)  # too many levels, or an overflowing power, raise
         ratios = bank.tail_ratios
         if ratios is not None and np.any(ratios > REL_TAIL_TOL):
             i = int(np.argmax(ratios))
@@ -505,7 +502,11 @@ class Pipeline:
         if not np.isfinite(sig):
             raise MellinError(f"sigma_hat overflows at c={em.c}; rescale the sample")
         mhat_abs_sq = np.abs(em.on_grid(self.q)) ** 2
-        return self.bank(method, em.n).select(mhat_abs_sq, sig, em.n)
+        bank = self.bank(method)
+        m = bank.admissible(em.n)
+        if method == "cutoff" and m > 0:
+            self._check_window(int(bank.windows[m - 1]))
+        return bank.select(mhat_abs_sq, sig, em.n)
 
     def invert(self, product: np.ndarray, support: Optional[float] = None) -> np.ndarray:
         """Real x-grid values of one product over the whole grid or the
@@ -522,10 +523,9 @@ class Pipeline:
 
     def release(self) -> None:
         """Trim the pipeline to its tables between uses: 1/M_g, kappa, the
-        level data of each kept size and the full-grid plan's constants."""
-        for banks in self._banks.values():
-            for b in banks.values():
-                b.release()
+        banks' level data and the full-grid plan's constants."""
+        for b in self._banks.values():
+            b.release()
         if "_full_plan" in self.__dict__:
             self._full_plan.release()
 

@@ -13,6 +13,7 @@ from mellin_deconv import (
     Pipeline,
     QuadratureConfig,
     RidgeSpec,
+    SelectionConfig,
     catalog_mellin,
     cutoff_multiplier,
     default_x_grid,
@@ -21,7 +22,7 @@ from mellin_deconv import (
     ridge_multiplier,
     table1_selection_config,
 )
-from mellin_deconv.estimators import ridge_factors, ridge_row
+from mellin_deconv.estimators import check_nonvanishing, ridge_factors, ridge_row
 from mellin_deconv.mellin import InversionPlan, checked_real_part
 from mellin_deconv.model import density_eval, density_spec
 
@@ -131,6 +132,21 @@ def test_cutoff_rejects_vanishing_transform():
         cutoff_multiplier(CutoffSpec(k=10.0, c=0.0), g0, Q)
     # first zero sits near 5.719: a window short of it is fine
     cutoff_multiplier(CutoffSpec(k=5.0, c=0.0), g0, Q)
+
+
+def test_zero_probe_sees_a_zero_in_the_last_probe_cell():
+    # M_g vanishes at t = 2 pi / ln 3 = 5.71920..., inside the last probe cell
+    # [5.71, 5.72] of the window 5.72, where no interior node dips
+    g0 = catalog_mellin("noise_uniform", 0.0)
+    with pytest.raises(NoiseTransformZeroError, match="near t=5.7192"):
+        check_nonvanishing(g0, 5.72)
+    check_nonvanishing(g0, 5.7192)  # ends short of the zero
+    with pytest.raises(NoiseTransformZeroError):
+        cutoff_multiplier(CutoffSpec(k=5.72, c=0.0), g0, Q)
+    pipeline = Pipeline(g0, SelectionConfig(chi1=0.125, chi2=0.125, chi=5.0, c=0.0), Q,
+                        default_x_grid(points=8))
+    with pytest.raises(NoiseTransformZeroError):
+        pipeline.multiplier("cutoff", 5.72)
 
 
 def test_cutoff_c_mismatch():

@@ -111,8 +111,8 @@ def test_estimate_matches_the_three_step_form_at_a_fixed_level(method, k):
 
 
 def test_estimate_probes_only_past_the_widest_checked_window(monkeypatch):
-    # the cut-off bank probes its largest window when built, so a fit probes
-    # once; a fixed level probes again only past the widest window checked
+    # a cut-off selection probes its largest admissible window, so a fit
+    # probes once; a fixed level probes again only past the widest checked
     probes = []
     check = selection.check_nonvanishing
 
@@ -125,7 +125,8 @@ def test_estimate_probes_only_past_the_widest_checked_window(monkeypatch):
     pipeline = Pipeline(_noise("noise_beta", 1.0), table1_selection_config("noise_beta"), Q,
                         default_x_grid())
     pipeline.fit("cutoff", em)
-    widest = int(pipeline.bank("cutoff", em.n).k_values[-1])
+    bank = pipeline.bank("cutoff")
+    widest = int(bank.k_values[bank.admissible(em.n) - 1])
     assert probes == [pytest.approx(widest)]
     for k in (1, widest):
         pipeline.estimate("cutoff", em, k)
@@ -257,29 +258,42 @@ def test_caller_array_changes_do_not_reach_the_estimate():
     assert before[1].values.tobytes() == after[1].values.tobytes()
 
 
-def test_banks_are_built_on_first_use(monkeypatch):
-    # uniform noise at c = 0 has a zero near t = 5.72: a cut-off bank with a
-    # window past it raises, while the ridge rule never needs that bank
+def _count_bank_builds(monkeypatch) -> list:
+    """The methods of the banks built from now on, in build order."""
     built = []
 
-    class CountedCutoffBank(selection.CutoffBank):
-        def __init__(self, *args, **kwargs):
-            built.append(kwargs["n_cap"])
-            super().__init__(*args, **kwargs)
+    class CountedRidgeBank(selection.RidgeBank):
+        def __init__(self, *args):
+            built.append("ridge")
+            super().__init__(*args)
 
+    class CountedCutoffBank(selection.CutoffBank):
+        def __init__(self, *args):
+            built.append("cutoff")
+            super().__init__(*args)
+
+    monkeypatch.setattr(selection, "RidgeBank", CountedRidgeBank)
     monkeypatch.setattr(selection, "CutoffBank", CountedCutoffBank)
+    return built
+
+
+def test_banks_are_built_on_first_use(monkeypatch):
+    # uniform noise at c = 0 has a zero near t = 5.72: the cut-off window
+    # past it is refused, while the ridge rule never needs the cut-off bank
+    built = _count_bank_builds(monkeypatch)
     cfg = SelectionConfig(chi1=0.125, chi2=0.125, chi=5.0, c=0.0, k_grid=(1, 2, 6))
     y = _draw("gamma5", "noise_uniform", 2000)
     pipeline = Pipeline(_noise("noise_uniform", 0.0), cfg, Q, default_x_grid())
     result, est = pipeline.fit("ridge", EmpiricalMellin(0.0, y))
     assert np.all(np.isfinite(est.values))
-    assert built == []
+    assert built == ["ridge"]
+    bank = pipeline.bank("cutoff")
     with pytest.raises(NoiseTransformZeroError):
-        pipeline.bank("cutoff", 10**9)
-    assert built == [1e9]
+        pipeline.multiplier("cutoff", bank.k_values[bank.admissible(10**9) - 1])
+    assert built == ["ridge", "cutoff"]
     pipeline.fit("cutoff", EmpiricalMellin(0.0, y))
     pipeline.fit("cutoff", EmpiricalMellin(0.0, y))
-    assert built == [1e9, 2000.0]  # one build per sample size, reused after
+    assert built == ["ridge", "cutoff"]  # one build, reused at every size
 
 
 def test_noise_transform_is_tabulated_once_per_pipeline():
@@ -302,33 +316,25 @@ def test_noise_transform_is_tabulated_once_per_pipeline():
     assert on_grid.count(True) == 1
 
 
-def _node_array_sizes(pipeline) -> set:
-    """Sample sizes whose banks hold node-sized arrays."""
-    return {
-        n
-        for n, banks in pipeline._banks.items()
-        for bank in banks.values()
-        if any(name in vars(bank) for name in bank._NODE_ARRAYS)
-    }
-
-
-def test_node_arrays_are_held_for_one_sample_size_at_a_time():
-    # level data stays for the last two sizes; node-sized arrays for the
-    # current one only, and `release` drops those too
-    cfg = table1_selection_config("noise_uniform")
-    pipeline = Pipeline(_noise("noise_uniform", 1.0), cfg, Q, default_x_grid())
-    seen = {}
-    for n in (500, 2000, 500, 10_000):
-        em = EmpiricalMellin(1.0, _draw("gamma5", "noise_uniform", n))
-        for method in ("ridge", "cutoff"):
-            pipeline.fit(method, em)
-        ridge = pipeline._banks[n]["ridge"]
-        assert seen.setdefault(n, ridge) is ridge  # 500's levels outlive the 2000 fits
-        assert _node_array_sizes(pipeline) == {n}
-        assert len(pipeline._banks) <= selection._BANK_SIZES
-    assert list(pipeline._banks) == [500, 10_000]
-    pipeline.release()
-    assert _node_array_sizes(pipeline) == set()
+@pytest.mark.parametrize("noise", ["noise_uniform", "noise_beta"])
+def test_one_bank_per_method_serves_every_sample_size(noise, monkeypatch):
+    # the levels and their norms do not depend on n: fits at five sizes build
+    # each bank once, and each fit is bitwise a fresh pipeline's; `release`
+    # drops the node-sized arrays between sizes
+    g, cfg, x = _noise(noise, 1.0), table1_selection_config(noise), default_x_grid()
+    ems = [EmpiricalMellin(1.0, _draw("gamma5", noise, n)) for n in (500, 2000, 10_000, 777, 500)]
+    fresh = [_fit_outcome(Pipeline(g, cfg, Q, x), m, em) for em in ems for m in ("ridge", "cutoff")]
+    built = _count_bank_builds(monkeypatch)
+    pipeline = Pipeline(g, cfg, Q, x)
+    shared = []
+    for i, em in enumerate(ems):
+        shared += [_fit_outcome(pipeline, m, em) for m in ("ridge", "cutoff")]
+        if i == 2:
+            pipeline.release()
+            assert not any(name in vars(b) for b in pipeline._banks.values()
+                           for name in b._NODE_ARRAYS)
+    assert built == ["ridge", "cutoff"]
+    assert shared == fresh
 
 
 def test_release_trims_a_pipeline_to_its_tables():
@@ -361,7 +367,7 @@ def _fit_outcome(pipeline, method, em):
 
 
 #: on this step no node sits close to the zero of uniform noise at c = 0
-#: (t = 2 pi / log 3), so the cut-off bank reaches it from n of about 1900
+#: (t = 2 pi / log 3), so the admissible cut-off windows reach it from n of about 1900
 Q_COARSE = QuadratureConfig(t_step=0.05, t_max=40.0)
 
 
@@ -371,8 +377,8 @@ Q_COARSE = QuadratureConfig(t_step=0.05, t_max=40.0)
      ("noise_uniform", 0.0, Q_COARSE)],
 )
 def test_one_pipeline_across_sample_sizes_matches_fresh_ones(noise, c, q):
-    # the banks depend on n only through the admissibility cap: a pipeline
-    # reused across sizes, and back to an earlier one, is bitwise a fresh one
+    # n only picks the banks' admissible prefix: a pipeline reused across
+    # sizes, and back to an earlier one, is bitwise a fresh one
     cfg = table1_selection_config(noise, c)
     x = default_x_grid()
     shared = Pipeline(_noise(noise, c), cfg, q, x)
@@ -457,9 +463,9 @@ def test_unknown_method_is_refused():
     pipeline = Pipeline(
         _noise("noise_beta", 1.0), table1_selection_config("noise_beta"), Q, default_x_grid()
     )
-    for call, arg in ((pipeline.fit, em), (pipeline.select, em), (pipeline.bank, em.n)):
+    for call in (lambda m: pipeline.fit(m, em), lambda m: pipeline.select(m, em), pipeline.bank):
         with pytest.raises(ValueError, match="'magic'"):
-            call("magic", arg)
+            call("magic")
 
 
 def test_pipelines_share_the_sample_transform_of_their_nodes(monkeypatch):
@@ -487,17 +493,6 @@ def test_pipelines_share_the_sample_transform_of_their_nodes(monkeypatch):
                 call(method, em)
     with pytest.raises(MellinError, match="development point mismatch"):
         at_half.transform(em)
-
-
-def test_bank_refuses_a_sample_size_that_is_not_whole():
-    # a bool or a fraction is refused by name, not truncated to a size
-    pipeline = Pipeline(
-        _noise("noise_beta", 1.0), table1_selection_config("noise_beta"), Q, default_x_grid()
-    )
-    for bad in (2000.9, True):
-        with pytest.raises(ValueError, match="sample size must be a whole number"):
-            pipeline.bank("ridge", bad)
-    assert pipeline.bank("ridge", 2000.0) is pipeline.bank("ridge", 2000)
 
 
 # ---------------------------------------------------------------------- #

@@ -68,8 +68,9 @@ def test_sigma_hat_examples():
 
 
 def _admissible_ridge(g, cfg, n, q) -> list:
-    """Levels of the ridge bank at sample size n."""
-    return Pipeline(g, cfg, q, default_x_grid()).bank("ridge", n).k_values.tolist()
+    """Levels of the ridge bank admissible at sample size n."""
+    bank = Pipeline(g, cfg, q, default_x_grid()).bank("ridge")
+    return bank.k_values[: bank.admissible(n)].tolist()
 
 
 def test_admissible_ridge_examples():
@@ -114,15 +115,19 @@ def test_admissible_ridge_scan_stops_at_saturation():
 @pytest.mark.parametrize("noise", ["noise_uniform", "noise_beta"])
 def test_bank_tail_ratios_match_the_oracle_bound(noise):
     # every level's ratio is the former truncation check's bound over the
-    # bank's own norm, on the admissible and on the uncapped banks
+    # bank's own norm, on the prefixes admissible at three sizes and on the
+    # uncapped bank
     g, cfg = catalog_mellin(noise, 1.0), table1_selection_config(noise)
     pipeline = Pipeline(g, cfg, QuadratureConfig(), default_x_grid(points=8))
-    banks = [pipeline.bank("ridge", n) for n in (500, 2000, 10_000)]
+    bank = pipeline.bank("ridge")
+    prefixes = [(bank, bank.admissible(n)) for n in (500, 2000, 10_000)]
     with pytest.warns(RuntimeWarning, match="truncated"):
-        banks.append(pipeline.fixed_ridge_bank(range(1, 21)))
-    for bank in banks:
-        ref = [ridge_tail_bound(k, cfg.r, g, QuadratureConfig()) for k in bank.k_values]
-        np.testing.assert_allclose(bank.tail_ratios, np.array(ref) / bank.norms_sq, rtol=1e-12)
+        fixed = pipeline.fixed_ridge_bank(range(1, 21))
+    prefixes.append((fixed, fixed.k_values.size))
+    for bank, m in prefixes:
+        ref = [ridge_tail_bound(k, cfg.r, g, QuadratureConfig()) for k in bank.k_values[:m]]
+        np.testing.assert_allclose(bank.tail_ratios[:m], np.array(ref) / bank.norms_sq[:m],
+                                   rtol=1e-12)
         assert not bank.tail_ratios.flags.writeable
 
 
@@ -131,14 +136,16 @@ def test_bank_tail_ratio_is_infinite_without_a_bound_and_absent_without_a_certif
     # certificate (noise_uniform at c = 0 has zeros) records no ratio
     slow = MellinFunction(1.0, G_BETA.eval_fn, decay_exponent=0.25, decay_upper=1.0)
     cfg = SelectionConfig(chi1=1.0, chi2=1.0, chi=1.0, c=1.0, r=0.5)
-    bank = Pipeline(slow, cfg, Q, default_x_grid(points=8)).bank("ridge", 500)
-    assert len(bank) > 0 and np.all(bank.tail_ratios == np.inf)
+    bank = Pipeline(slow, cfg, Q, default_x_grid(points=8)).bank("ridge")
+    m = bank.admissible(500)
+    assert m > 0 and np.all(bank.tail_ratios[:m] == np.inf)
     assert ridge_tail_bound(1.0, cfg.r, slow, Q) == np.inf
     g0 = catalog_mellin("noise_uniform", 0.0)
     assert g0.decay_exponent is None
     cfg0 = SelectionConfig(chi1=0.125, chi2=0.125, chi=5.0, c=0.0, r=2.0)
     pipeline = Pipeline(g0, cfg0, Q, default_x_grid(points=8))
-    assert pipeline.bank("ridge", 2000).tail_ratios is None
+    assert pipeline.bank("ridge").admissible(2000) > 0
+    assert pipeline.bank("ridge").tail_ratios is None
     assert pipeline.fixed_ridge_bank((1, 2, 3)).tail_ratios is None
 
 
@@ -154,7 +161,8 @@ def test_fits_on_the_default_grid_raise_no_warning(noise):
         for method in ("ridge", "cutoff"):
             result, est = pipeline.fit(method, em)
             assert np.all(np.isfinite(est.values))
-    assert pipeline.bank("ridge", 10_000).tail_ratios.max() > REL_TAIL_TOL
+    bank = pipeline.bank("ridge")
+    assert bank.tail_ratios[: bank.admissible(10_000)].max() > REL_TAIL_TOL
 
 
 def test_unbounded_ridge_scan_fails_fast_with_a_typed_error():
@@ -166,7 +174,7 @@ def test_unbounded_ridge_scan_fails_fast_with_a_typed_error():
     t0 = time.perf_counter()
     try:
         with pytest.raises(TooManyLevelsError, match="xi=2, n=100000") as exc:
-            pipeline.bank("ridge", 100_000)
+            pipeline.bank("ridge").admissible(100_000)
         elapsed = time.perf_counter() - t0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -180,9 +188,10 @@ def test_unbounded_ridge_scan_fails_fast_with_a_typed_error():
         pipeline.select("ridge", em)
     long_grid = replace(cfg, k_grid=range(1, MAX_RIDGE_LEVELS + 2))
     with pytest.raises(TooManyLevelsError):
-        Pipeline(G_UNIF, long_grid, Q, default_x_grid(points=8)).bank("ridge", 10)
+        Pipeline(G_UNIF, long_grid, Q, default_x_grid(points=8)).bank("ridge").admissible(10)
     fits = replace(cfg, k_grid=range(1, MAX_RIDGE_LEVELS + 1))
-    assert len(Pipeline(G_UNIF, fits, Q, default_x_grid(points=8)).bank("ridge", 10**9)) == MAX_RIDGE_LEVELS
+    bank = Pipeline(G_UNIF, fits, Q, default_x_grid(points=8)).bank("ridge")
+    assert bank.admissible(10**9) == MAX_RIDGE_LEVELS
 
 
 @pytest.mark.parametrize("r", [200.0, 1e300])
@@ -203,13 +212,26 @@ def test_a_ridge_power_past_the_float_range_is_refused_by_name(noise, r):
                     default_x_grid(points=8)).fit("ridge", em)[0].k_hat >= 1
 
 
+@pytest.mark.parametrize("noise", ["noise_uniform", "noise_beta"])
+def test_admissible_refuses_only_a_prefix_that_reaches_the_overflowing_level(noise):
+    # at r = 200, k^(2(r+2)) first passes the float range at k = 6: the one
+    # bank holds that level, and only a size whose prefix reaches it raises
+    cfg = replace(table1_selection_config(noise), r=200.0)
+    bank = Pipeline(catalog_mellin(noise, 1.0), cfg, Q, default_x_grid(points=8)).bank("ridge")
+    assert [bank.admissible(n) for n in (1, 10, 100)] == [1, 1, 4]
+    for n in (500, 10**5, 1e300):
+        with pytest.raises(RidgePowerOverflowError, match=re.escape("r=200, level k=6") + "$"):
+            bank.admissible(n)
+    assert bank.admissible(100) == 4  # a refused size leaves the bank usable
+
+
 def test_cutoff_admissibility_closed_form():
     # window norm for the linear-beta noise is 2k + k^3/6; admissible iff
     # that is at most 2 pi n
     for n in (10, 100, 1000):
         cfg = SelectionConfig(chi1=1.0, chi2=1.0, chi=1.0, c=1.0)
-        bank = Pipeline(G_BETA, cfg, Q, default_x_grid()).bank("cutoff", n)
-        k_max = bank.k_values[-1]
+        bank = Pipeline(G_BETA, cfg, Q, default_x_grid()).bank("cutoff")
+        k_max = bank.k_values[bank.admissible(n) - 1]
         assert 2 * k_max + k_max**3 / 6.0 <= TWO_PI * n
         k_next = k_max + 1
         assert 2 * k_next + k_next**3 / 6.0 > TWO_PI * n
@@ -268,38 +290,40 @@ def test_population_level_selection_is_sane():
     cfg = table1_selection_config("noise_beta")
     n = 2000
     pipeline = Pipeline(G_BETA, cfg, Q, default_x_grid())
-    bank = pipeline.bank("ridge", n)
+    bank = pipeline.bank("ridge")
+    levels = bank.k_values[: bank.admissible(n)]
     mf = catalog_mellin("gamma5", 1.0)
     my = mf(Q.t) * G_BETA(Q.t)
     res = bank.select(np.abs(my) ** 2, 1.0, n)
-    assert res.k_hat in set(bank.k_values)
+    assert res.k_hat in set(levels)
     # population errors per level are pure smoothing biases
     errs = np.array(
         [
             float(Q.integrate(np.abs(mf(Q.t) - my * pipeline.multiplier("ridge", k)) ** 2))
             / TWO_PI
-            for k in bank.k_values
+            for k in levels
         ]
     )
     norm_f = float(Q.integrate(np.abs(mf(Q.t)) ** 2)) / TWO_PI
-    sel_err = errs[list(bank.k_values).index(res.k_hat)]
+    sel_err = errs[list(levels).index(res.k_hat)]
     assert sel_err <= 2.0 * errs.min() + 0.01 * norm_f
 
 
 def _assert_bank_matches_row_oracle(g, cfg, q, n, y):
     pipeline = Pipeline(g, cfg, q, default_x_grid(points=8))
-    bank = pipeline.bank("ridge", n)
+    bank = pipeline.bank("ridge")
+    m = bank.admissible(n)
     oracle = RowRidgeBank(g, cfg, q, n_cap=float(n))
-    assert np.array_equal(bank.k_values, oracle.k_values)
+    assert np.array_equal(bank.k_values[:m], oracle.k_values)
     if oracle.k_values.size == 0:
         return
-    np.testing.assert_allclose(bank.norms_sq, oracle.norms_sq, rtol=1e-12, atol=0.0)
-    for k, ref in zip(bank.k_values, oracle.rows):
+    np.testing.assert_allclose(bank.norms_sq[:m], oracle.norms_sq, rtol=1e-12, atol=0.0)
+    for k, ref in zip(bank.k_values[:m], oracle.rows):
         assert np.abs(pipeline.multiplier("ridge", k) - ref).max() <= 1e-13 * np.abs(ref).max()
 
     em = EmpiricalMellin(cfg.c, y)
     abs_sq, sig = np.abs(pipeline.transform(em)) ** 2, sigma_hat(em)
-    contrast = bank.contrasts(abs_sq)
+    contrast = bank.contrasts(abs_sq, m)
     np.testing.assert_allclose(contrast, oracle.contrasts(abs_sq), rtol=1e-12, atol=0.0)
     assert np.all(contrast >= 0.0)
     _, _, objective = oracle.objectives(abs_sq, sig, n)
@@ -328,7 +352,7 @@ def test_ridge_bank_matches_row_table_oracle(noise, xi, r, k_grid, grid, n, seed
     name, c = noise
     g, q = catalog_mellin(name, c), QuadratureConfig(*grid)
     cfg = SelectionConfig(chi1=0.125, chi2=0.125, chi=1.0, c=c, r=r, xi=xi, k_grid=k_grid)
-    assume(len(Pipeline(g, cfg, q, default_x_grid(points=8)).bank("ridge", n)) <= 40)
+    assume(Pipeline(g, cfg, q, default_x_grid(points=8)).bank("ridge").admissible(n) <= 40)
     y = _simulated_sample(n, rep=seed, target="gamma5", error=name)
     _assert_bank_matches_row_oracle(g, cfg, q, n, y)
 
@@ -355,11 +379,12 @@ def test_ridge_bank_rows_where_the_noise_transform_is_zero():
     )
     cfg = SelectionConfig(chi1=1.0, chi2=1.0, chi=1.0, c=1.0, r=2.0)
     pipeline = Pipeline(g, cfg, Q, default_x_grid())
-    bank = pipeline.bank("ridge", 10**6)
+    bank = pipeline.bank("ridge")
+    m = bank.admissible(10**6)
     oracle = RowRidgeBank(g, cfg, Q, n_cap=1e6)
-    assert np.isinf(bank.kappa[Q.center + 250]) and np.array_equal(bank.k_values, oracle.k_values)
-    assert all(pipeline.multiplier("ridge", k)[Q.center + 250] == 0.0 for k in bank.k_values)
-    np.testing.assert_allclose(bank.norms_sq, oracle.norms_sq, rtol=1e-12, atol=0.0)
+    assert np.isinf(bank.kappa[Q.center + 250]) and np.array_equal(bank.k_values[:m], oracle.k_values)
+    assert all(pipeline.multiplier("ridge", k)[Q.center + 250] == 0.0 for k in bank.k_values[:m])
+    np.testing.assert_allclose(bank.norms_sq[:m], oracle.norms_sq, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("method", ["ridge", "cutoff"])
@@ -368,7 +393,8 @@ def test_bank_row_refuses_a_level_outside_the_bank(method, k, rng):
     # the bank's levels start at 1; the fixed-level multiplier that stands in
     # for a bank row, and the estimate built on it, refuse a level below them
     pipeline = Pipeline(G_BETA, table1_selection_config("noise_beta"), Q, default_x_grid())
-    assert pipeline.bank(method, 2000).k_values[0] == 1
+    bank = pipeline.bank(method)
+    assert bank.admissible(2000) > 0 and bank.k_values[0] == 1
     em = EmpiricalMellin(1.0, rng.gamma(5.0, 1.0, 50))
     for build in (lambda: pipeline.multiplier(method, k), lambda: pipeline.estimate(method, em, k)):
         with pytest.raises(ValueError, match=rf"level k must be positive and finite, got k={k}\b"):
@@ -466,8 +492,11 @@ def test_cutoff_bank_rejects_window_across_zero():
 
     g0 = catalog_mellin("noise_uniform", 0.0)
     cfg = SelectionConfig(chi1=1.0, chi2=1.0, chi=1.0, c=0.0, k_grid=(6,))
+    pipeline = Pipeline(g0, cfg, Q, default_x_grid())
+    bank = pipeline.bank("cutoff")
+    widest = bank.k_values[bank.admissible(10**12) - 1]
     with pytest.raises(NoiseTransformZeroError):
-        Pipeline(g0, cfg, Q, default_x_grid()).bank("cutoff", 10**12)
+        pipeline.multiplier("cutoff", widest)
     y = _simulated_sample(100)
     with pytest.raises(EmptyAdmissibleSetError):
         select_cutoff(EmpiricalMellin(0.0, y), g0, cfg, Q)
@@ -480,9 +509,10 @@ def test_cutoff_windows_follow_the_grid_window_rule():
     q = QuadratureConfig(0.3, 20.0)
     cfg = SelectionConfig(chi1=1.0, chi2=1.0, chi=1.0, c=1.0)
     pipeline = Pipeline(G_BETA, cfg, q, default_x_grid())
-    bank = pipeline.bank("cutoff", 10**6)
-    assert list(bank.k_values) == list(range(1, 21))
-    for k, norm in zip(bank.k_values, bank.norms_sq):
+    bank = pipeline.bank("cutoff")
+    m = bank.admissible(10**6)
+    assert list(bank.k_values[:m]) == list(range(1, 21))
+    for k, norm in zip(bank.k_values[:m], bank.norms_sq[:m]):
         j = q.window_index(k)
         row = pipeline.multiplier("cutoff", k)
         assert np.array_equal(np.nonzero(row)[0], np.arange(q.center - j, q.center + j + 1))

@@ -19,14 +19,22 @@ Each line is a digest and the section it covers:
 - ``rate points``: `run_oracle_rate` along n = 500, 2000;
 - ``oracle comparisons``: the admissible levels and per-replication errors
   of `run_selection_oracle_comparison` for two scenarios;
-- ``banks``: the levels and ``norms_sq`` of `Pipeline.bank("ridge", n)`
-  for both noises and n in {500, 2000, 10 000}, on the default grid;
-- ``tails``: the same banks' ``tail_ratios``, on commits whose ridge bank
-  records them;
+- ``banks``: the levels and ``norms_sq`` of the ridge bank's prefix
+  admissible at n, for both noises and n in {500, 2000, 10 000}, on the
+  default grid; read through `RidgeBank.admissible` where the bank has it,
+  else from `Pipeline.bank("ridge", n)`, so that both APIs print
+  comparable lines;
+- ``tails``: the same prefixes' ``tail_ratios``, on commits whose ridge
+  bank records them;
 - ``fixed levels``: the density bytes of `Pipeline.estimate` at
   k in {1, 3, 10, 40}, both methods, for the n = 500 samples of ``fits``,
   on commits whose pipeline has it.  `run_oracle_rate` estimates through
-  it at its fixed level; the cut-off levels are covered by no other section.
+  it at its fixed level; the cut-off levels are covered by no other section;
+- ``selections``: `Pipeline.select` for both noises and both methods, one
+  pipeline per noise serving n = 500, 2000, 10 000, 500, 777, 2000, 10 000,
+  123, 500 in turn, released after every third size: ``k_hat``,
+  ``sigma_hat`` and every level's ``a_hat``, ``v_hat`` and objective, as
+  ``repr``.  ``fits`` covers only ``k_hat`` and the densities.
 
 Only the package's public names and numpy are used, so the script runs on
 any commit that has `Pipeline.fit(method, sample)`.
@@ -52,6 +60,8 @@ C = 1.0
 SCENARIOS = (("gamma5", "noise_beta"), ("lognormal", "noise_uniform"))
 #: levels of the fixed-level section
 FIXED_LEVELS = (1, 3, 10, 40)
+#: sample sizes one pipeline serves in turn in the selections section
+SELECTION_SIZES = (500, 2000, 10_000, 500, 777, 2000, 10_000, 123, 500)
 
 
 def _samples():
@@ -153,17 +163,25 @@ def oracle_comparisons() -> tuple:
 
 
 def _ridge_banks():
+    """(bank, m) per noise and size: the ridge bank whose first m levels are
+    admissible at n, through whichever bank API the commit has."""
+    one_bank = hasattr(md.selection.RidgeBank, "admissible")
     for pipeline in _pipelines().values():
         for n in SIZES:
-            yield pipeline.bank("ridge", n)
+            if one_bank:
+                bank = pipeline.bank("ridge")
+                yield bank, bank.admissible(n)
+            else:
+                bank = pipeline.bank("ridge", n)
+                yield bank, len(bank.k_values)
 
 
 def banks() -> tuple:
     digest = hashlib.sha256()
     count = 0
-    for bank in _ridge_banks():
-        digest.update(np.asarray(bank.k_values, dtype=np.int64).tobytes())
-        digest.update(bank.norms_sq.tobytes())
+    for bank, m in _ridge_banks():
+        digest.update(np.asarray(bank.k_values[:m], dtype=np.int64).tobytes())
+        digest.update(bank.norms_sq[:m].tobytes())
         count += 1
     return digest, f"{count} ridge banks"
 
@@ -171,10 +189,10 @@ def banks() -> tuple:
 def tails() -> tuple:
     digest = hashlib.sha256()
     count = 0
-    for bank in _ridge_banks():
+    for bank, m in _ridge_banks():
         if not hasattr(bank, "tail_ratios"):
             return digest, "tails: not recorded by this commit"
-        digest.update(bank.tail_ratios.tobytes())
+        digest.update(bank.tail_ratios[:m].tobytes())
         count += 1
     return digest, f"{count} ridge banks' tail ratios"
 
@@ -196,9 +214,32 @@ def fixed_levels() -> tuple:
     return digest, f"{count} fixed-level estimates"
 
 
+def selections() -> tuple:
+    digest = hashlib.sha256()
+    count = 0
+    for noise, pipeline in _pipelines().items():
+        for i, n in enumerate(SELECTION_SIZES):
+            key = ("fit_digest selections", TARGETS[i % len(TARGETS)], noise, n, i)
+            x = md.sample(md.density_spec(key[1]), n, md.RngStream(SEED, md.stream_id_for("x", *key)))
+            u = md.RngStream(SEED, md.stream_id_for("u", *key))
+            em = md.EmpiricalMellin(C, md.contaminate(x, md.density_spec(noise), u))
+            for method in ("ridge", "cutoff"):
+                result = pipeline.select(method, em)
+                digest.update(f"{method} {result.k_hat} {result.sigma_hat!r};".encode())
+                for d in result.diagnostics:
+                    digest.update(f"{d.k} {d.a_hat!r} {d.v_hat!r} {d.objective!r};".encode())
+                count += 1
+            if i % 3 == 2:
+                pipeline.release()
+    return digest, f"{count} selections"
+
+
+SECTIONS = (fits, three_step, table_rows, profile_rows, rate_points, oracle_comparisons,
+            banks, tails, fixed_levels, selections)
+
+
 def main() -> None:
-    for section in (fits, three_step, table_rows, profile_rows, rate_points, oracle_comparisons,
-                    banks, tails, fixed_levels):
+    for section in SECTIONS:
         digest, what = section()
         print(f"{digest.hexdigest()}  {what}", flush=True)
 
