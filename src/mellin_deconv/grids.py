@@ -21,6 +21,9 @@ import numpy as np
 #: transform, has 8 000 001 nodes; at the bound the nodes take 80 MB and
 #: the empirical transform's FFT grid 2^24 complex values (268 MB).
 MAX_GRID_NODES = 10_000_001
+#: Most points an x-grid may have.  An inversion plan holds about 520 B per
+#: x point (about 820 B at the peak of a call), so at the bound about 52 MB.
+MAX_X_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -115,6 +118,12 @@ def default_x_grid(
     """Log-spaced evaluation grid covering the catalog densities' support."""
     if not 0.0 < x_min < x_max:
         raise ValueError("need 0 < x_min < x_max")
-    if points < 2:
-        raise ValueError("need at least two grid points")
+    check_x_points(points)
     return np.geomspace(x_min, x_max, points)
+
+
+def check_x_points(points: int) -> None:
+    """`ValueError` naming ``points`` unless an x-grid of that many points has
+    at least two and at most `MAX_X_POINTS`."""
+    if not 2 <= points <= MAX_X_POINTS:
+        raise ValueError(f"need 2 <= points <= MAX_X_POINTS={MAX_X_POINTS}, got points={points!r}")

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grids import QuadratureConfig
+from .grids import MAX_X_POINTS, QuadratureConfig
 from .model import CATALOG
 
 
@@ -303,11 +303,13 @@ def catalog_mellin(name: str, c: float) -> MellinFunction:
 
 def checked_x_grid(x_grid) -> np.ndarray:
     """``x_grid`` as a float array of finite positive points; anything but a
-    nonempty 1-D array, or a zero, negative or non-finite point, raises
-    `MellinError`."""
+    nonempty 1-D array of at most `MAX_X_POINTS` points, or a zero, negative
+    or non-finite point, raises `MellinError`."""
     x = np.asarray(x_grid, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise MellinError(f"x_grid must be a nonempty 1-D array, got shape {x.shape}")
+    if x.size > MAX_X_POINTS:
+        raise MellinError(f"x_grid has points={x.size}, more than MAX_X_POINTS={MAX_X_POINTS}")
     if not np.all(np.isfinite(x) & (x > 0.0)):
         raise MellinError("x_grid must hold finite positive points only")
     return x

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .grids import QuadratureConfig, default_x_grid
+from .grids import QuadratureConfig, check_x_points, default_x_grid
 from .mellin import EmpiricalMellin, MellinError, catalog_mellin
 from .model import (
     RngStream,
@@ -48,7 +48,8 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class XGridSpec:
-    """Log-spaced x-window for error integrals of a whole number of ``points``."""
+    """Log-spaced x-window for error integrals of a whole number of ``points``,
+    2 to `MAX_X_POINTS` of them."""
 
     x_min: float = 1e-2
     x_max: float = 30.0
@@ -56,6 +57,7 @@ class XGridSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "points", whole_count(self.points, "points"))
+        check_x_points(self.points)
 
     def build(self) -> np.ndarray:
         return default_x_grid(self.x_min, self.x_max, self.points)

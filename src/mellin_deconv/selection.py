@@ -35,7 +35,6 @@ calls; `Pipeline.release` trims it to its tables.
 from __future__ import annotations
 
 import csv
-import itertools
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -89,8 +88,8 @@ class SelectionConfig:
 
     chi1/chi2 scale the ridge penalties (chi2 >= chi1 > 0), chi the cut-off
     penalty, all finite; xi and r as in `RidgeSpec`.  ``k_grid`` holds whole
-    numbers (a bool or a fraction raises `ValueError`); None means 1, 2, ...
-    up to where each bank stops (`RidgeBank`, `CutoffBank`).
+    numbers (a bool or a fraction raises `ValueError`); None means 1, 2, ...,
+    to saturation in `RidgeBank`; `CutoffBank` keeps one level per window.
     """
 
     chi1: float
@@ -332,32 +331,32 @@ class RidgeBank(_LevelBank):
 
 
 class CutoffBank(_LevelBank):
-    """Cut-off window norms tabulated for every candidate level.
-
-    The levels are ``cfg.k_grid``, or 1, 2, ..., up to the first whose
-    window passes the grid edge; `admissible` gives the prefix that a
-    sample size admits, ||1_[-k,k] / M_g||^2 <= 2 pi n.  Each level's
-    window, `QuadratureConfig.window_index` (nearest node), is worked out
-    once as ``windows`` and serves the norms and the selection contrasts;
-    ``inv_mg`` is the pipeline's 1/M_g table.  The bank checks no zeros:
-    `Pipeline.select` probes M_g on the largest admissible window.  The
-    node-sized |1/M_g|^2 is built on first use and dropped by `release`.
+    """Cut-off window norms of one level per grid window j = 0..half_size
+    (`QuadratureConfig.window_index`, nearest node): its smallest whole k >= 1,
+    or its first ``cfg.k_grid`` entry.  So at most half_size + 1 levels, and 1,
+    2, ... where t_step <= 1; a grid edge past 2**53 raises `ValueError`.  A
+    sample size admits a prefix, ||1_[-k,k] / M_g||^2 <= 2 pi n (`admissible`).
+    ``windows`` serves the norms and contrasts with ``inv_mg`` = 1/M_g; zeros are
+    `Pipeline.select`'s to probe, and `release` drops the node-sized |1/M_g|^2.
     """
 
     _NODE_ARRAYS = ("_inv_sq",)
 
     def __init__(self, inv_mg, cfg: SelectionConfig, q: QuadratureConfig):
         self.q, self.cfg, self.inv_mg = q, cfg, inv_mg
-        levels = []
-        windows = []
-        for k in cfg.k_grid or itertools.count(1):
-            try:
-                windows.append(q.window_index(k))
-            except ValueError:  # the window passes the grid edge
-                break
-            levels.append(int(k))
-        self.k_values = np.array(levels, dtype=int)
-        self.windows = np.array(windows, dtype=int)
+        if (q.half_size + 1) * q.t_step > 2.0**53:
+            raise ValueError(f"whole levels up to t_max={q.half_size * q.t_step:g} are not all floats")
+        window = lambda k: np.rint(k / q.t_step)  # `QuadratureConfig.window_index` of each k
+        if cfg.k_grid is None:  # from a guess a few off, step to each window's smallest level
+            j = np.arange(q.half_size + 1.0)
+            k = np.maximum(np.ceil((j - 0.5) * q.t_step), 1.0)
+            while (step := 1.0 * (window(k) < j) - ((k > 1.0) & (window(k - 1.0) >= j))).any():
+                k += step
+        else:  # each window's first k_grid entry
+            j, first = np.unique(window(np.array(cfg.k_grid, dtype=float)), return_index=True)
+            k = np.array(cfg.k_grid, dtype=float)[first]
+        keep = (window(k) == j) & (j <= q.half_size)
+        self.k_values, self.windows = k[keep].astype(int), j[keep].astype(int)
         self.norms_sq = q.centered_cumulative(self._inv_sq)[self.windows]
 
     def admissible(self, n: float) -> int:

@@ -6,6 +6,7 @@ import pytest
 
 from mellin_deconv import MellinFunction, QuadratureConfig, cli, mellin, risk
 from mellin_deconv.cli import main
+from mellin_deconv.grids import MAX_X_POINTS
 from mellin_deconv.model import read_sample_csv
 
 
@@ -176,6 +177,15 @@ def test_mise_sample_sizes_take_a_trailing_comma_like_the_names(tmp_path):
         outputs.append(out.read_text())
     assert outputs[0] == outputs[1]
     assert len(outputs[0].strip().splitlines()) == 1 + 8  # 2 errors x 2 sizes x 2 methods
+
+
+def test_mise_refuses_an_x_grid_past_the_point_bound_by_name(tmp_path, capsys):
+    cfgfile, out = tmp_path / "cfg.ini", tmp_path / "mise.csv"
+    cfgfile.write_text(_SMALL_MISE.format(sizes="300") + f"[grid]\nx_points = {MAX_X_POINTS + 1}\n")
+    assert _run("mise", "--config", str(cfgfile), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"MAX_X_POINTS={MAX_X_POINTS}, got points={MAX_X_POINTS + 1}" in err
+    assert not out.exists()
 
 
 def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):

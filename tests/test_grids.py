@@ -19,13 +19,14 @@ from mellin_deconv import (
     QuadratureConfig,
     RidgeSpec,
     SelectionConfig,
+    XGridSpec,
     catalog_mellin,
     cutoff_multiplier,
     default_x_grid,
     ridge_multiplier,
 )
-from mellin_deconv.grids import MAX_GRID_NODES
-from mellin_deconv.mellin import InversionPlan
+from mellin_deconv.grids import MAX_GRID_NODES, MAX_X_POINTS
+from mellin_deconv.mellin import InversionPlan, checked_x_grid
 
 from conftest import empirical_mellin, multiplier_norm_sq, plancherel_norm_sq
 
@@ -107,6 +108,40 @@ def test_grid_past_the_node_bound_is_refused_before_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_x_grid_past_the_point_bound_is_refused_by_name_before_allocation():
+    # an inversion plan holds about 520 B per x point, so the bound caps it near 52 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"MAX_X_POINTS={MAX_X_POINTS}, got points={MAX_X_POINTS + 1}"):
+            default_x_grid(points=MAX_X_POINTS + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert default_x_grid(points=MAX_X_POINTS).size == MAX_X_POINTS
+    with pytest.raises(ValueError, match="got points=1"):
+        default_x_grid(points=1)
+
+
+@pytest.mark.parametrize("points", [1, MAX_X_POINTS + 1])
+def test_x_grid_spec_refuses_a_point_count_out_of_bounds_at_construction(points):
+    with pytest.raises(ValueError, match=f"2 <= points <= MAX_X_POINTS={MAX_X_POINTS}, got points={points}$"):
+        XGridSpec(points=points)
+    assert XGridSpec(points=2).build().size == 2
+
+
+def test_an_x_grid_array_past_the_point_bound_is_refused_by_name():
+    x = np.geomspace(0.01, 30.0, MAX_X_POINTS + 1)
+    named = f"points={MAX_X_POINTS + 1}, more than MAX_X_POINTS={MAX_X_POINTS}"
+    with pytest.raises(MellinError, match=named):
+        checked_x_grid(x)
+    for build in (lambda: InversionPlan(QuadratureConfig(0.5, 5.0), 1.0, x),
+                  lambda: Pipeline(G_BETA, CFG, QuadratureConfig(0.5, 5.0), x)):
+        with pytest.raises(MellinError, match=named):
+            build()
+    assert checked_x_grid(x[:-1]).size == MAX_X_POINTS
 
 
 def test_construction_builds_no_nodes_and_the_bound_is_inclusive():

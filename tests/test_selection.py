@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mellin_deconv import (
@@ -519,6 +519,85 @@ def test_cutoff_windows_follow_the_grid_window_rule():
         assert norm == pytest.approx(q.window_integrate(np.abs(row) ** 2, k), rel=1e-12)
         cut = cutoff_multiplier(CutoffSpec(k=float(k), c=1.0), G_BETA, q)
         assert np.allclose(cut(q.t), row, rtol=1e-15, atol=0.0)
+
+
+def _window_or_none(q: QuadratureConfig, k: int):
+    """`QuadratureConfig.window_index` of k, or None past the grid edge."""
+    try:
+        return q.window_index(k)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    t_step=st.floats(min_value=1e-3, max_value=1e4),
+    half_size=st.integers(min_value=10, max_value=9_999),
+    fractions=st.none() | st.lists(st.floats(min_value=0.0, max_value=1.5), min_size=1, max_size=30),
+)
+@example(t_step=2.0, half_size=10, fractions=None)
+def test_cutoff_bank_holds_each_windows_first_level(t_step, half_size, fractions):
+    # at t_step 2, round-half-even sends k = 1 to window 0 and k = 3 to
+    # window 2, so window 1's smallest level is 2, not ceil((1 - 1/2) * 2) = 1
+    q = QuadratureConfig(t_step, half_size * t_step)
+    edge = q.half_size * q.t_step
+    k_grid = None if fractions is None else sorted({max(1, int(f * edge)) for f in fractions})
+    cfg = SelectionConfig(chi1=1.0, chi2=1.0, chi=1.0, c=1.0, k_grid=k_grid)
+    bank = Pipeline(G_BETA, cfg, q, default_x_grid(points=8)).bank("cutoff")
+    levels, windows = bank.k_values.tolist(), bank.windows.tolist()
+    assert len(levels) <= q.half_size + 1 and len(windows) == len(levels)
+    assert all(a < b for a, b in zip(levels, levels[1:]))
+    assert all(a < b for a, b in zip(windows, windows[1:]))
+    assert windows == [q.window_index(k) for k in levels]
+    if k_grid is None:
+        # each level is the smallest whole level of its window, and every
+        # whole level up to the edge shares a window with a held one
+        assert all(k == 1 or q.window_index(k - 1) < j for k, j in zip(levels, windows))
+        assert all(q.window_index(b - 1) == j for b, j in zip(levels[1:], windows))
+        last = int((q.half_size + 0.5) * q.t_step) + 2  # past the last whole level within the edge
+        while _window_or_none(q, last) is None and last > 1:
+            last -= 1
+        assert _window_or_none(q, last) == (windows[-1] if levels else None)
+    else:
+        first = {}
+        for k in k_grid:
+            j = _window_or_none(q, k)
+            if j is not None:
+                first.setdefault(j, k)
+        assert levels == sorted(first.values())
+
+
+def test_cutoff_select_on_a_long_coarse_grid_stays_linear_in_the_nodes():
+    # t_step 100 up to 4e6 has 80 001 nodes but 4 000 050 whole levels; the
+    # 50 admissible at n = 500 all share window 0, so one level is held per
+    # window and k_hat is the same first minimiser
+    q = QuadratureConfig(100.0, 4e6)
+    cfg = table1_selection_config("noise_beta")
+    pipeline = Pipeline(G_BETA, cfg, q, default_x_grid(points=8))
+    em = EmpiricalMellin(1.0, _simulated_sample(500, error="noise_beta"))
+    tracemalloc.start()
+    try:
+        result = pipeline.select("cutoff", em)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 250 * len(q)
+    assert result.k_hat == 1 and result.admissible == (1,)
+    assert pipeline.bank("cutoff").k_values.size == q.half_size + 1
+
+
+def test_cutoff_bank_on_a_grid_past_exact_whole_levels_is_refused_by_type():
+    # 21 nodes, but whole levels near t_max = 1e21 are no longer floats
+    pipeline = Pipeline(G_BETA, table1_selection_config("noise_beta"), QuadratureConfig(1e20, 1e21),
+                        default_x_grid(points=8))
+    with pytest.raises(ValueError, match=r"t_max=1e\+21"):
+        pipeline.bank("cutoff")
+    # just inside 2**53 the bank is held, one level per window
+    q = QuadratureConfig(2.0**40, 8000 * 2.0**40)
+    bank = Pipeline(G_BETA, table1_selection_config("noise_beta"), q, default_x_grid(points=8)).bank("cutoff")
+    assert bank.k_values.size == q.half_size + 1
+    assert bank.windows.tolist() == [q.window_index(k) for k in bank.k_values.tolist()]
+    assert all(q.window_index(k - 1) < j for k, j in zip(bank.k_values.tolist()[1:], bank.windows[1:]))
 
 
 def test_diagnostics_csv(tmp_path):

@@ -13,7 +13,7 @@ def test_fit_digest_prints_one_digest_per_section(capsys):
     spec.loader.exec_module(tool)
     tool.main()
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == len(tool.SECTIONS) == 10
+    assert len(lines) == len(tool.SECTIONS) == 11
     for line in lines:
         digest, what = line.split("  ", 1)
         assert re.fullmatch(r"[0-9a-f]{64}", digest), line

@@ -26,6 +26,10 @@ Each line is a digest and the section it covers:
   comparable lines;
 - ``tails``: the same prefixes' ``tail_ratios``, on commits whose ridge
   bank records them;
+- ``cutoff banks``: the ``repr`` of the cut-off bank's ``k_values``,
+  ``windows`` and ``norms_sq`` (as lists, so every float is exact) over the
+  prefix admissible at each n in ``SIZES``, for both noises, on the default
+  grid and on `QuadratureConfig(0.3, 20.0)`;
 - ``fixed levels``: the density bytes of `Pipeline.estimate` at
   k in {1, 3, 10, 40}, both methods, for the n = 500 samples of ``fits``,
   on commits whose pipeline has it.  `run_oracle_rate` estimates through
@@ -197,6 +201,22 @@ def tails() -> tuple:
     return digest, f"{count} ridge banks' tail ratios"
 
 
+def cutoff_banks() -> tuple:
+    digest = hashlib.sha256()
+    count = 0
+    for q in (md.QuadratureConfig(), md.QuadratureConfig(0.3, 20.0)):
+        for noise in NOISES:
+            pipeline = md.Pipeline(md.catalog_mellin(noise, C), md.table1_selection_config(noise, C),
+                                   q, md.default_x_grid())
+            bank = pipeline.bank("cutoff")
+            for n in SIZES:
+                m = bank.admissible(n)
+                for values in (bank.k_values, bank.windows, bank.norms_sq):
+                    digest.update(f"{values[:m].tolist()!r};".encode())
+                count += 1
+    return digest, f"{count} cut-off banks"
+
+
 def fixed_levels() -> tuple:
     digest = hashlib.sha256()
     if not hasattr(md.Pipeline, "estimate"):
@@ -235,7 +255,7 @@ def selections() -> tuple:
 
 
 SECTIONS = (fits, three_step, table_rows, profile_rows, rate_points, oracle_comparisons,
-            banks, tails, fixed_levels, selections)
+            banks, tails, cutoff_banks, fixed_levels, selections)
 
 
 def main() -> None:
