@@ -1,5 +1,10 @@
+import ctypes
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,6 +222,80 @@ def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
         cli._parser.cache_clear()
     assert [got[0] for got in shared] == [0, 1]
     assert shared == fresh
+
+
+_GLIBC = os.name == "posix" and hasattr(ctypes.CDLL(None), "gnu_get_libc_version")
+
+
+def _python(script, *args):
+    """stdout of ``script`` run in a fresh interpreter that imports this
+    checkout's package, so its allocator is not the test process's."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          capture_output=True, text=True, timeout=120, env=env, check=True)
+    return done.stdout
+
+
+@pytest.mark.skipif(not _GLIBC, reason="the CLI sets the allocator on glibc only")
+def test_warm_mise_calls_map_no_fresh_pages(tmp_path):
+    # numpy's FFT allocates a 0.5-0.9 MB working copy per call; with glibc's
+    # default thresholds every copy is mapped and zero-filled afresh.  Before
+    # `main` kept the freed heap this test read 178.0 minor faults per warm
+    # call (304.0 run from a script file, so the count follows the heap's
+    # history); now it reads about 2.
+    cfgfile = tmp_path / "cfg.ini"
+    cfgfile.write_text(_SMALL_MISE.format(sizes="300"))
+    out = _python(
+        "import resource, sys\n"
+        "from mellin_deconv.cli import main\n"
+        "argv = ['mise', '--config', sys.argv[1], '--out', sys.argv[2]]\n"
+        "for _ in range(2): assert main(argv) == 0\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for _ in range(5): assert main(argv) == 0\n"
+        "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)\n",
+        cfgfile, tmp_path / "mise.csv",
+    )
+    assert float(out.splitlines()[-1]) < 50
+
+
+class _FakeLibc:
+    def __init__(self, calls, glibc=True):
+        self.mallopt = lambda param, value: calls.append((param, value)) or 1
+        if glibc:
+            self.gnu_get_libc_version = lambda: b"2.99"
+
+
+def test_only_main_sets_the_allocator_once_per_process(tmp_path, monkeypatch):
+    cfgfile, out = tmp_path / "cfg.ini", tmp_path / "mise.csv"
+    cfgfile.write_text(_SMALL_MISE.format(sizes="300"))
+    argv = ["mise", "--config", str(cfgfile), "--out", str(out)]
+    # a fresh process that imports the package and runs the MISE grid itself
+    assert _python(
+        "import mellin_deconv\n"
+        "from mellin_deconv import QuadratureConfig, cli, risk\n"
+        "risk.run_table_grid(targets=('gamma5',), errors=('noise_beta',), sizes=(300,), reps=1,\n"
+        "                    seed=5, quadrature=QuadratureConfig(t_step=0.02, t_max=60.0))\n"
+        "print(cli._keep_freed_heap.cache_info().misses)\n"
+    ).split() == ["0"]
+
+    calls = []
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: _FakeLibc(calls))
+    cli._keep_freed_heap.cache_clear()
+    try:
+        for _ in range(3):
+            assert main(argv) == 0
+        assert calls == [(cli.M_MMAP_THRESHOLD, 4 << 20), (cli.M_TRIM_THRESHOLD, 64 << 20)]
+        written = out.read_bytes()
+
+        calls.clear()
+        out.unlink()
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: _FakeLibc(calls, glibc=False))
+        cli._keep_freed_heap.cache_clear()
+        assert main(argv) == 0
+        assert calls == [] and out.read_bytes() == written
+    finally:
+        cli._keep_freed_heap.cache_clear()
 
 
 def test_mise_calls_tabulate_each_noise_once(tmp_path, monkeypatch):
