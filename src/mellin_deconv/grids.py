@@ -92,19 +92,28 @@ class QuadratureConfig:
         inner = values[..., 1:-1].sum(axis=-1)
         return self.t_step * (inner + 0.5 * (values[..., 0] + values[..., -1]))
 
+    def window_nodes(self, j: int) -> slice:
+        """The 2j+1 nodes of the sub-window of index offset j, t_-j..t_j."""
+        return slice(self.center - j, self.center + j + 1)
+
     def window_integrate(self, values: np.ndarray, k: float) -> float:
         """Trapezoid integral over the sub-window [-k, k] of `window_index`."""
         j = self.window_index(k)
-        return self.integrate(values[self.center - j : self.center + j + 1]) if j else 0.0
+        return self.integrate(values[self.window_nodes(j)]) if j else 0.0
 
     def centered_cumulative(self, values: np.ndarray) -> np.ndarray:
-        """Trapezoid integrals over [-t_j, t_j] for every j = 0..half_size.
+        """Trapezoid integrals over [-t_j, t_j] for every j = 0..h, where
+        ``values`` holds the 2h+1 nodes of a centred window (`window_nodes`),
+        the whole grid included.
 
         Returns an array S with S[j] equal to window_integrate(values, t_j);
-        computed in one cumulative pass.
+        computed in one cumulative pass, so S[j] is bitwise the same from any
+        window that holds t_-j..t_j.  An even length raises `ValueError`.
         """
-        c = self.center
-        folded = values[c + 1 :] + values[c - 1 :: -1][: self.half_size]
+        if len(values) % 2 == 0:
+            raise ValueError(f"a centred window has an odd number of nodes, got {len(values)}")
+        c = len(values) // 2
+        folded = values[c + 1 :] + values[c - 1 :: -1][:c]
         inner = values[c] + np.concatenate(([0.0], np.cumsum(folded)))
         ends = np.concatenate(([values[c]], 0.5 * folded))
         s = self.t_step * (inner - ends)

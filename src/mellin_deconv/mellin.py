@@ -15,7 +15,7 @@ keeps one, is for concurrent calls.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -75,11 +75,17 @@ class MellinFunction:
 
 @dataclass(frozen=True)
 class EmpiricalMellin:
-    """A positive sample, kept as a read-only copy, and the development point c."""
+    """A positive sample, kept as a read-only copy, and the development point c.
+
+    What the estimators read of the sample is computed once and kept:
+    its transform (`on_grid`) and |M_hat|^2 (`abs_sq_on_grid`) per grid,
+    and the moment `sigma_hat`.
+    """
 
     c: float
     sample: np.ndarray
-    _transforms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (what, t_step, half_size) -> read-only array on that grid
+    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sample = np.array(self.sample, dtype=float)
@@ -99,11 +105,27 @@ class EmpiricalMellin:
         half_size) and kept read-only: the one place a sample's transform
         is shared, by both methods of a `selection.Pipeline` and by
         `estimate_density`."""
-        key = (grid.t_step, grid.half_size)
-        if key not in self._transforms:
-            self._transforms[key] = empirical_mellin_on_grid(self, grid)
-            self._transforms[key].flags.writeable = False
-        return self._transforms[key]
+        return self._keep("transform", grid, lambda: empirical_mellin_on_grid(self, grid))
+
+    def abs_sq_on_grid(self, grid: QuadratureConfig) -> np.ndarray:
+        """|`on_grid`|^2, kept as `on_grid` is: the one |M_hat|^2 that both
+        selection rules of a `selection.Pipeline` read."""
+        return self._keep("abs_sq", grid, lambda: np.abs(self.on_grid(grid)) ** 2)
+
+    def _keep(self, what: str, grid: QuadratureConfig, compute) -> np.ndarray:
+        key = (what, grid.t_step, grid.half_size)
+        if key not in self._kept:
+            value = compute()
+            value.flags.writeable = False
+            self._kept[key] = value
+        return self._kept[key]
+
+    @cached_property
+    def sigma_hat(self) -> float:
+        """Moment estimator n^-1 sum_j Y_j^(2(c-1)), computed once; inf where
+        the powers overflow, which `selection.Pipeline.select` refuses."""
+        with np.errstate(over="ignore"):
+            return float(np.mean(self.sample ** (2.0 * (self.c - 1.0))))
 
 
 @dataclass(frozen=True)
@@ -334,11 +356,12 @@ class InversionPlan:
 
     Called on one product H on the grid, the plan returns the complex
     quadrature sum (2pi)^-1 sum_m w_m x^(-c-i t_m) H(t_m) of shape (len(x),).
-    With ``support`` = k the sum runs over the sub-window [-k, k] with
-    proper trapezoid end weights there.  An x-grid refused by
+    With ``support`` = k the sum runs over the sub-window [-k, k] of index
+    offset j with proper trapezoid end weights there, and the product may
+    hold just the window's 2j+1 nodes.  An x-grid refused by
     `checked_x_grid` raises `MellinError` at construction; a product of any
-    shape but (len(grid),), a stack of products included, raises it before
-    any work.
+    shape but (len(grid),) or (2j+1,), a stack of products included, raises
+    it before any work.
 
     The sum over m = -j..j is a Fourier series in the phase t_step*log x,
     evaluated as a type-2 non-uniform FFT (Dutt & Rokhlin 1993, SIAM J. Sci.
@@ -379,17 +402,17 @@ class InversionPlan:
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values)
-        n = len(self.grid)
-        if values.shape != (n,):
+        n, j = len(self.grid), self.j
+        if values.shape not in ((n,), (2 * j + 1,)):
             raise MellinError(
                 f"product has shape {values.shape}; the plan inverts one product "
-                f"of {n} values, one per grid node"
+                f"of {n} values, one per grid node, or of the {2 * j + 1} on its window"
             )
         if self._half is None:
             self._half = np.zeros(self.size // 2 + 1, dtype=np.complex128)
             self._real = np.empty(self.size)
         out = np.empty(self._x_c.size, dtype=np.complex128)
-        j, mid = self.j, self.grid.center
+        mid = values.size // 2  # the t = 0 node
         half = self._half[: j + 1]
         np.conjugate(values[mid : mid + j + 1], out=half)  # conj H(t_m), m = 0..j
         mirrored = values[mid - j : mid + 1][::-1]  # H(-t_m)

@@ -18,7 +18,11 @@ identity, so the whole selection runs on one shared frequency grid.  The
 ridge rows are k-free vectors times a real scale min(kappa, k)^(r+2), so
 `RidgeBank` keeps no rows: ||R_k||^2 comes from cumulative sums over the
 kappa-sorted nodes, and all pairwise contrasts of a sample from three
-per-bucket moments, in O(N + m^2) for N nodes and m levels.
+per-bucket moments, in O(N + m^2) for N nodes and m levels; two of the
+moments sum only the nodes between levels.  A cut-off selection sums over
+its largest admissible window, and a cut-off estimate forms its product on
+its window's nodes only.  A sample's |M_hat|^2 and sigma_hat are its own
+memos, so both rules fitted to it share them.
 
 `Pipeline` is the package's one chain of grid, noise-transform table,
 banks, empirical transform, selection and inversion for a configuration;
@@ -151,8 +155,9 @@ class SelectionResult:
 
 
 def sigma_hat(em: EmpiricalMellin) -> float:
-    """Moment estimator n^-1 sum_j Y_j^(2(c-1)) scaling the variance proxy."""
-    return float(np.mean(em.sample ** (2.0 * (em.c - 1.0))))
+    """Moment estimator n^-1 sum_j Y_j^(2(c-1)) scaling the variance proxy:
+    the sample's memo `EmpiricalMellin.sigma_hat`."""
+    return em.sigma_hat
 
 
 def _trapezoid_weights(q: QuadratureConfig) -> np.ndarray:
@@ -205,14 +210,16 @@ class RidgeBank(_LevelBank):
 
     For a prefix of m levels, each node's bucket l, where
     k_(l-1) < kappa <= k_l (l = m past k_m), is fixed, so `contrasts`
-    reduces a sample to per-bucket moments in O(N) and combines them in
-    O(m^2), and no level's multiplier is formed.  The node-sized scales,
-    and the buckets and excesses of the last prefix contrasted, are built
-    on first use and dropped by `release`.
+    reduces a sample to per-bucket moments, one over all N nodes and two
+    over the N_in inner nodes, 0 < l < m, that lie between levels, and
+    combines them in O(m^2); no level's multiplier is formed.  The
+    node-sized scales and buckets, and the inner nodes' buckets and
+    excesses, of the last prefix contrasted, are built on first use and
+    dropped by `release`.
     """
 
     _NODE_ARRAYS = ("_scale_sq", "_prefix")
-    _prefix = None  # (m, bucket, excess) of the last prefix contrasted
+    _prefix = None  # (m, bucket, inner nodes, their buckets and excesses) of the last prefix
 
     def __init__(self, inv, kappa, cfg: SelectionConfig, q: QuadratureConfig,
                  g_mellin: MellinFunction):
@@ -280,16 +287,17 @@ class RidgeBank(_LevelBank):
         return _trapezoid_weights(self.q) * (np.abs(self._inv) * self.kappa**-self._p) ** 2
 
     def _buckets(self, m: int) -> tuple:
-        """(bucket, excess) per node for the first m levels: the bucket, and
-        kappa^p above the bucket's lower level where a later level holds
-        kappa; kept for the last m."""
+        """(bucket, inner, inner_bucket, excess) for the first m levels: each
+        node's bucket; the indices of the inner nodes, whose kappa a later
+        level holds, in increasing order; their buckets; and their kappa^p
+        above the bucket's lower level.  Kept for the last m."""
         if self._prefix is None or self._prefix[0] != m:
             self._prefix = None  # the last prefix's arrays go before the new ones are built
             bucket = np.searchsorted(self.k_values[:m], self.kappa)
-            inner = (bucket > 0) & (bucket < m)
-            excess = np.zeros(len(self.q))
-            excess[inner] = self.kappa[inner] ** self._p - self._powers[bucket[inner] - 1]
-            self._prefix = (m, bucket, excess)
+            inner = np.flatnonzero((bucket > 0) & (bucket < m))
+            inner_bucket = bucket[inner]
+            excess = self.kappa[inner] ** self._p - self._powers[inner_bucket - 1]
+            self._prefix = (m, bucket, inner, inner_bucket, excess)
         return self._prefix[1:]
 
     def contrasts(self, mhat_abs_sq: np.ndarray, m: int) -> np.ndarray:
@@ -300,19 +308,22 @@ class RidgeBank(_LevelBank):
         u = kappa^p - k_(l-1)^p and d = k_(l-1)^p - k_i^p, when i < l <= j,
         and (k_j^p - k_i^p)^2 when l > j.  So three per-bucket moments of
         b = w |a|^2 |M_hat|^2, times 1, u and u^2, give every contrast as a
-        sum of nonnegative terms.
+        sum of nonnegative terms.  Only the inner buckets 1..m-1 are read of
+        the moments in u and u^2, so those two sum the inner nodes only, in
+        the same order as a pass over every node.
         """
-        bucket, excess = self._buckets(m)
+        bucket, inner, inner_bucket, excess = self._buckets(m)
         b = self._scale_sq * mhat_abs_sq
         b0 = np.bincount(bucket, weights=b, minlength=m + 1)[1:]
+        b = np.take(b, inner)
         b *= excess  # b u
-        b1 = np.bincount(bucket, weights=b, minlength=m + 1)[1:]
+        b1 = np.bincount(inner_bucket, weights=b, minlength=m)[1:]
         b *= excess  # b u^2
-        b2 = np.bincount(bucket, weights=b, minlength=m + 1)[1:]
+        b2 = np.bincount(inner_bucket, weights=b, minlength=m)[1:]
         powers = self._powers[:m]
         # buckets 1..m-1 against levels i, kept where the bucket lies above k_i
         d = powers[None, :-1] - powers[:, None]
-        between = np.where(d >= 0.0, b2[:-1] + d * (2.0 * b1[:-1] + d * b0[:-1]), 0.0)
+        between = np.where(d >= 0.0, b2 + d * (2.0 * b1 + d * b0[:-1]), 0.0)
         beyond = np.cumsum(b0[::-1])[::-1]  # beyond[j] = sum of b0 over buckets past k_j
         out = np.zeros((m, m))
         out[:, 1:] = np.cumsum(between, axis=1) + (powers[1:] - powers[:, None]) ** 2 * beyond[1:]
@@ -337,10 +348,9 @@ class CutoffBank(_LevelBank):
     2, ... where t_step <= 1; a grid edge past 2**53 raises `ValueError`.  A
     sample size admits a prefix, ||1_[-k,k] / M_g||^2 <= 2 pi n (`admissible`).
     ``windows`` serves the norms and contrasts with ``inv_mg`` = 1/M_g; zeros are
-    `Pipeline.select`'s to probe, and `release` drops the node-sized |1/M_g|^2.
+    `Pipeline.select`'s to probe.  A selection reads the nodes of its largest
+    admissible window only, so the bank keeps no node-sized array.
     """
-
-    _NODE_ARRAYS = ("_inv_sq",)
 
     def __init__(self, inv_mg, cfg: SelectionConfig, q: QuadratureConfig):
         self.q, self.cfg, self.inv_mg = q, cfg, inv_mg
@@ -357,22 +367,19 @@ class CutoffBank(_LevelBank):
             k = np.array(cfg.k_grid, dtype=float)[first]
         keep = (window(k) == j) & (j <= q.half_size)
         self.k_values, self.windows = k[keep].astype(int), j[keep].astype(int)
-        self.norms_sq = q.centered_cumulative(self._inv_sq)[self.windows]
+        self.norms_sq = q.centered_cumulative(np.abs(inv_mg) ** 2)[self.windows]
 
     def admissible(self, n: float) -> int:
         """Number of leading levels admissible at sample size ``n``."""
         return _prefix_length(self.norms_sq > TWO_PI * n)
-
-    @cached_property
-    def _inv_sq(self) -> np.ndarray:
-        return np.abs(self.inv_mg) ** 2
 
     def select(self, mhat_abs_sq: np.ndarray, sig_hat: float, n: int) -> SelectionResult:
         """Penalised-contrast selection over the levels admissible at ``n``,
         given |M_hat|^2 on the bank's grid."""
         m = self.admissible(n)
         _require_levels(m, "cut-off", n)
-        cum = self.q.centered_cumulative(mhat_abs_sq * self._inv_sq)
+        nodes = self.q.window_nodes(int(self.windows[m - 1]))
+        cum = self.q.centered_cumulative(mhat_abs_sq[nodes] * np.abs(self.inv_mg[nodes]) ** 2)
         window_norms = cum[self.windows[:m]] / TWO_PI
         pen = 2.0 * self.cfg.chi * sig_hat * self.norms_sq[:m] / (TWO_PI * n)
         return _selection_result(
@@ -418,16 +425,19 @@ class Pipeline:
     and every sample must agree; a mismatch raises `MellinError`, and so
     does an x-grid refused by `checked_x_grid`.
 
-    `multiplier` forms a level's multiplier from the noise table,
-    `estimate` inverts the sample's transform times it, and `fit` is
-    `select` followed by `estimate`.  A sample's transform on the grid is
-    its own memo, `EmpiricalMellin.on_grid`, so both methods fitted to one
-    sample share one transform.
+    `multiplier` forms a level's multiplier from the noise table on the
+    nodes where it can be nonzero, the whole grid for the ridge rule and
+    the level's window for the cut-off rule; `estimate` inverts the
+    sample's transform times it on those nodes, and `fit` is `select`
+    followed by `estimate`.  What a sample gives the estimators is its own
+    memo: its transform (`EmpiricalMellin.on_grid`), |M_hat|^2
+    (`EmpiricalMellin.abs_sq_on_grid`) and sigma_hat, so both methods
+    fitted to one sample share them.
 
     `invert` inverts one product.  It keeps the full grid's
     `InversionPlan`, built on first use, for the ridge rule; a cut-off
-    window gets a new plan per call.  The plan owns reused buffers, so a
-    pipeline is not for concurrent calls.
+    window gets a new plan per call, handed the window's nodes only.  The
+    plan owns reused buffers, so a pipeline is not for concurrent calls.
     `release` drops every node-sized bank array and the plan's buffers, all
     rebuilt bitwise the same on next use.
     """
@@ -493,14 +503,14 @@ class Pipeline:
         return em.on_grid(self.q)
 
     def select(self, method: str, em: EmpiricalMellin) -> SelectionResult:
-        """Data-driven level for a sample; `MellinError` when c differs or
-        sigma_hat or the moment weights Y^(c-1) overflow."""
+        """Data-driven level for a sample, from its memos of sigma_hat and
+        |M_hat|^2; `MellinError` when c differs or sigma_hat or the moment
+        weights Y^(c-1) overflow."""
         check_same_c("sample", em.c, "pipeline", self.c)
-        with np.errstate(over="ignore"):
-            sig = sigma_hat(em)
+        sig = em.sigma_hat
         if not np.isfinite(sig):
             raise MellinError(f"sigma_hat overflows at c={em.c}; rescale the sample")
-        mhat_abs_sq = np.abs(em.on_grid(self.q)) ** 2
+        mhat_abs_sq = em.abs_sq_on_grid(self.q)
         bank = self.bank(method)
         m = bank.admissible(em.n)
         if method == "cutoff" and m > 0:
@@ -509,7 +519,8 @@ class Pipeline:
 
     def invert(self, product: np.ndarray, support: Optional[float] = None) -> np.ndarray:
         """Real x-grid values of one product over the whole grid or the
-        cut-off window [-support, support]."""
+        cut-off window [-support, support]; a windowed product may hold the
+        window's nodes only."""
         if support is None:
             plan = self._full_plan
         else:
@@ -529,10 +540,12 @@ class Pipeline:
             self._full_plan.release()
 
     def multiplier(self, method: str, k: float) -> np.ndarray:
-        """The ``method`` multiplier at the fixed level ``k`` on the grid,
-        without the admissibility cap: the ridge row R_k from the noise
-        table, or 1/M_g on the window of k (`QuadratureConfig.window_index`),
-        checked zero-free first.  A level that is not positive and finite
+        """The ``method`` multiplier at the fixed level ``k`` on the nodes
+        where it can be nonzero, without the admissibility cap: the ridge
+        row R_k from the noise table on the whole grid, or 1/M_g on the
+        2j+1 nodes of the window of k (`QuadratureConfig.window_index`,
+        `window_nodes`), checked zero-free first; the cut-off multiplier is
+        zero on every other node.  A level that is not positive and finite
         raises `ValueError`, as in the specs (`check_level`)."""
         _check_method(method)
         check_level(k)
@@ -541,14 +554,16 @@ class Pipeline:
             return ridge_row(inv, kappa, float(k), self.cfg.r + 2.0)
         j = self.q.window_index(k)
         self._check_window(j)
-        return cutoff_row(inv, self.q.t, float(self.q.t[self.q.center + j]))
+        nodes = self.q.window_nodes(j)
+        return cutoff_row(inv[nodes], self.q.t[nodes], float(self.q.t[self.q.center + j]))
 
     def estimate(self, method: str, em: EmpiricalMellin, k: float) -> DensityEstimate:
         """The ``method`` estimate of a sample at the fixed level ``k``: its
-        transform times `multiplier`, inverted over the whole grid (ridge)
-        or the window of k (cut-off)."""
-        product = self.multiplier(method, k)
-        product *= self.transform(em)  # R * M_hat: numpy rounds M_hat * R apart
+        transform times `multiplier` on the multiplier's nodes, inverted over
+        the whole grid (ridge) or the window of k (cut-off)."""
+        product = self.multiplier(method, k)  # on its 2j+1 nodes, the whole grid for ridge
+        # R * M_hat: numpy rounds M_hat * R apart
+        product *= self.transform(em)[self.q.window_nodes(product.size // 2)]
         support = float(k) if method == "cutoff" else None
         return DensityEstimate(self.x_grid, self.invert(product, support), self.c)
 

@@ -18,7 +18,11 @@ are written out from their formulas, as references for the package's grid
 transform, norms and Monte-Carlo errors.  `multiplier_norm_sq` is the
 package's former norm of one multiplier, integrated from its values on the
 grid, with its truncation warning; `ridge_tail_bound` is that warning's
-analytic bound, the reference for `RidgeBank.tail_ratios`.
+analytic bound, the reference for `RidgeBank.tail_ratios`.  The three
+full-grid forms, `all_node_contrasts`, `full_grid_cutoff_select` and
+`full_grid_cutoff_estimate`, are the package's former passes over every
+node, the bitwise references for the passes that read only the nodes
+their outputs need.
 """
 
 import itertools
@@ -412,6 +416,62 @@ class RowRidgeBank:
             terms = contrast[i, i + 1 :] - cfg.chi1 * v_hat[i + 1 :]
             a_hat[i] = np.max(terms, initial=0.0)
         return a_hat, v_hat, a_hat + cfg.chi2 * v_hat
+
+
+def all_node_contrasts(bank, mhat_abs_sq, m) -> np.ndarray:
+    """The package's former `RidgeBank.contrasts`: all three per-bucket
+    moments are summed over every node, with excess 0 outside the inner
+    buckets 0 < l < m."""
+    powers = bank._powers[:m]
+    bucket = np.searchsorted(bank.k_values[:m], bank.kappa)
+    inner = (bucket > 0) & (bucket < m)
+    excess = np.zeros(bank.kappa.size)
+    excess[inner] = bank.kappa[inner] ** bank._p - bank._powers[bucket[inner] - 1]
+    b = bank._scale_sq * mhat_abs_sq
+    b0 = np.bincount(bucket, weights=b, minlength=m + 1)[1:]
+    b *= excess
+    b1 = np.bincount(bucket, weights=b, minlength=m + 1)[1:]
+    b *= excess
+    b2 = np.bincount(bucket, weights=b, minlength=m + 1)[1:]
+    d = powers[None, :-1] - powers[:, None]
+    between = np.where(d >= 0.0, b2[:-1] + d * (2.0 * b1[:-1] + d * b0[:-1]), 0.0)
+    beyond = np.cumsum(b0[::-1])[::-1]
+    out = np.zeros((m, m))
+    out[:, 1:] = np.cumsum(between, axis=1) + (powers[1:] - powers[:, None]) ** 2 * beyond[1:]
+    return np.triu(out, 1) / (2.0 * np.pi)
+
+
+def full_grid_cutoff_select(bank, mhat_abs_sq, sig_hat, n) -> tuple:
+    """The package's former cut-off (window norms, penalties, objectives) at
+    n: |M_hat|^2 |1/M_g|^2 and its centred cumulative trapezoid sums are
+    formed on the whole grid."""
+    q, m = bank.q, bank.admissible(n)
+    values = mhat_abs_sq * np.abs(bank.inv_mg) ** 2
+    c = q.center
+    folded = values[c + 1 :] + values[c - 1 :: -1][: q.half_size]
+    inner = values[c] + np.concatenate(([0.0], np.cumsum(folded)))
+    ends = np.concatenate(([values[c]], 0.5 * folded))
+    cum = q.t_step * (inner - ends)
+    cum[0] = 0.0
+    window_norms = cum[bank.windows[:m]] / (2.0 * np.pi)
+    pen = 2.0 * bank.cfg.chi * sig_hat * bank.norms_sq[:m] / (2.0 * np.pi * n)
+    return window_norms, pen, pen - window_norms
+
+
+def full_grid_cutoff_estimate(pipeline, em, k) -> tuple:
+    """The package's former cut-off estimate of a sample at level k:
+    (product, density values).  The product is 1/M_g on the window of k,
+    zero elsewhere, times M_hat on every node of the grid, handed whole to
+    the windowed plan."""
+    from mellin_deconv.estimators import cutoff_row
+    from mellin_deconv.mellin import InversionPlan, checked_real_part
+
+    q = pipeline.q
+    inv, _ = pipeline._noise_table
+    product = cutoff_row(inv, q.t, float(q.t[q.center + q.window_index(k)]))
+    product *= em.on_grid(q)
+    plan = InversionPlan(q, em.c, pipeline.x_grid, float(k))
+    return product, checked_real_part(plan(product))
 
 
 @pytest.fixture(scope="session")

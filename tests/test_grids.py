@@ -182,3 +182,23 @@ def test_bad_window_level_is_refused_by_name(k):
     # the level rule refuses each before a cut-off multiplier reaches the window
     with pytest.raises(ValueError, match=f"positive and finite, got k={k!r}"):
         CutoffSpec(k=k, c=1.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    half=st.integers(min_value=0, max_value=60),
+    cut=st.integers(min_value=0, max_value=60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_centered_cumulative_of_a_window_is_a_prefix_of_the_grid_ones(half, cut, seed):
+    # the sums over [-t_j, t_j] from a centred window equal, bit for bit,
+    # those from the whole grid up to the window's edge; an even length has
+    # no centre and is refused
+    q = QuadratureConfig(0.1, max(half, 10) * 0.1)
+    j = min(cut, q.half_size)
+    values = np.random.default_rng(seed).exponential(size=len(q))
+    whole = q.centered_cumulative(values)
+    assert whole.shape == (q.half_size + 1,)
+    assert np.array_equal(q.centered_cumulative(values[q.window_nodes(j)]), whole[: j + 1])
+    with pytest.raises(ValueError, match="odd number of nodes, got 4"):
+        q.centered_cumulative(values[:4])

@@ -405,6 +405,8 @@ def test_inversion_matches_rotator_oracle(
         single = InversionPlan(grid, c, x, support)(values[row])
         assert single.shape == x.shape
         assert np.all(np.abs(fast[row] - single) <= bound[row])
+        # a product given on the window's 2j+1 nodes alone inverts bit for bit alike
+        assert plan(values[row, grid.window_nodes(j)]).tobytes() == fast[row].tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -446,15 +448,18 @@ def test_half_spectrum_plan_matches_complex_fft_oracle(
     assert plan(values[0]).tobytes() == out[0].tobytes()
 
 
-@pytest.mark.parametrize("length", [30_008, 30_011, 29_999])
+@pytest.mark.parametrize("length", [30_008, 30_011, 29_999, 1_000, 1_002])
 @pytest.mark.parametrize("rows", [None, 1, 3])
 def test_inversion_refuses_a_product_off_the_grid(length, rows):
-    # longer (30 011: a product from t_max = 150.05), shorter, single or stacked
+    # longer (30 011: a product from t_max = 150.05), shorter, single or
+    # stacked; a plan on the window of k = 5 also takes its 1 001 nodes, but
+    # not one node more or less
     q = QuadratureConfig()
-    plan = InversionPlan(q, 1.0, default_x_grid(points=16))
     shape = (length,) if rows is None else (rows, length)
-    with pytest.raises(MellinError, match=re.escape(f"shape {shape}") + f".*of {len(q)} values"):
-        plan(np.ones(shape, dtype=complex))
+    for support in (None, 5.0):
+        plan = InversionPlan(q, 1.0, default_x_grid(points=16), support)
+        with pytest.raises(MellinError, match=re.escape(f"shape {shape}") + f".*of {len(q)} values"):
+            plan(np.ones(shape, dtype=complex))
 
 
 @pytest.mark.parametrize("shape", [(), (1, 30_001), (3, 30_001)])

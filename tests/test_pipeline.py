@@ -231,8 +231,8 @@ def test_second_inversion_reuses_the_pipeline_plan(method):
     g, cfg, x = _noise("noise_beta", 1.0), table1_selection_config("noise_beta"), default_x_grid()
     pipeline = Pipeline(g, cfg, Q, x)
     result, est = pipeline.fit(method, em)
-    product = pipeline.multiplier(method, result.k_hat)
-    product *= pipeline.transform(em)
+    product = pipeline.multiplier(method, result.k_hat)  # on the multiplier's nodes
+    product *= pipeline.transform(em)[Q.window_nodes(product.size // 2)]
     support = float(result.k_hat) if method == "cutoff" else None
     tracemalloc.start()
     try:
@@ -493,6 +493,36 @@ def test_pipelines_share_the_sample_transform_of_their_nodes(monkeypatch):
                 call(method, em)
     with pytest.raises(MellinError, match="development point mismatch"):
         at_half.transform(em)
+
+
+def test_both_selects_of_a_sample_read_one_abs_sq_and_one_sigma_hat(monkeypatch):
+    # |M_hat|^2 and sigma_hat are the sample's memos: the ridge and cut-off
+    # selects of one sample, and a second fit, read the same read-only
+    # |M_hat|^2 object and the same sigma_hat, computed once
+    read = []
+    for bank in (selection.RidgeBank, selection.CutoffBank):
+        def recorded(self, mhat_abs_sq, sig_hat, n, select=bank.select):
+            read.append((mhat_abs_sq, sig_hat))
+            return select(self, mhat_abs_sq, sig_hat, n)
+        monkeypatch.setattr(bank, "select", recorded)
+    em = EmpiricalMellin(1.0, _draw("gamma5", "noise_beta", 500))
+    pipeline = Pipeline(_noise("noise_beta", 1.0), table1_selection_config("noise_beta"), Q,
+                        default_x_grid())
+    for method in ("ridge", "cutoff", "ridge", "cutoff"):
+        pipeline.fit(method, em)
+    abs_sq, sig = read[0]
+    assert len(read) == 4 and all(a is abs_sq and s is sig for a, s in read)
+    assert not abs_sq.flags.writeable
+    assert np.array_equal(abs_sq, np.abs(pipeline.transform(em)) ** 2)
+    assert sig is em.sigma_hat == np.mean(em.sample ** 0.0)
+    # a sample whose sigma_hat overflows is refused by every select, memo or not
+    huge = EmpiricalMellin(0.0, 1e-160 * _draw("gamma5", "noise_beta", 200))
+    at_zero = Pipeline(_noise("noise_beta", 0.0), SelectionConfig(chi1=0.125, chi2=0.125, chi=3.0, c=0.0),
+                       Q, default_x_grid())
+    for method in ("ridge", "cutoff", "ridge"):
+        with pytest.raises(MellinError, match="sigma_hat overflows at c=0.0"):
+            at_zero.select(method, huge)
+    assert huge.sigma_hat == np.inf
 
 
 # ---------------------------------------------------------------------- #

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from mellin_deconv import (
@@ -13,6 +13,7 @@ from mellin_deconv import (
     EmpiricalMellin,
     EmptyAdmissibleSetError,
     MellinFunction,
+    NoiseTransformZeroError,
     QuadratureConfig,
     RidgeSpec,
     RngStream,
@@ -37,7 +38,15 @@ from mellin_deconv.selection import (
 )
 from mellin_deconv import ExperimentConfig, default_x_grid, table1_selection_config
 
-from conftest import RowRidgeBank, empirical_mellin, multiplier_norm_sq, ridge_tail_bound
+from conftest import (
+    RowRidgeBank,
+    all_node_contrasts,
+    empirical_mellin,
+    full_grid_cutoff_estimate,
+    full_grid_cutoff_select,
+    multiplier_norm_sq,
+    ridge_tail_bound,
+)
 
 Q = QuadratureConfig(0.01, 150.0)
 G_BETA = catalog_mellin("noise_beta", 1.0)
@@ -514,7 +523,10 @@ def test_cutoff_windows_follow_the_grid_window_rule():
     assert list(bank.k_values[:m]) == list(range(1, 21))
     for k, norm in zip(bank.k_values[:m], bank.norms_sq[:m]):
         j = q.window_index(k)
-        row = pipeline.multiplier("cutoff", k)
+        window = pipeline.multiplier("cutoff", k)  # on the window's 2j+1 nodes only
+        assert window.shape == (2 * j + 1,)
+        row = np.zeros(len(q), dtype=complex)
+        row[q.window_nodes(j)] = window
         assert np.array_equal(np.nonzero(row)[0], np.arange(q.center - j, q.center + j + 1))
         assert norm == pytest.approx(q.window_integrate(np.abs(row) ** 2, k), rel=1e-12)
         cut = cutoff_multiplier(CutoffSpec(k=float(k), c=1.0), G_BETA, q)
@@ -598,6 +610,78 @@ def test_cutoff_bank_on_a_grid_past_exact_whole_levels_is_refused_by_type():
     assert bank.k_values.size == q.half_size + 1
     assert bank.windows.tolist() == [q.window_index(k) for k in bank.k_values.tolist()]
     assert all(q.window_index(k - 1) < j for k, j in zip(bank.k_values.tolist()[1:], bank.windows[1:]))
+
+
+# ---------------------------------------------------------------------- #
+# passes trimmed to the nodes their outputs read, bitwise against the
+# former full-grid forms
+# ---------------------------------------------------------------------- #
+
+
+def _trim_case(noise: str, q: QuadratureConfig) -> tuple:
+    """(noise transform, c, noise of the simulated sample) of a drawn case;
+    "zero" is noise_beta with an exact zero at t = +-t_max/3, so kappa = inf
+    at two nodes."""
+    if noise == "zero":
+        t0 = q.t[q.center + q.half_size // 3]
+        g = MellinFunction(1.0, lambda t: np.where(np.abs(np.asarray(t)) == t0, 0.0, G_BETA.eval_fn(t)))
+        return g, 1.0, "noise_beta"
+    if noise == "noise_uniform_c0":
+        return catalog_mellin("noise_uniform", 0.0), 0.0, "noise_uniform"
+    return catalog_mellin(noise, 1.0), 1.0, noise
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    noise=st.sampled_from(["noise_beta", "noise_uniform", "noise_uniform_c0", "zero"]),
+    grid=st.sampled_from([(0.01, 150.0), (0.05, 60.0), (0.3, 20.0), (0.05, 3.0)]),
+    k_grid=st.none() | st.sets(st.integers(1, 60), min_size=1, max_size=8).map(sorted),
+    n=st.sampled_from([1, 50, 500, 2000, 100_000]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(noise="noise_beta", grid=(0.3, 20.0), k_grid=None, n=500, seed=1)  # cut-off window at the edge
+@example(noise="zero", grid=(0.01, 150.0), k_grid=[3], n=2000, seed=2)  # one level, no inner node
+@example(noise="noise_uniform", grid=(0.01, 150.0), k_grid=[2, 5, 9, 30], n=2000, seed=3)
+def test_trimmed_passes_match_the_full_grid_forms_bitwise(noise, grid, k_grid, n, seed):
+    # the ridge contrasts sum the moments in u and u^2 over the inner nodes
+    # only, the cut-off select sums over its largest admissible window only,
+    # and the cut-off estimate forms its product on the window's nodes only;
+    # every output equals the former pass over every node bit for bit
+    q = QuadratureConfig(*grid)
+    g, c, sample_noise = _trim_case(noise, q)
+    cfg = SelectionConfig(chi1=0.125, chi2=0.125, chi=1.0, c=c, k_grid=k_grid)
+    pipeline = Pipeline(g, cfg, q, default_x_grid(points=16))
+    em = EmpiricalMellin(c, _simulated_sample(min(n, 2000), rep=seed, target="gamma5", error=sample_noise))
+    abs_sq, sig = em.abs_sq_on_grid(q), em.sigma_hat
+
+    ridge = pipeline.bank("ridge")
+    m = ridge.admissible(n)
+    for prefix in sorted({1, (m + 1) // 2, m} - {0}):
+        assert np.array_equal(ridge.contrasts(abs_sq, prefix), all_node_contrasts(ridge, abs_sq, prefix))
+
+    cutoff = pipeline.bank("cutoff")
+    m = cutoff.admissible(n)
+    if m == 0:
+        return
+    if cutoff.windows[m - 1] == q.half_size:
+        event("largest admissible window at the grid edge")
+    result = cutoff.select(abs_sq, sig, n)
+    norms, pen, objective = full_grid_cutoff_select(cutoff, abs_sq, sig, n)
+    assert [d.a_hat for d in result.diagnostics] == norms.tolist()
+    assert [d.v_hat for d in result.diagnostics] == pen.tolist()
+    assert [d.objective for d in result.diagnostics] == objective.tolist()
+    for k in {int(cutoff.k_values[0]), int(cutoff.k_values[m - 1])}:
+        try:
+            estimate = pipeline.estimate("cutoff", em, k)
+        except NoiseTransformZeroError:
+            assert noise in ("zero", "noise_uniform_c0")
+            continue
+        product, values = full_grid_cutoff_estimate(pipeline, em, k)
+        nodes = q.window_nodes(q.window_index(k))
+        window = pipeline.multiplier("cutoff", k) * em.on_grid(q)[nodes]
+        assert np.array_equal(window, product[nodes])
+        assert np.count_nonzero(product) == np.count_nonzero(window)
+        assert np.array_equal(estimate.values, values)
 
 
 def test_diagnostics_csv(tmp_path):

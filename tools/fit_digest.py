@@ -38,7 +38,10 @@ Each line is a digest and the section it covers:
   pipeline per noise serving n = 500, 2000, 10 000, 500, 777, 2000, 10 000,
   123, 500 in turn, released after every third size: ``k_hat``,
   ``sigma_hat`` and every level's ``a_hat``, ``v_hat`` and objective, as
-  ``repr``.  ``fits`` covers only ``k_hat`` and the densities.
+  ``repr``.  ``fits`` covers only ``k_hat`` and the densities;
+- ``contrasts``: the bytes of `RidgeBank.contrasts` over the prefix
+  admissible at n, for the samples, pipelines and releases of
+  ``selections``, with |M_hat|^2 from `Pipeline.transform`.
 
 Only the package's public names and numpy are used, so the script runs on
 any commit that has `Pipeline.fit(method, sample)`.
@@ -234,28 +237,46 @@ def fixed_levels() -> tuple:
     return digest, f"{count} fixed-level estimates"
 
 
-def selections() -> tuple:
-    digest = hashlib.sha256()
-    count = 0
+def _selection_samples():
+    """(pipeline, sample) of the selections section, one pipeline per noise
+    serving ``SELECTION_SIZES`` in turn, released after every third size."""
     for noise, pipeline in _pipelines().items():
         for i, n in enumerate(SELECTION_SIZES):
             key = ("fit_digest selections", TARGETS[i % len(TARGETS)], noise, n, i)
             x = md.sample(md.density_spec(key[1]), n, md.RngStream(SEED, md.stream_id_for("x", *key)))
             u = md.RngStream(SEED, md.stream_id_for("u", *key))
-            em = md.EmpiricalMellin(C, md.contaminate(x, md.density_spec(noise), u))
-            for method in ("ridge", "cutoff"):
-                result = pipeline.select(method, em)
-                digest.update(f"{method} {result.k_hat} {result.sigma_hat!r};".encode())
-                for d in result.diagnostics:
-                    digest.update(f"{d.k} {d.a_hat!r} {d.v_hat!r} {d.objective!r};".encode())
-                count += 1
+            yield pipeline, md.EmpiricalMellin(C, md.contaminate(x, md.density_spec(noise), u))
             if i % 3 == 2:
                 pipeline.release()
+
+
+def selections() -> tuple:
+    digest = hashlib.sha256()
+    count = 0
+    for pipeline, em in _selection_samples():
+        for method in ("ridge", "cutoff"):
+            result = pipeline.select(method, em)
+            digest.update(f"{method} {result.k_hat} {result.sigma_hat!r};".encode())
+            for d in result.diagnostics:
+                digest.update(f"{d.k} {d.a_hat!r} {d.v_hat!r} {d.objective!r};".encode())
+            count += 1
     return digest, f"{count} selections"
 
 
+def contrasts() -> tuple:
+    digest = hashlib.sha256()
+    count = 0
+    for pipeline, em in _selection_samples():
+        bank = pipeline.bank("ridge")
+        m = bank.admissible(em.n)
+        digest.update(f"{m};".encode())
+        digest.update(bank.contrasts(np.abs(pipeline.transform(em)) ** 2, m).tobytes())
+        count += 1
+    return digest, f"{count} contrast tables"
+
+
 SECTIONS = (fits, three_step, table_rows, profile_rows, rate_points, oracle_comparisons,
-            banks, tails, cutoff_banks, fixed_levels, selections)
+            banks, tails, cutoff_banks, fixed_levels, selections, contrasts)
 
 
 def main() -> None:
